@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .commands import cost as sequence_cost
 from .commands import replay
-from .ordering import (Ordering, increase_pairwise_order, order_as_is,
-                       order_inputs_randomly, place_in_the_model)
+from .ordering import (Ordering, _chunk_pairs, increase_pairwise_order,
+                       order_as_is, order_inputs_randomly, place_in_the_model)
 from .qasm import Circuit, build_circuit, decompose_gate, Gate
 from .scheduler import ScheduleResult, schedule
 from .trap import TrapConfig, TrapState
@@ -285,17 +285,12 @@ def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
 # -- exhaustive placement oracle ----------------------------------------------
 
 
-def _pairwise_layout(perm: tuple[int, ...]) -> Ordering:
-    groups = tuple(perm[i:i + 2] for i in range(0, len(perm), 2))
-    return Ordering(groups, "oracle")
-
-
 def enumerate_orderings(n: int):
     """One representative per reversal class (n!/2 classes for n >= 2), in
     lexicographic order of the flat permutation, paired left to right."""
     for perm in itertools.permutations(range(1, n + 1)):
         if perm <= perm[::-1]:
-            yield _pairwise_layout(perm)
+            yield _chunk_pairs(list(perm), "oracle")
 
 
 def ordering_cost(circuit: Circuit, ordering: Ordering,
@@ -326,7 +321,7 @@ def brute_force_best_ordering(circuit: Circuit,
             continue
         reps = (perm,) if n % 2 == 0 else (perm, perm[::-1])
         for rep in reps:
-            ordering = _pairwise_layout(rep)
+            ordering = _chunk_pairs(list(rep), "oracle")
             c = ordering_cost(circuit, ordering, config, verify=verify)
             if best is None or c < best[1]:
                 best = (ordering, c)

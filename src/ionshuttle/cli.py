@@ -13,13 +13,11 @@ import sys
 
 from .benchmarks import (bench_config, circuit_fit, compile_ordering,
                          make_ordering, run_sweep, InvalidShape)
-from .commands import (FormatError, cost, parse_sequence, render_trace,
-                       render_trace_svg, replay, serialize)
-from .ordering import place_in_the_model
+from .commands import (FormatError, ReplayError, cost, parse_sequence,
+                       render_trace, render_trace_svg, replay, serialize)
 from .qasm import QasmError, parse_qasm
-from .scheduler import schedule
 from .trap import (CapacityExceeded, InvalidConfig, TrapConfig, TrapError,
-                   TrapOverflow, TrapState)
+                   TrapOverflow)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,9 +64,7 @@ def cmd_compile(args) -> int:
         config = _trap_config(args)
         ordering = make_ordering(circuit, args.ordering,
                                  args.seed if args.ordering == "oir" else None)
-        state = TrapState(config)
-        place_in_the_model(state, ordering, circuit)
-        result = schedule(circuit, state)
+        result = compile_ordering(circuit, ordering, config)
     except (CapacityExceeded, InvalidConfig) as e:
         return _fail(EXIT_CAPACITY, str(e))
     except TrapOverflow as e:
@@ -114,7 +110,12 @@ def cmd_validate(args) -> int:
     config = None
     if args.segments is not None or args.liz is not None:
         config = _trap_config(args)
-    report = replay(sequence, config, strict=args.strict)
+    try:
+        report = replay(sequence, config, strict=args.strict)
+    except ReplayError as e:
+        return _fail(EXIT_ERROR, str(e))
+    except InvalidConfig as e:
+        return _fail(EXIT_CAPACITY, str(e))
     for seq, message in report.violations:
         print(f"command {seq}: {message}")
     print(f"commands: {len(sequence)}  splits: {report.s_count}  "
@@ -145,8 +146,10 @@ def cmd_trace(args) -> int:
             _write(args.svg, render_trace_svg(sequence, config))
     except OSError as e:
         return _fail(EXIT_IO, str(e))
-    except (TrapError, Exception) as e:  # noqa: BLE001 - replay errors surface here
+    except ReplayError as e:
         return _fail(EXIT_ERROR, str(e))
+    except InvalidConfig as e:
+        return _fail(EXIT_CAPACITY, str(e))
     return EXIT_OK
 
 

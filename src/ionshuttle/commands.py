@@ -12,15 +12,17 @@ other opcode it is the plain parameter count.  DG carries the circuit gate
 index as a traceability extension of the otherwise parameterless gate
 placeholder.
 
-``replay`` re-executes a program on a fresh trap, checking every command
-against the constraint set.
+``apply`` is the one executor: it is the only code that maps an opcode
+to the ``TrapState`` primitives, and it raises a ``TrapError`` for any
+command the constraint set forbids.  ``replay`` and the trace renderers
+both run a program through it on a fresh trap.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
-from .trap import TrapConfig, TrapState, TrapError
+from .trap import NotInLiz, TrapConfig, TrapState, TrapError
 
 RawCommand = tuple[str, tuple[int, ...]]
 
@@ -59,13 +61,6 @@ class ReplayError(Exception):
         self.seq = seq
 
 
-@dataclass(frozen=True)
-class Command:
-    seq: int
-    op: str
-    params: tuple[int, ...]
-
-
 @dataclass
 class CommandSequence:
     """An ordered command list plus the trap shape it targets."""
@@ -73,10 +68,6 @@ class CommandSequence:
     n_segments: int = 32
     liz: int = 19
     raw: list[RawCommand] = field(default_factory=list)
-
-    @property
-    def commands(self) -> tuple[Command, ...]:
-        return tuple(Command(i + 1, op, params) for i, (op, params) in enumerate(self.raw))
 
     def opcode_counts(self) -> dict[str, int]:
         counts = {op: 0 for op in OPCODE_ARITY}
@@ -166,112 +157,92 @@ class ReplayReport:
         return not self.violations
 
 
+def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
+    """Execute one command on ``state``, raising TrapError if it is illegal.
+
+    A failing command leaves the state as it was, with one exception: an
+    RC that names a segment other than the LIZ still reverses the crystal
+    there before it is rejected.  START changes nothing; where it may
+    stand is a rule of the program (see :func:`replay`).
+    """
+    if op == "SMU" or op == "SMD":
+        direction = "up" if op == "SMU" else "down"
+        if params[0] == 1:  # the single-crystal step, by far the commonest
+            state.move_crystal_step(params[1], direction)
+            return
+        # parallel form: move the leading crystal first, and undo the steps
+        # already taken if a later one fails
+        started = state.scheduling_started
+        moved: list[int] = []
+        try:
+            for s in sorted(params[1:], reverse=(op == "SMD")):
+                moved.append(state.move_crystal_step(s, direction))
+        except TrapError:
+            back = "down" if op == "SMU" else "up"
+            for s in reversed(moved):
+                state.move_crystal_step(s, back)
+            state.scheduling_started = started
+            raise
+    elif op == "AEC":
+        state.add_well(params[0])
+    elif op == "REC":
+        state.remove_well(params[0])
+    elif op == "S":
+        state.split_at_liz()
+    elif op == "M":
+        state.merge_at_liz()
+    elif op == "RC":
+        seg = params[0]
+        if seg != state.config.liz:
+            crystal = state.crystal_at(seg)
+            if crystal is not None:
+                crystal.ions.reverse()
+            raise NotInLiz(f"rotation outside LIZ (segment {seg})")
+        state.rotate_at_liz()
+    elif op == "DG":
+        state.record_gate(params[0])
+    elif op == "AIC":
+        state.place_ion(params[0], params[1])
+
+
+def _execute(sequence: CommandSequence, state: TrapState, bad, after=None) -> None:
+    """Run the program on ``state``: the START rule, then :func:`apply` on
+    every command.  Each violation goes to ``bad(seq, message)``; ``after``,
+    if given, is called as ``after(seq, op, params)`` once each command ran.
+    """
+    raw = sequence.raw
+    if raw and raw[0][0] != "START":
+        bad(1, "sequence does not begin with START")
+    for seq, (op, params) in enumerate(raw, 1):
+        try:
+            if op == "START" and seq > 1:
+                bad(seq, "START not at the beginning")
+            else:
+                apply(state, op, params)
+        except TrapError as e:
+            bad(seq, str(e))
+        if after is not None:
+            after(seq, op, params)
+
+
+def _reject(seq: int, message: str) -> None:
+    raise ReplayError(seq, message)
+
+
 def replay(sequence: CommandSequence, config: TrapConfig | None = None,
            strict: bool = False) -> ReplayReport:
     """Re-execute the program on a fresh trap, validating every command.
 
-    Lenient mode records violations and keeps going (skipping commands whose
-    preconditions fail); strict mode raises ReplayError at the first one.
+    A program begins with START and holds no other.  Lenient mode records
+    one violation per failing command and skips that command (a missing
+    START is reported against command 1, which still runs; an RC outside
+    the LIZ still reverses its crystal, see :func:`apply`).  Strict mode
+    raises ReplayError at the first violation.
     """
-    cfg = config or sequence.config()
-    state = TrapState(cfg, record=False)
+    state = TrapState(config or sequence.config(), record=False)
     violations: list[tuple[int, str]] = []
-
-    def bad(seq: int, message: str) -> None:
-        if strict:
-            raise ReplayError(seq, message)
-        violations.append((seq, message))
-
-    move = state.move_crystal_step
-    seg_map = state.seg_crystal
-    crystals = state.crystals
-    wells = state.wells
-    nseg = cfg.n_segments
-    fast_moves = cfg.min_crystal_spacing == 2
-    for i, (op, params) in enumerate(sequence.raw):
-        if op == "SMU" or op == "SMD":
-            if fast_moves and params[0] == 1:
-                # inline single-crystal step (the overwhelmingly common form)
-                seg = params[1]
-                dest = seg - 1 if op == "SMU" else seg + 1
-                cid = seg_map.get(seg)
-                if cid is None:
-                    bad(i + 1, f"no crystal at segment {seg}")
-                elif dest < 1 or dest > nseg:
-                    bad(i + 1, f"move from segment {seg} leaves the trap")
-                elif dest in wells:
-                    bad(i + 1, f"segment {dest} holds an empty well")
-                elif dest in seg_map or (2 * dest - seg) in seg_map:
-                    bad(i + 1, f"moving to segment {dest} violates spacing near it")
-                else:
-                    del seg_map[seg]
-                    seg_map[dest] = cid
-                    crystals[cid].segment = dest
-                    state.scheduling_started = True
-                continue
-            direction = "up" if op == "SMU" else "down"
-            for s in sorted(params[1:], reverse=(op == "SMD")):
-                try:
-                    move(s, direction)
-                except TrapError as e:
-                    bad(i + 1, str(e))
-            continue
-        if i == 0 and op != "START":
-            bad(1, "sequence does not begin with START")
-        if op == "AEC":
-            s = params[0]
-            if s < 1 or s > nseg:
-                bad(i + 1, f"segment {s} outside trap")
-            elif s in seg_map:
-                bad(i + 1, f"segment {s} occupied by a crystal")
-            elif s in wells:
-                bad(i + 1, f"segment {s} already holds a well")
-            else:
-                wells.add(s)
-                state.scheduling_started = True
-        elif op == "REC":
-            s = params[0]
-            if s in wells:
-                wells.discard(s)
-            else:
-                bad(i + 1, f"no empty well at segment {s}")
-        elif op == "S":
-            try:
-                state.split_at_liz()
-            except TrapError as e:
-                bad(i + 1, str(e))
-        elif op == "M":
-            try:
-                state.merge_at_liz()
-            except TrapError as e:
-                bad(i + 1, str(e))
-        elif op == "RC":
-            seg = params[0]
-            if seg != cfg.liz:
-                bad(i + 1, f"rotation outside LIZ (segment {seg})")
-                crystal = state.crystal_at(seg)
-                if crystal is not None:
-                    crystal.ions.reverse()
-            else:
-                try:
-                    state.rotate_at_liz()
-                except TrapError as e:
-                    bad(i + 1, str(e))
-        elif op == "DG":
-            state.scheduling_started = True
-            if cfg.liz not in state.seg_crystal:
-                bad(i + 1, "gate executed with no crystal in the LIZ")
-        elif op == "AIC":
-            if state.scheduling_started:
-                bad(i + 1, "initial placement after shuttling started")
-                continue
-            try:
-                state.place_ion(params[0], params[1])
-            except TrapError as e:
-                bad(i + 1, str(e))
-        elif op == "START":
-            if i != 0:
-                bad(i + 1, "START not at the beginning")
+    _execute(sequence, state, _reject if strict else
+             lambda seq, message: violations.append((seq, message)))
     return ReplayReport(state, state.s_count, state.m_count, violations)
 
 
@@ -300,35 +271,17 @@ def _trace_rows(sequence: CommandSequence,
     Non-visible commands (START, AEC, REC, DG) fold into the sequence-number
     range of the next visible row; gate indices carried by folded DGs are
     attached to that row.  Trailing non-visible commands extend the last row.
+    Raises ReplayError at the first command strict replay would reject.
     """
     cfg = config or sequence.config()
     state = TrapState(cfg, record=False)
     rows: list[_TraceRow] = []
     pending_first: int | None = None
     pending_gates: list[int] = []
-    for i, (op, params) in enumerate(sequence.raw):
-        seq = i + 1
-        if op == "START":
-            pass
-        elif op == "AIC":
-            state.place_ion(params[0], params[1])
-        elif op in ("SMU", "SMD"):
-            direction = "up" if op == "SMU" else "down"
-            for s in sorted(params[1:], reverse=(op == "SMD")):
-                state.move_crystal_step(s, direction)
-        elif op == "AEC":
-            state.add_well(params[0])
-        elif op == "REC":
-            state.remove_well(params[0])
-        elif op == "RC":
-            if params[0] != cfg.liz:
-                raise ReplayError(seq, "rotation outside LIZ")
-            state.rotate_at_liz()
-        elif op == "M":
-            state.merge_at_liz()
-        elif op == "S":
-            state.split_at_liz()
-        elif op == "DG":
+
+    def snapshot(seq: int, op: str, params: tuple[int, ...]) -> None:
+        nonlocal pending_first, pending_gates
+        if op == "DG":
             pending_gates.append(params[0])
         if op in STATE_CHANGING:
             occupants = {c.segment: tuple(c.ions) for c in state.crystals.values()}
@@ -338,6 +291,8 @@ def _trace_rows(sequence: CommandSequence,
             pending_first, pending_gates = None, []
         elif pending_first is None:
             pending_first = seq
+
+    _execute(sequence, state, _reject, snapshot)
     if rows and (pending_first is not None or pending_gates):
         rows[-1].last_seq = len(sequence.raw)
         rows[-1].gates.extend(pending_gates)

@@ -2,10 +2,11 @@
 
 Gates are processed in circuit order.  A gate whose ions share a crystal
 only needs that crystal brought to the LIZ.  When the ions sit in different
-crystals, the operand in the upper crystal is exchanged downward through
-the intervening crystals, one neighbor at a time, until it reaches the
-crystal adjacent to its partner; the final exchange executes the gate while
-both ions share the temporary merged crystal.
+crystals, the gate's first-listed operand is exchanged toward its partner
+(up or down the trap) through the intervening crystals, one neighbor at a
+time, until it reaches the crystal adjacent to its partner; the final
+exchange executes the gate while both ions share the temporary merged
+crystal.
 
 Each exchange follows the fixed split/merge choreography: orient both
 crystals so the traveling ions face each other, split each two-ion crystal,
@@ -42,7 +43,6 @@ class _Scheduler:
         self.state = state
         cfg = state.config
         self.liz = cfg.liz
-        self.k = cfg.min_crystal_spacing
         self.n_segments = cfg.n_segments
         self.wells_required = cfg.empty_wells_required
         # precomputed well-bracket commands for the fixed sites beside the LIZ
@@ -54,7 +54,7 @@ class _Scheduler:
 
     def _send(self, cid: int, target: int) -> None:
         """Move a crystal to ``target``, recursively pushing blockers one
-        spacing beyond the target, in the direction of travel.
+        spacing (2 segments) beyond the target, in the direction of travel.
 
         Steps are applied inline: the blocker scan already proves the next
         segment safe, so re-validating through move_crystal_step would only
@@ -67,7 +67,6 @@ class _Scheduler:
         history = state.history
         record = state.record
         crystals = state.crystals
-        k = self.k
         nseg = self.n_segments
         moved = False
         # explicit push stack: resolving a blocker suspends the mover's frame
@@ -81,20 +80,13 @@ class _Scheduler:
                 continue
             d = 1 if target > seg else -1
             op = "SMD" if d > 0 else "SMU"
-            push_to = target + d * k
+            push_to = target + 2 * d
             blocked = False
             while seg != target:
                 nxt = seg + d
-                if k == 2:
-                    blocker = nxt if nxt in seg_map else (
-                        nxt + d if nxt + d in seg_map else 0)
-                else:
-                    s, blocker = nxt, 0
-                    for _ in range(k):
-                        if s in seg_map:
-                            blocker = s
-                            break
-                        s += d
+                # the next step is legal unless a crystal sits at nxt or beyond it
+                blocker = nxt if nxt in seg_map else (
+                    nxt + d if nxt + d in seg_map else 0)
                 if blocker:
                     if not 1 <= push_to <= nseg:
                         raise TrapOverflow(
@@ -124,20 +116,12 @@ class _Scheduler:
         seg_map = self.state.seg_crystal
         for side in (-1, 1):
             stage = self.liz + side
-            while True:
-                violator = 0
-                s = stage
-                for _ in range(self.k):
-                    if s != self.liz and s in seg_map:
-                        violator = s
-                        break
-                    s += side
-                if not violator:
-                    break
-                push_to = self.liz + side * (1 + self.k)
+            beyond = stage + side
+            push_to = beyond + side
+            while stage in seg_map or beyond in seg_map:
                 if not 1 <= push_to <= self.n_segments:
                     raise TrapOverflow(f"no room beside the LIZ at segment {push_to}")
-                self._send(seg_map[violator], push_to)
+                self._send(seg_map[stage if stage in seg_map else beyond], push_to)
 
     # -- LIZ operations with the empty-well bracket --------------------------
 
@@ -169,12 +153,14 @@ class _Scheduler:
             if record:
                 history.append(rec)
 
-    def _split(self) -> tuple[int, int]:
+    def _split(self, d: int) -> tuple[int, int]:
+        """Split the LIZ crystal; return (product on side -d, product on
+        side +d), where side +1 is below the LIZ."""
         self._clear_split_zone()
         spots = self._wells_on()
-        out = self.state.split_at_liz()
+        above, below = self.state.split_at_liz()
         self._wells_off(spots)
-        return out
+        return (above, below) if d > 0 else (below, above)
 
     def _merge(self) -> int:
         spots = self._wells_on()
@@ -198,110 +184,62 @@ class _Scheduler:
 
     # -- exchange ------------------------------------------------------------
 
-    def _crystal_below(self, cid: int) -> int | None:
-        seg = self.state.crystals[cid].segment
-        for s in range(seg + 1, self.n_segments + 1):
-            if s in self.state.seg_crystal:
-                return self.state.seg_crystal[s]
+    def _neighbour(self, cid: int, d: int) -> int | None:
+        """The nearest crystal below (d = +1) or above (d = -1) ``cid``."""
+        seg_map = self.state.seg_crystal
+        end = self.n_segments + 1 if d > 0 else 0
+        for s in range(self.state.crystals[cid].segment + d, end, d):
+            if s in seg_map:
+                return seg_map[s]
         return None
 
-    def _crystal_above(self, cid: int) -> int | None:
-        seg = self.state.crystals[cid].segment
-        for s in range(seg - 1, 0, -1):
-            if s in self.state.seg_crystal:
-                return self.state.seg_crystal[s]
-        return None
-
-    def _ion_permutation(self, ion_a: int, ion_b: int, do_gate: bool,
-                         gate_index: int) -> None:
-        """Exchange ion_a (upper crystal) with ion_b (adjacent lower crystal),
-        running the gate on the temporary merged crystal when requested."""
+    def _exchange(self, ion_a: int, ion_b: int, d: int, do_gate: bool,
+                  gate_index: int) -> None:
+        """Exchange ion_a with ion_b from the adjacent crystal in direction
+        ``d`` (+1: below, -1: above), running the gate on the temporary
+        merged crystal when requested.  ion_a ends in ion_b's crystal and
+        ion_b in ion_a's; the choreography (and so the cost) is the same
+        either way, with every direction and intra-crystal end flipped."""
         state = self.state
+        liz = self.liz
         c1 = state.crystal_of(ion_a)
         c4 = state.crystal_of(ion_b)
         # orient so the travelers face each other (no-ops for singletons)
-        if len(c1.ions) == 2 and c1.ions[0] == ion_a:
+        back = 0 if d > 0 else -1
+        if len(c1.ions) == 2 and c1.ions[back] == ion_a:
             self._rotate_crystal(c1.id)
-        if len(c4.ions) == 2 and c4.ions[1] == ion_b:
+        if len(c4.ions) == 2 and c4.ions[-1 - back] == ion_b:
             self._rotate_crystal(c4.id)
 
         c1_pair = len(c1.ions) == 2
         c4_pair = len(c4.ions) == 2
-        partner_above = None
         if c1_pair:
             self._bring_to_liz(c1.id)
-            partner_above, traveler_a = self._split()
+            partner_a, traveler_a = self._split(d)
         else:
             traveler_a = c1.id
-        partner_below = None
         if c4_pair:
             self._bring_to_liz(c4.id)
-            traveler_b, partner_below = self._split()
+            partner_b, traveler_b = self._split(-d)
         else:
             traveler_b = c4.id
 
-        self._send(traveler_a, self.liz - 1)
-        self._send(traveler_b, self.liz + 1)
-        self._merge()                      # [ion_a, ion_b] in the LIZ
-        self._rotate_liz()                 # [ion_b, ion_a]: part in exchanged order
+        self._send(traveler_a, liz - d)
+        self._send(traveler_b, liz + d)
+        self._merge()                      # ion_a on the -d side of ion_b
+        self._rotate_liz()                 # swap them, so they part exchanged
         if do_gate:
             self._dg(gate_index)
-        out_above, out_below = self._split()   # ion_b above, ion_a below
+        out_b, out_a = self._split(d)      # ion_a on the +d side
 
         if c1_pair:
-            self._send(partner_above, self.liz - 1)
-            self._send(out_above, self.liz + 1)
-            self._merge()                  # upper home: [old partner, ion_b]
+            self._send(partner_a, liz - d)
+            self._send(out_b, liz + d)
+            self._merge()                  # ion_a's old home, now holding ion_b
         if c4_pair:
-            self._send(out_below, self.liz - 1)
-            self._send(partner_below, self.liz + 1)
-            self._merge()                  # lower home: [ion_a, old partner]
-
-    def _ion_permutation_up(self, ion_a: int, ion_b: int, do_gate: bool,
-                            gate_index: int) -> None:
-        """Mirror image of _ion_permutation: ion_a travels upward out of the
-        lower crystal, ion_b comes down from the adjacent upper crystal.
-        Every direction and intra-crystal end is flipped; the split/merge
-        choreography (and so the cost) is identical."""
-        state = self.state
-        c1 = state.crystal_of(ion_a)
-        c4 = state.crystal_of(ion_b)
-        if len(c1.ions) == 2 and c1.ions[1] == ion_a:
-            self._rotate_crystal(c1.id)
-        if len(c4.ions) == 2 and c4.ions[0] == ion_b:
-            self._rotate_crystal(c4.id)
-
-        c1_pair = len(c1.ions) == 2
-        c4_pair = len(c4.ions) == 2
-        partner_below = None
-        if c1_pair:
-            self._bring_to_liz(c1.id)
-            traveler_a, partner_below = self._split()
-        else:
-            traveler_a = c1.id
-        partner_above = None
-        if c4_pair:
-            self._bring_to_liz(c4.id)
-            partner_above, traveler_b = self._split()
-        else:
-            traveler_b = c4.id
-
-        self._send(traveler_a, self.liz + 1)
-        self._send(traveler_b, self.liz - 1)
-        self._merge()                      # [ion_b, ion_a] in the LIZ
-        self._rotate_liz()                 # [ion_a, ion_b]
-        if do_gate:
-            self._dg(gate_index)
-        out_above, out_below = self._split()   # ion_a above, ion_b below
-
-        if c1_pair:
-            self._send(partner_below, self.liz + 1)
-            self._send(out_below, self.liz - 1)
-            self._merge()                  # lower home: [ion_b, old partner]
-        if c4_pair:
-            self._send(out_above, self.liz + 1)
-            self._send(partner_above, self.liz - 1)
-            self._merge()                  # upper home: [old partner, ion_a]
+            self._send(out_a, liz - d)
+            self._send(partner_b, liz + d)
+            self._merge()                  # ion_b's old home, now holding ion_a
 
     # -- top-level gate loop ---------------------------------------------------
 
@@ -325,22 +263,14 @@ class _Scheduler:
         while True:
             ca = state.ion_crystal[a]
             cb = state.ion_crystal[b]
-            if state.crystals[ca].segment < state.crystals[cb].segment:
-                nxt = self._crystal_below(ca)
-                assert nxt is not None, "partner crystal vanished below"
-                if nxt == cb:
-                    self._ion_permutation(a, b, True, gate.index)
-                    return
-                self._ion_permutation(a, state.crystals[nxt].ions[0], False,
-                                      gate.index)
-            else:
-                nxt = self._crystal_above(ca)
-                assert nxt is not None, "partner crystal vanished above"
-                if nxt == cb:
-                    self._ion_permutation_up(a, b, True, gate.index)
-                    return
-                self._ion_permutation_up(a, state.crystals[nxt].ions[-1], False,
-                                         gate.index)
+            d = 1 if state.crystals[ca].segment < state.crystals[cb].segment else -1
+            nxt = self._neighbour(ca, d)
+            assert nxt is not None, "partner crystal vanished"
+            if nxt == cb:
+                self._exchange(a, b, d, True, gate.index)
+                return
+            facing = state.crystals[nxt].ions[0 if d > 0 else -1]
+            self._exchange(a, facing, d, False, gate.index)
 
 
 def send_to_segment(state: TrapState, crystal_id: int, target: int) -> None:
@@ -359,9 +289,9 @@ def ion_permutation(state: TrapState, ion_a: int, ion_b: int, do_gate: bool,
     if ca.segment > cb.segment:
         raise ValueError("ion_a must sit in the upper crystal")
     sch = _Scheduler(state)
-    if sch._crystal_below(ca.id) != cb.id:
+    if sch._neighbour(ca.id, 1) != cb.id:
         raise ValueError("crystals are not adjacent in the trap order")
-    sch._ion_permutation(ion_a, ion_b, do_gate, gate_index)
+    sch._exchange(ion_a, ion_b, 1, do_gate, gate_index)
 
 
 def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:

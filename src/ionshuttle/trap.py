@@ -3,8 +3,10 @@
 The trap is a 1-indexed array of segments.  A segment is empty, holds one
 ion crystal (an ordered group of one or two ions), or holds an empty
 potential well used to balance fields near the laser interaction zone
-(LIZ).  Split, merge and rotation happen only in the LIZ; crystals must
-keep a minimum segment distance from each other at all times.
+(LIZ).  There is one LIZ, and split, merge and rotation happen only
+there.  Crystals must stay at least 2 segments apart at all times; the
+spacing is fixed at 2, so every spacing check looks only at the segments
+next to a crystal.
 
 Every mutating operation validates its constraints before touching state
 and, when recording is enabled, appends the matching shuttling command to
@@ -76,25 +78,16 @@ class TrapConfig:
     max_ions_per_crystal: int = 2
     min_crystal_spacing: int = 2
     empty_wells_required: bool = True
-    split_merge_only_in_liz: bool = True
-    rotation_only_in_liz: bool = True
-    parallel_rotations: bool = False
-    max_rotation_crystal_size: int = 2
-    n_liz: int = 1
 
     def validate(self) -> None:
         if self.n_segments < 5:
             raise InvalidConfig(f"need at least 5 segments, got {self.n_segments}")
         if not 1 <= self.liz <= self.n_segments:
             raise InvalidConfig(f"LIZ segment {self.liz} outside 1..{self.n_segments}")
-        if self.min_crystal_spacing < 2:
-            raise InvalidConfig("min_crystal_spacing must be >= 2")
+        if self.min_crystal_spacing != 2:
+            raise InvalidConfig("minimum crystal spacing is fixed at 2")
         if self.max_ions_per_crystal != 2:
             raise InvalidConfig("only two-ion crystals are supported")
-        if self.n_liz != 1:
-            raise InvalidConfig("exactly one LIZ is supported")
-        if self.max_rotation_crystal_size != 2:
-            raise InvalidConfig("rotation crystal size is fixed at 2")
 
 
 class Crystal:
@@ -162,8 +155,7 @@ class TrapState:
     def _conflict(self, dest: int, exclude: int | None = None) -> int | None:
         """Return an occupied segment that would violate spacing for a
         crystal resting at ``dest`` (including ``dest`` itself), or None."""
-        k = self.config.min_crystal_spacing
-        for s in range(dest - k + 1, dest + k):
+        for s in (dest - 1, dest, dest + 1):
             if s == exclude:
                 continue
             if s in self.seg_crystal:
@@ -172,9 +164,8 @@ class TrapState:
 
     def check_spacing(self) -> list[tuple[int, int]]:
         """All pairs of occupied segments closer than the minimum spacing."""
-        k = self.config.min_crystal_spacing
         occ = self.occupied_segments()
-        return [(a, b) for a, b in zip(occ, occ[1:]) if b - a < k]
+        return [(a, b) for a, b in zip(occ, occ[1:]) if b - a < 2]
 
     # -- initial placement (AIC) -------------------------------------------
 
@@ -236,17 +227,9 @@ class TrapState:
             raise OutOfBounds(f"move from segment {segment} leaves the trap")
         if dest in self.wells:
             raise Blocked(f"segment {dest} holds an empty well")
-        k = self.config.min_crystal_spacing
-        if k == 2:
-            ahead = dest + dest - segment
-            if dest in seg_map or ahead in seg_map:
-                raise SpacingViolation(
-                    f"moving to segment {dest} violates spacing near it")
-        else:
-            for s in range(dest - k + 1, dest + k):
-                if s != segment and s in seg_map:
-                    raise SpacingViolation(
-                        f"moving to segment {dest} violates spacing with segment {s}")
+        if dest in seg_map or dest + dest - segment in seg_map:
+            raise SpacingViolation(
+                f"moving to segment {dest} violates spacing near it")
         del seg_map[segment]
         seg_map[dest] = cid
         self.crystals[cid].segment = dest
@@ -270,11 +253,10 @@ class TrapState:
             raise WrongSize(f"split needs a 2-ion crystal, got {len(crystal.ions)}")
         if liz - 1 < 1 or liz + 1 > self.config.n_segments:
             raise OutOfBounds("split products would leave the trap")
-        k = self.config.min_crystal_spacing
         for stage in (liz - 1, liz + 1):
             if stage in self.wells:
                 raise Blocked(f"segment {stage} holds an empty well")
-            for s in range(stage - k + 1, stage + k):
+            for s in (stage - 1, stage, stage + 1):
                 if s != liz and s in seg_map:
                     raise Blocked(
                         f"split product at {stage} would violate spacing with {s}")
@@ -334,8 +316,6 @@ class TrapState:
         crystal = self.crystal_at(self.config.liz)
         if crystal is None:
             raise EmptySegment("no crystal in the LIZ to rotate")
-        if len(crystal.ions) > self.config.max_rotation_crystal_size:
-            raise WrongSize("crystal too large to rotate")
         crystal.ions.reverse()
         self.scheduling_started = True
         if self.record:
@@ -364,6 +344,8 @@ class TrapState:
 
     def record_gate(self, gate_index: int) -> None:
         """Record gate execution on the LIZ crystal (no state change)."""
+        if self.config.liz not in self.seg_crystal:
+            raise NotInLiz("gate executed with no crystal in the LIZ")
         self.scheduling_started = True
         if self.record:
             self.history.append(("DG", (gate_index,)))

@@ -100,6 +100,27 @@ def test_trace_svg_written(tmp_path, qft8_file):
     assert svg.read_text().startswith("<svg")
 
 
+def test_trace_violating_program_names_command(tmp_path, capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("1 START 0\n2 SMD 1 10\n")
+    assert main(["trace", "-i", str(bad)]) == 1
+    assert "command 2:" in capsys.readouterr().err
+
+
+def test_validate_strict_reports_first_violation(tmp_path, capsys):
+    bad = tmp_path / "bad.seq"
+    bad.write_text("1 START 0\n2 AIC 2 1 5\n3 RC 1 5\n")
+    assert main(["validate", "-i", str(bad), "--strict"]) == 1
+    assert "command 3: rotation outside LIZ" in capsys.readouterr().err
+
+
+def test_invalid_trap_override_exit_code(tmp_path):
+    seq = tmp_path / "ok.seq"
+    seq.write_text("1 START 0\n")
+    assert main(["validate", "-i", str(seq), "--segments", "3"]) == 3
+    assert main(["trace", "-i", str(seq), "--segments", "3"]) == 3
+
+
 def test_trace_empty_sequence_header_only(tmp_path, capsys):
     empty = tmp_path / "empty.seq"
     empty.write_text("# segments=32 liz=19\n")

@@ -134,6 +134,28 @@ class TestReplay:
         report = replay(parse_sequence(text))
         assert any("no crystal in the LIZ" in msg for _, msg in report.violations)
 
+    def test_missing_start_flagged_before_a_move(self):
+        report = replay(parse_sequence("1 SMD 1 10\n"))
+        messages = [msg for _, msg in report.violations]
+        assert any("begin with START" in msg for msg in messages)
+        assert any("no crystal at segment 10" in msg for msg in messages)
+
+    def test_strict_mode_rejects_missing_start_first(self):
+        with pytest.raises(ReplayError) as err:
+            replay(parse_sequence("1 AIC 2 1 10\n2 START 0\n"), strict=True)
+        assert err.value.seq == 1
+
+    def test_second_start_flagged(self):
+        report = replay(parse_sequence("1 START 0\n2 START 0\n"))
+        assert report.violations == [(2, "START not at the beginning")]
+
+    def test_failing_parallel_move_changes_nothing(self):
+        text = "1 START 0\n2 AIC 2 1 10\n3 SMU 2 10 20\n4 AIC 2 2 14\n"
+        report = replay(parse_sequence(text))
+        # one violation for the move; the placement after it is still legal
+        assert [seq for seq, _ in report.violations] == [3]
+        assert sorted(report.final_state.seg_crystal) == [10, 14]
+
 
 class TestCost:
     def test_no_split_merge(self):
@@ -175,6 +197,23 @@ class TestTrace:
     def test_gate_annotation_present(self):
         grid = render_trace(exchange_sequence())
         assert "DG g0" in grid
+
+    def test_rejects_gate_with_empty_liz(self):
+        seq = parse_sequence("1 START 0\n2 AIC 2 1 10\n3 DG 1 0\n")
+        with pytest.raises(ReplayError) as err:
+            render_trace(seq)
+        assert err.value.seq == 3
+
+    def test_rejects_missing_start(self):
+        with pytest.raises(ReplayError) as err:
+            render_trace(parse_sequence("1 AIC 2 1 19\n"))
+        assert err.value.seq == 1
+
+    def test_error_names_the_command(self):
+        with pytest.raises(ReplayError) as err:
+            render_trace(parse_sequence("1 START 0\n2 SMD 1 10\n"))
+        assert err.value.seq == 2
+        assert str(err.value) == "command 2: no crystal at segment 10"
 
     def test_svg_renders(self):
         svg = render_trace_svg(exchange_sequence())

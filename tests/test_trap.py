@@ -38,7 +38,7 @@ def test_config_rejects_unsupported_limits():
     with pytest.raises(InvalidConfig):
         new_state(TrapConfig(min_crystal_spacing=1))
     with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(n_liz=2))
+        new_state(TrapConfig(min_crystal_spacing=3))
 
 
 class TestPlacement:
