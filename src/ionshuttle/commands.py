@@ -214,13 +214,14 @@ def _execute(sequence: CommandSequence, state: TrapState, bad, after=None) -> No
     if raw and raw[0][0] != "START":
         bad(1, "sequence does not begin with START")
     for seq, (op, params) in enumerate(raw, 1):
-        try:
-            if op == "START" and seq > 1:
+        if op == "START":
+            if seq > 1:
                 bad(seq, "START not at the beginning")
-            else:
+        else:
+            try:
                 apply(state, op, params)
-        except TrapError as e:
-            bad(seq, str(e))
+            except TrapError as e:
+                bad(seq, str(e))
         if after is not None:
             after(seq, op, params)
 
