@@ -160,7 +160,7 @@ def qft_fit(n: int, method: str = "oai", seed: int | None = None,
                               config, verify=verify)
     n2q = len(circuit.two_qubit_gates())
     return FitReport(n, result.cost, n2q, circuit_fit(result.cost, n2q),
-                     theoretical_limit(TrapConfig().max_ions_per_crystal))
+                     theoretical_limit(2))
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -258,6 +258,8 @@ def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
     out over processes; records stay keyed by trial index, keeping the
     report identical to a serial run.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     report = SweepReport()
     for n in n_list:
         circuit = _suite_circuit(suite, n, n_gates, seed)
@@ -316,12 +318,10 @@ def brute_force_best_ordering(circuit: Circuit,
         raise TooLarge(
             f"exhaustive search capped at {ORACLE_MAX_QUBITS} qubits")
     best: tuple[Ordering, int] | None = None
-    for perm in itertools.permutations(range(1, n + 1)):
-        if perm > perm[::-1]:
-            continue
-        reps = (perm,) if n % 2 == 0 else (perm, perm[::-1])
-        for rep in reps:
-            ordering = _chunk_pairs(list(rep), "oracle")
+    for first in enumerate_orderings(n):
+        layouts = (first,) if n % 2 == 0 else (
+            first, _chunk_pairs(list(reversed(first.ions())), "oracle"))
+        for ordering in layouts:
             c = ordering_cost(circuit, ordering, config, verify=verify)
             if best is None or c < best[1]:
                 best = (ordering, c)

@@ -5,14 +5,16 @@ Thin adapters over the library; identical parameters give identical results
 
 Exit codes: 0 ok, 1 generic failure / validation violations, 2 parse or
 format error, 3 capacity or configuration error, 4 trap overflow, 5 I/O.
+``EXIT_CODES`` is the one place that maps an error to its exit code;
+``main`` applies it to whatever a subcommand raises.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .benchmarks import (bench_config, circuit_fit, compile_ordering,
-                         make_ordering, run_sweep, InvalidShape)
+from .benchmarks import (circuit_fit, compile_ordering, make_ordering,
+                         run_sweep, InvalidShape)
 from .commands import (FormatError, ReplayError, cost, parse_sequence,
                        render_trace, render_trace_svg, replay, serialize)
 from .qasm import QasmError, parse_qasm
@@ -26,10 +28,15 @@ EXIT_CAPACITY = 3
 EXIT_OVERFLOW = 4
 EXIT_IO = 5
 
-
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+# First match wins: a subclass must come before its base (TrapOverflow and
+# CapacityExceeded before TrapError).  Anything else is a bug and re-raises.
+EXIT_CODES = (
+    ((OSError,), EXIT_IO),
+    ((QasmError, FormatError), EXIT_PARSE),
+    ((CapacityExceeded, InvalidConfig), EXIT_CAPACITY),
+    ((TrapOverflow,), EXIT_OVERFLOW),
+    ((ReplayError, TrapError, InvalidShape, ValueError), EXIT_ERROR),
+)
 
 
 def _read(path: str) -> str:
@@ -42,35 +49,20 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _trap_config(args) -> TrapConfig:
-    overrides = {}
-    if args.segments is not None:
-        overrides["n_segments"] = args.segments
-    if args.liz is not None:
-        overrides["liz"] = args.liz
-    return TrapConfig(**overrides)
+def _trap_config(args) -> TrapConfig | None:
+    """The trap the flags ask for, or None when neither flag is given."""
+    overrides = {name: value for name, value in
+                 (("n_segments", args.segments), ("liz", args.liz))
+                 if value is not None}
+    return TrapConfig(**overrides) if overrides else None
 
 
 def cmd_compile(args) -> int:
-    try:
-        text = _read(args.input)
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
-    try:
-        circuit = parse_qasm(text, decompose=args.decompose)
-    except QasmError as e:
-        return _fail(EXIT_PARSE, str(e))
-    try:
-        config = _trap_config(args)
-        ordering = make_ordering(circuit, args.ordering,
-                                 args.seed if args.ordering == "oir" else None)
-        result = compile_ordering(circuit, ordering, config)
-    except (CapacityExceeded, InvalidConfig) as e:
-        return _fail(EXIT_CAPACITY, str(e))
-    except TrapOverflow as e:
-        return _fail(EXIT_OVERFLOW, str(e))
-    except (TrapError, ValueError) as e:
-        return _fail(EXIT_ERROR, str(e))
+    circuit = parse_qasm(_read(args.input), decompose=args.decompose)
+    config = _trap_config(args) or TrapConfig()
+    ordering = make_ordering(circuit, args.ordering,
+                             args.seed if args.ordering == "oir" else None)
+    result = compile_ordering(circuit, ordering, config)
 
     sequence = result.sequence
     counts = sequence.opcode_counts()
@@ -86,36 +78,18 @@ def cmd_compile(args) -> int:
     print(f"cost (split+merge): {result.cost}")
     if n2q:
         print(f"circuit fit: {circuit_fit(result.cost, n2q):.6f}")
-    try:
-        if args.output:
-            _write(args.output, serialize(sequence))
-            print(f"wrote {args.output}")
-        if args.trace:
-            _write(args.trace, render_trace(sequence, config))
-            print(f"wrote {args.trace}")
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
+    if args.output:
+        _write(args.output, serialize(sequence))
+        print(f"wrote {args.output}")
+    if args.trace:
+        _write(args.trace, render_trace(sequence, config))
+        print(f"wrote {args.trace}")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    try:
-        text = _read(args.input)
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
-    try:
-        sequence = parse_sequence(text)
-    except FormatError as e:
-        return _fail(EXIT_PARSE, str(e))
-    config = None
-    if args.segments is not None or args.liz is not None:
-        config = _trap_config(args)
-    try:
-        report = replay(sequence, config, strict=args.strict)
-    except ReplayError as e:
-        return _fail(EXIT_ERROR, str(e))
-    except InvalidConfig as e:
-        return _fail(EXIT_CAPACITY, str(e))
+    sequence = parse_sequence(_read(args.input))
+    report = replay(sequence, _trap_config(args), strict=args.strict)
     for seq, message in report.violations:
         print(f"command {seq}: {message}")
     print(f"commands: {len(sequence)}  splits: {report.s_count}  "
@@ -125,57 +99,28 @@ def cmd_validate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    try:
-        text = _read(args.input)
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
-    try:
-        sequence = parse_sequence(text)
-    except FormatError as e:
-        return _fail(EXIT_PARSE, str(e))
-    config = None
-    if args.segments is not None or args.liz is not None:
-        config = _trap_config(args)
-    try:
-        grid = render_trace(sequence, config)
-        if args.output:
-            _write(args.output, grid)
-        else:
-            print(grid, end="")
-        if args.svg:
-            _write(args.svg, render_trace_svg(sequence, config))
-    except OSError as e:
-        return _fail(EXIT_IO, str(e))
-    except ReplayError as e:
-        return _fail(EXIT_ERROR, str(e))
-    except InvalidConfig as e:
-        return _fail(EXIT_CAPACITY, str(e))
+    sequence = parse_sequence(_read(args.input))
+    config = _trap_config(args)
+    grid = render_trace(sequence, config)
+    if args.output:
+        _write(args.output, grid)
+    else:
+        print(grid, end="")
+    if args.svg:
+        _write(args.svg, render_trace_svg(sequence, config))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     n_list = [int(x) for x in args.qubits.split(",") if x]
-    config = None
-    if args.segments is not None or args.liz is not None:
-        config = _trap_config(args)
-    methods = tuple(args.methods.split(","))
-    try:
-        report = run_sweep(args.suite, n_list, method_list=methods,
-                           trials=args.trials, seed=args.seed,
-                           n_gates=args.gates, config=config,
-                           workers=args.workers)
-    except (InvalidShape, ValueError) as e:
-        return _fail(EXIT_ERROR, str(e))
-    except TrapOverflow as e:
-        return _fail(EXIT_OVERFLOW, str(e))
+    report = run_sweep(args.suite, n_list, method_list=tuple(args.methods.split(",")),
+                       trials=args.trials, seed=args.seed, n_gates=args.gates,
+                       config=_trap_config(args), workers=args.workers)
     for row in report.rows:
         print(f"{row.suite} n={row.n} {row.method}: trials={row.trials} "
               f"min={row.min_cost} mean={row.mean_cost:.1f} max={row.max_cost}")
     if args.csv:
-        try:
-            _write(args.csv, report.to_csv())
-        except OSError as e:
-            return _fail(EXIT_IO, str(e))
+        _write(args.csv, report.to_csv())
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -234,7 +179,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as e:
+        for types, code in EXIT_CODES:
+            if isinstance(e, types):
+                print(f"error: {e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -264,6 +264,13 @@ class _TraceRow:
     wells: frozenset[int]
     gates: list[int]
 
+    @property
+    def label(self) -> str:
+        """The row's command-number range, ``first-last`` or one number."""
+        if self.last_seq > self.first_seq:
+            return f"{self.first_seq}-{self.last_seq}"
+        return str(self.first_seq)
+
 
 def _trace_rows(sequence: CommandSequence,
                 config: TrapConfig | None = None) -> tuple[TrapConfig, list[_TraceRow]]:
@@ -304,12 +311,10 @@ def render_trace(sequence: CommandSequence, config: TrapConfig | None = None) ->
     """Text grid of the replayed program: one row per state-changing command,
     one two-character cell per segment (top/bottom ion, ``--`` empty well)."""
     cfg, rows = _trace_rows(sequence, config)
-    labels = [f"{r.first_seq}-{r.last_seq}" if r.last_seq > r.first_seq else str(r.first_seq)
-              for r in rows]
-    width = max((len(s) for s in labels), default=1)
+    width = max((len(r.label) for r in rows), default=1)
     lines = [f"# segments={cfg.n_segments} liz={cfg.liz}"]
     lines.append(" " * (width + 2 + 3 * (cfg.liz - 1)) + "vv")
-    for label, row in zip(labels, rows):
+    for row in rows:
         cells = []
         for seg in range(1, cfg.n_segments + 1):
             ions = row.occupants.get(seg)
@@ -320,7 +325,7 @@ def render_trace(sequence: CommandSequence, config: TrapConfig | None = None) ->
             else:
                 cells.append("..")
         note = "  DG " + ",".join(f"g{g}" for g in row.gates) if row.gates else ""
-        lines.append(f"{label:>{width}}  " + " ".join(cells) + note)
+        lines.append(f"{row.label:>{width}}  " + " ".join(cells) + note)
     return "\n".join(lines) + "\n"
 
 
@@ -346,9 +351,7 @@ def render_trace_svg(sequence: CommandSequence, config: TrapConfig | None = None
                      f'text-anchor="middle" fill="#888">{seg}</text>')
     for r, row in enumerate(rows):
         y = margin_y + (r + 0.5) * cell
-        label = f"{row.first_seq}-{row.last_seq}" if row.last_seq > row.first_seq else str(row.first_seq)
-        if row.gates:
-            label += " DG"
+        label = row.label + " DG" if row.gates else row.label
         parts.append(f'<text x="4" y="{y + 3}" fill="#444">{label}</text>')
         for seg in row.wells:
             parts.append(f'<rect x="{x_of(seg) - 5}" y="{y - 5}" width="10" height="10" '

@@ -140,7 +140,7 @@ def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -
 
     cfg = state.config
     groups = ordering.crystal_list
-    stride = cfg.min_crystal_spacing
+    stride = 2
     span = (len(groups) - 1) * stride
     if span + 1 > cfg.n_segments:
         raise CapacityExceeded(

@@ -44,7 +44,6 @@ class _Scheduler:
         cfg = state.config
         self.liz = cfg.liz
         self.n_segments = cfg.n_segments
-        self.wells_required = cfg.empty_wells_required
         # precomputed well-bracket commands for the fixed sites beside the LIZ
         self.well_cmds = tuple(
             (s, ("AEC", (s,)), ("REC", (s,)))
@@ -129,8 +128,6 @@ class _Scheduler:
         """Add balancing wells beside the staging sites when no crystal is
         already there; preconditions hold by construction, so the well set
         and history are updated directly."""
-        if not self.wells_required:
-            return ()
         state = self.state
         seg_map = state.seg_crystal
         active = tuple(w for w in self.well_cmds if w[0] not in seg_map)

@@ -71,23 +71,17 @@ class TrapOverflow(TrapError):
 
 @dataclass(frozen=True)
 class TrapConfig:
-    """Architecture constraint set (defaults match the reference hardware)."""
+    """Trap shape (defaults match the reference hardware).  Crystals hold
+    at most two ions and stay 2 segments apart; both limits are fixed."""
 
     n_segments: int = 32
     liz: int = 19
-    max_ions_per_crystal: int = 2
-    min_crystal_spacing: int = 2
-    empty_wells_required: bool = True
 
     def validate(self) -> None:
         if self.n_segments < 5:
             raise InvalidConfig(f"need at least 5 segments, got {self.n_segments}")
         if not 1 <= self.liz <= self.n_segments:
             raise InvalidConfig(f"LIZ segment {self.liz} outside 1..{self.n_segments}")
-        if self.min_crystal_spacing != 2:
-            raise InvalidConfig("minimum crystal spacing is fixed at 2")
-        if self.max_ions_per_crystal != 2:
-            raise InvalidConfig("only two-ion crystals are supported")
 
 
 class Crystal:
@@ -180,7 +174,7 @@ class TrapState:
             raise OutOfBounds(f"segment {segment} outside trap")
         crystal = self.crystal_at(segment)
         if crystal is not None:
-            if len(crystal.ions) >= self.config.max_ions_per_crystal:
+            if len(crystal.ions) >= 2:
                 raise CapacityExceeded(f"crystal at segment {segment} is full")
             crystal.ions.append(ion)
             self.ion_crystal[ion] = crystal.id
@@ -198,7 +192,7 @@ class TrapState:
 
     def place_crystal(self, ions: list[int], segment: int) -> int:
         """Place a whole crystal (validated as a unit) before scheduling."""
-        if not ions or len(ions) > self.config.max_ions_per_crystal:
+        if not ions or len(ions) > 2:
             raise CapacityExceeded(f"crystal of {len(ions)} ions not supported")
         if len(set(ions)) != len(ions):
             raise DuplicateIon(f"duplicate ion in {ions}")
@@ -291,7 +285,7 @@ class TrapState:
         if liz in self.wells:
             raise Blocked("LIZ holds an empty well")
         total = len(above.ions) + len(below.ions)
-        if total > self.config.max_ions_per_crystal:
+        if total > 2:
             raise ResultTooLarge(f"merge would create a {total}-ion crystal")
         ions = above.ions + below.ions
         del self.seg_crystal[liz - 1]

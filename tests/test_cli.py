@@ -161,3 +161,31 @@ def test_compile_trap_override(tmp_path, qft8_file):
 
 def test_compile_invalid_trap_override(qft8_file):
     assert main(["compile", "-i", str(qft8_file), "--liz", "99"]) == 3
+
+
+def test_compile_default_trap_above_eight_qubits(tmp_path):
+    src = tmp_path / "ten.qasm"
+    src.write_text(HEADER + "qreg q[10];\ncx q[0],q[9];\n")
+    out = tmp_path / "out.seq"
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    assert out.read_text().startswith("# segments=32 liz=19\n")
+
+
+def test_bench_invalid_trap_override_exit_code():
+    assert main(["bench", "--suite", "qft", "--qubits", "4",
+                 "--segments", "3"]) == 3
+
+
+def test_bench_capacity_exit_code():
+    assert main(["bench", "--suite", "qft", "--qubits", "40",
+                 "--segments", "32"]) == 3
+
+
+def test_bench_bad_qubit_list_exit_code():
+    assert main(["bench", "--suite", "qft", "--qubits", "4,x"]) == 1
+
+
+def test_bench_zero_trials_exit_code(capsys):
+    assert main(["bench", "--suite", "random", "--qubits", "4",
+                 "--trials", "0"]) == 1
+    assert "trials" in capsys.readouterr().err

@@ -14,8 +14,6 @@ def test_default_config_matches_reference_trap():
     state = new_state()
     assert state.config.n_segments == 32
     assert state.config.liz == 19
-    assert state.config.max_ions_per_crystal == 2
-    assert state.config.min_crystal_spacing == 2
     assert not state.seg_crystal
     assert state.history == [("START", ())]
 
@@ -33,12 +31,12 @@ def test_config_rejects_liz_out_of_range():
 
 
 def test_config_rejects_unsupported_limits():
-    with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(max_ions_per_crystal=3))
-    with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(min_crystal_spacing=1))
-    with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(min_crystal_spacing=3))
+    with pytest.raises(TypeError):
+        TrapConfig(max_ions_per_crystal=3)
+    with pytest.raises(TypeError):
+        TrapConfig(min_crystal_spacing=1)
+    with pytest.raises(TypeError):
+        TrapConfig(min_crystal_spacing=3)
 
 
 class TestPlacement:
