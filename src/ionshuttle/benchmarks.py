@@ -19,7 +19,7 @@ from .commands import replay
 from .ordering import (Ordering, _chunk_pairs, increase_pairwise_order,
                        order_as_is, order_inputs_randomly, place_in_the_model)
 from .qasm import Circuit, build_circuit, decompose_gate, Gate
-from .scheduler import ScheduleResult, schedule
+from .scheduler import ScheduleResult, plan_cost, schedule
 from .trap import TrapConfig, TrapState
 
 
@@ -133,6 +133,8 @@ def compile_ordering(circuit: Circuit, ordering: Ordering,
 
 def circuit_fit(cost: int, n_gates: int) -> float:
     """Mean split/merge cost per two-qubit gate."""
+    if n_gates == 0:
+        raise ValueError("circuit fit needs at least one two-qubit gate, got 0")
     return cost / n_gates
 
 
@@ -303,15 +305,24 @@ def ordering_cost(circuit: Circuit, ordering: Ordering,
 def brute_force_best_ordering(circuit: Circuit,
                               config: TrapConfig | None = None,
                               verify: bool = False) -> tuple[Ordering, int]:
-    """Schedule every reversal class and return the cheapest layout.
+    """Rank every reversal class by its planned cost and return the
+    cheapest layout.
 
     Mirroring a layout end to end (groups and intra-group order reversed)
     never changes the cost, so classes pair each permutation with its
     reverse.  For an odd register the two members chunk to layouts with the
     lone ion paired differently, which do differ in cost, so both
-    representatives are scheduled; for an even register the second member's
-    layout is exactly the mirror and one schedule suffices.  Ties keep the
-    first hit in enumeration order.
+    representatives are ranked; for an even register the second member's
+    layout is exactly the mirror and one suffices.  Ties keep the first hit
+    in enumeration order.
+
+    Layouts are ranked with ``plan_cost`` alone; only the winner is lowered
+    (placed and scheduled on ``config``), so a ``TrapOverflow`` on the
+    winner still ends the search, but a layout that would overflow and
+    does not win no longer does.  On the traps checked (12/6, 16/8, 16/12,
+    20/10, 32/19 and 10/3 segments/LIZ) overflow was all-or-none across the
+    layouts of a circuit.  With ``verify`` every layout is also lowered and
+    replayed, and its replayed split+merge must equal its planned cost.
     """
     n = circuit.n_qubits
     if n > ORACLE_MAX_QUBITS:
@@ -322,8 +333,17 @@ def brute_force_best_ordering(circuit: Circuit,
         layouts = (first,) if n % 2 == 0 else (
             first, _chunk_pairs(list(reversed(first.ions())), "oracle"))
         for ordering in layouts:
-            c = ordering_cost(circuit, ordering, config, verify=verify)
+            c = plan_cost(circuit, ordering.crystal_list)
+            if verify:
+                _check_plan(c, ordering_cost(circuit, ordering, config, verify=True))
             if best is None or c < best[1]:
                 best = (ordering, c)
     assert best is not None
+    _check_plan(best[1], ordering_cost(circuit, best[0], config))
     return best
+
+
+def _check_plan(planned: int, lowered: int) -> None:
+    if planned != lowered:
+        raise RuntimeError(
+            f"planned cost {planned} disagrees with lowered cost {lowered}")

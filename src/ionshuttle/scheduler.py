@@ -1,19 +1,26 @@
-"""Greedy shuttling-sequence generation.
+"""Shuttling-sequence generation: a logical planner and its physical lowering.
 
-Gates are processed in circuit order.  A gate whose ions share a crystal
-only needs that crystal brought to the LIZ.  When the ions sit in different
-crystals, the gate's first-listed operand is exchanged toward its partner
-(up or down the trap) through the intervening crystals, one neighbor at a
-time, until it reaches the crystal adjacent to its partner; the final
-exchange executes the gate while both ions share the temporary merged
-crystal.
+The planner sees only the crystal chain: the crystals from the top of the
+trap to the bottom, each an ordered list of its one or two ions.  Gates are
+planned in circuit order.  A gate whose ions share a crystal (or a one-qubit
+gate) needs no exchange.  Otherwise the gate's first-listed operand travels
+toward its partner one crystal at a time: each step ``(ion, partner, d,
+runs_gate)`` exchanges ``ion`` with ``partner`` in the next crystal in
+direction ``d`` (+1 down, -1 up).  The partner is the ion facing the
+traveler, or the gate's other operand in the last step, which runs the
+gate.  ``partner`` ends at the ``+d`` end of the traveler's old crystal,
+and the traveler at the ``-d`` end of the partner's.  Crystals
+never pass each other or change size, so a step costs 2 split+merge plus 2
+for each two-ion crystal among the two (3 splits and 3 merges between two
+pairs), and ``plan_cost`` gives a layout's cost without touching a trap.
 
-Each exchange follows the fixed split/merge choreography: orient both
-crystals so the traveling ions face each other, split each two-ion crystal,
-stage the two travelers beside the LIZ, merge, rotate (so the ions part in
-exchanged directions), optionally run the gate, split, and re-merge the
-leftover partners into their home crystals.  A full exchange between two
-two-ion crystals therefore costs exactly 3 splits and 3 merges.
+The lowering (``schedule``) reads the chain off a placed trap, in segment
+order, and turns every planned step into the fixed split/merge
+choreography: orient both crystals so the two ions face each other, split
+each two-ion crystal, stage the two travelers beside the LIZ, merge, rotate
+(so the ions part in exchanged directions), run the gate when the step asks
+for it, split, and re-merge the leftover partners into their home crystals.
+A gate without steps brings its crystal to the LIZ and runs there.
 
 Crystals blocking a transport are pushed recursively one spacing beyond the
 mover's destination and are not restored afterwards.  Split, merge,
@@ -26,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .commands import CommandSequence
-from .qasm import Circuit
+from .qasm import Circuit, Gate
 from .trap import TrapOverflow, TrapState
 
 
@@ -36,6 +43,75 @@ class ScheduleResult:
     cost: int
     per_gate_costs: list[int]
     final_state: TrapState
+
+
+# -- planner -------------------------------------------------------------------
+
+
+def _plan_gate(chain: list[list[int]], where: dict[int, int],
+               gate: Gate) -> list[tuple[int, int, int, bool]]:
+    """The exchange steps of one gate, applied to ``chain`` and to
+    ``where`` (ion -> chain index) as they are planned.
+
+    The traveler is the gate's first-listed operand, not the upper one:
+    that keeps the whole schedule mirror-covariant, so a layout and its
+    end-to-end reversal always cost the same."""
+    if len(gate.operands) == 1:
+        return []
+    a, b = gate.operands[0] + 1, gate.operands[1] + 1
+    i, j = where[a], where[b]
+    d = 1 if i < j else -1
+    steps = []
+    while i != j:
+        k = i + d
+        home, dest = chain[i], chain[k]
+        partner = b if k == j else dest[0 if d > 0 else -1]
+        steps.append((a, partner, d, k == j))
+        home.remove(a)
+        dest.remove(partner)
+        if d > 0:
+            home.append(partner)
+            dest.insert(0, a)
+        else:
+            home.insert(0, partner)
+            dest.append(a)
+        where[a], where[partner] = k, i
+        i = k
+    return steps
+
+
+def plan(circuit: Circuit, crystal_list) -> tuple[int, list[list[int]]]:
+    """Plan ``circuit`` on the top-to-bottom layout ``crystal_list``; return
+    the split+merge cost and the final chain."""
+    chain = [list(ions) for ions in crystal_list]
+    flat = sorted(ion for ions in chain for ion in ions)
+    if (flat != list(range(1, circuit.n_qubits + 1))
+            or any(not 1 <= len(ions) <= 2 for ions in chain)):
+        raise ValueError("layout must split the circuit's ions into crystals "
+                         "of one or two")
+    where = {ion: i for i, ions in enumerate(chain) for ion in ions}
+    pair = [len(ions) == 2 for ions in chain]   # fixed: exchanges keep sizes
+    cost = 0
+    for gate in circuit.gates:
+        # a step's partner moves once, into the slot the traveler left
+        for _, partner, d, _ in _plan_gate(chain, where, gate):
+            home = where[partner]
+            cost += 2 + 2 * (pair[home] + pair[home + d])
+    return cost, chain
+
+
+def plan_cost(circuit: Circuit, crystal_list) -> int:
+    """The split+merge cost ``schedule`` reaches from this layout."""
+    return plan(circuit, crystal_list)[0]
+
+
+def crystal_chain(state: TrapState) -> list[list[int]]:
+    """The trap's crystals in segment order, each as its ion order."""
+    crystals, seg_map = state.crystals, state.seg_crystal
+    return [list(crystals[seg_map[s]].ions) for s in sorted(seg_map)]
+
+
+# -- lowering --------------------------------------------------------------------
 
 
 class _Scheduler:
@@ -181,15 +257,6 @@ class _Scheduler:
 
     # -- exchange ------------------------------------------------------------
 
-    def _neighbour(self, cid: int, d: int) -> int | None:
-        """The nearest crystal below (d = +1) or above (d = -1) ``cid``."""
-        seg_map = self.state.seg_crystal
-        end = self.n_segments + 1 if d > 0 else 0
-        for s in range(self.state.crystals[cid].segment + d, end, d):
-            if s in seg_map:
-                return seg_map[s]
-        return None
-
     def _exchange(self, ion_a: int, ion_b: int, d: int, do_gate: bool,
                   gate_index: int) -> None:
         """Exchange ion_a with ion_b from the adjacent crystal in direction
@@ -238,36 +305,14 @@ class _Scheduler:
             self._send(partner_b, liz + d)
             self._merge()                  # ion_b's old home, now holding ion_a
 
-    # -- top-level gate loop ---------------------------------------------------
-
-    def run_gate(self, gate) -> None:
-        state = self.state
-        if len(gate.operands) == 1:
-            cid = state.ion_crystal[gate.operands[0] + 1]
-            self._bring_to_liz(cid)
+    def run_gate(self, gate: Gate, steps) -> None:
+        """Lower one gate's planned steps; a gate without steps runs on its
+        first operand's crystal, brought to the LIZ."""
+        if not steps:
+            self._bring_to_liz(self.state.ion_crystal[gate.operands[0] + 1])
             self._dg(gate.index)
-            return
-        a, b = (q + 1 for q in gate.operands)
-        if state.ion_crystal[a] == state.ion_crystal[b]:
-            self._bring_to_liz(state.ion_crystal[a])
-            self._dg(gate.index)
-            return
-        # The gate's first-listed operand travels toward its partner; the
-        # ferried-through crystal gives up the ion facing the traveler.
-        # Picking the traveler by gate order (not trap position) keeps the
-        # whole schedule mirror-covariant, so a layout and its end-to-end
-        # reversal always cost the same.
-        while True:
-            ca = state.ion_crystal[a]
-            cb = state.ion_crystal[b]
-            d = 1 if state.crystals[ca].segment < state.crystals[cb].segment else -1
-            nxt = self._neighbour(ca, d)
-            assert nxt is not None, "partner crystal vanished"
-            if nxt == cb:
-                self._exchange(a, b, d, True, gate.index)
-                return
-            facing = state.crystals[nxt].ions[0 if d > 0 else -1]
-            self._exchange(a, facing, d, False, gate.index)
+        for ion, partner, d, runs_gate in steps:
+            self._exchange(ion, partner, d, runs_gate, gate.index)
 
 
 def send_to_segment(state: TrapState, crystal_id: int, target: int) -> None:
@@ -285,17 +330,18 @@ def ion_permutation(state: TrapState, ion_a: int, ion_b: int, do_gate: bool,
         raise ValueError("ions already share a crystal")
     if ca.segment > cb.segment:
         raise ValueError("ion_a must sit in the upper crystal")
-    sch = _Scheduler(state)
-    if sch._neighbour(ca.id, 1) != cb.id:
+    if any(ca.segment < s < cb.segment for s in state.seg_crystal):
         raise ValueError("crystals are not adjacent in the trap order")
-    sch._exchange(ion_a, ion_b, 1, do_gate, gate_index)
+    _Scheduler(state)._exchange(ion_a, ion_b, 1, do_gate, gate_index)
 
 
 def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
     """Generate the full shuttling program for ``circuit`` from a placed trap.
 
     Every gate is executed exactly once at the LIZ, in circuit order; the
-    reported cost is the number of split and merge commands emitted.
+    reported cost is the number of split and merge commands emitted, which
+    equals ``plan_cost`` of the placed chain.  A ``TrapOverflow`` names the
+    gate and the occupied span of the trap when it happened.
     """
     expected = set(range(1, circuit.n_qubits + 1))
     if set(state.ion_crystal) != expected:
@@ -303,10 +349,18 @@ def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
     if state.check_spacing():
         raise ValueError("initial state violates crystal spacing")
     sch = _Scheduler(state)
+    chain = crystal_chain(state)
+    where = {ion: i for i, ions in enumerate(chain) for ion in ions}
     per_gate: list[int] = []
     for gate in circuit.gates:
         before = state.s_count + state.m_count
-        sch.run_gate(gate)
+        try:
+            sch.run_gate(gate, _plan_gate(chain, where, gate))
+        except TrapOverflow as e:
+            occupied = state.occupied_segments()
+            raise TrapOverflow(
+                f"gate {gate.index}: {e} (occupied segments "
+                f"{occupied[0]}-{occupied[-1]} of {state.config.n_segments})") from e
         per_gate.append(state.s_count + state.m_count - before)
     sequence = CommandSequence(state.config.n_segments, state.config.liz,
                                list(state.history))

@@ -12,6 +12,7 @@ from ionshuttle.benchmarks import (InvalidShape, TooLarge, bench_config,
                                    run_sweep, theoretical_limit)
 from ionshuttle.ordering import reverse_ordering
 from ionshuttle.qasm import build_circuit
+from ionshuttle.trap import TrapConfig, TrapOverflow
 
 
 class TestRandomCircuits:
@@ -94,7 +95,7 @@ class TestFit:
         assert theoretical_limit(6) == 1.0
 
     def test_empty_circuit_division(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="two-qubit gate"):
             circuit_fit(5, 0)
 
     def test_invalid_crystal_size(self):
@@ -179,3 +180,33 @@ class TestOracle:
         ordering, best = brute_force_best_ordering(circ)
         assert best == 0
         assert ordering.ions() == (1, 2, 3)
+
+
+# The oracle's (layout, cost) for each circuit, as the exhaustive search that
+# scheduled every layout found them.
+ORACLE_PINS = [
+    ("random2", lambda: gen_random_circuit(2, 12, 102), ((1, 2),), 0),
+    ("random3", lambda: gen_random_circuit(3, 12, 103), ((3, 2), (1,)), 28),
+    ("random4", lambda: gen_random_circuit(4, 12, 104), ((1, 3), (2, 4)), 36),
+    ("random5", lambda: gen_random_circuit(5, 12, 105), ((3, 5), (1, 2), (4,)), 34),
+    ("random6", lambda: gen_random_circuit(6, 12, 106), ((2, 3), (1, 5), (4, 6)), 48),
+    ("random7", lambda: gen_random_circuit(7, 12, 107),
+     ((1, 6), (2, 5), (3, 7), (4,)), 48),
+    ("qft6", lambda: gen_qft(6), ((1, 2), (3, 4), (5, 6)), 36),
+    ("toffoli6", lambda: gen_toffoli(6), ((1, 4), (2, 6), (3, 5)), 84),
+]
+
+
+@pytest.mark.parametrize("make_circuit,layout,cost",
+                         [case[1:] for case in ORACLE_PINS],
+                         ids=[case[0] for case in ORACLE_PINS])
+def test_oracle_pinned_results(make_circuit, layout, cost):
+    ordering, best = brute_force_best_ordering(make_circuit())
+    assert (ordering.crystal_list, best) == (layout, cost)
+
+
+def test_oracle_overflow_on_small_trap():
+    # every 6-qubit layout overflows a 12-segment trap, the winner included
+    with pytest.raises(TrapOverflow):
+        brute_force_best_ordering(gen_random_circuit(6, 20, 0),
+                                  TrapConfig(n_segments=12, liz=6))

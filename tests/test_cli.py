@@ -189,3 +189,18 @@ def test_bench_zero_trials_exit_code(capsys):
     assert main(["bench", "--suite", "random", "--qubits", "4",
                  "--trials", "0"]) == 1
     assert "trials" in capsys.readouterr().err
+
+
+def test_bench_zero_gates_exit_code(capsys):
+    assert main(["bench", "--suite", "random", "--qubits", "4",
+                 "--gates", "0"]) == 1
+    assert "two-qubit gate" in capsys.readouterr().err
+
+
+def test_compile_overflow_names_gate(tmp_path, capsys):
+    src = tmp_path / "six.qasm"
+    src.write_text(HEADER + "qreg q[6];\ncz q[0],q[1];\ncz q[0],q[5];\n")
+    assert main(["compile", "-i", str(src), "--ordering", "oai",
+                 "--segments", "12", "--liz", "6"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: gate 1: ") and "occupied segments" in err

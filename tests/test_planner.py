@@ -1,0 +1,116 @@
+"""The chain planner against its physical lowering.
+
+``plan`` sees only the crystal chain; ``schedule`` lowers the same steps
+into commands on a real trap.  Whenever the lowering succeeds, the two must
+agree on the split+merge cost (also as replayed from the emitted program)
+and on the final chain, read off the trap in segment order.
+"""
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ionshuttle.benchmarks import (bench_config, compile_ordering, gen_qft,
+                                   gen_random_circuit, gen_toffoli,
+                                   make_ordering)
+from ionshuttle.commands import replay
+from ionshuttle.ordering import Ordering
+from ionshuttle.qasm import build_circuit
+from ionshuttle.scheduler import crystal_chain, plan, plan_cost
+from ionshuttle.trap import TrapConfig, TrapOverflow
+
+EXAMPLES = 300
+OUTCOMES: Counter = Counter()
+
+
+@st.composite
+def cases(draw):
+    """A circuit with one- and two-qubit gates, a random layout of one- and
+    two-ion crystals, and a trap that holds the layout, with its LIZ drawn
+    near either end in two cases out of three."""
+    n = draw(st.integers(2, 10))
+    specs = []
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 4)) == 0:
+            specs.append(("h", (draw(st.integers(0, n - 1)),), ()))
+        else:
+            a, b = draw(st.permutations(range(n)))[:2]
+            specs.append(("cz", (a, b), ()))
+    ions = draw(st.permutations(range(1, n + 1)))
+    groups, i = [], 0
+    while i < n:
+        size = 1 if i == n - 1 else draw(st.sampled_from((1, 2, 2)))
+        groups.append(tuple(ions[i:i + size]))
+        i += size
+    n_segments = draw(st.integers(max(6, 2 * len(groups) + 1), 4 * n + 16))
+    # the LIZ stays off the end segments, where a split has no room on one side
+    near = draw(st.integers(2, 5))
+    liz = draw(st.sampled_from((near, n_segments + 1 - near,
+                                draw(st.integers(2, n_segments - 1)))))
+    return (build_circuit(n, specs), Ordering(tuple(groups), "random"),
+            TrapConfig(n_segments=n_segments, liz=liz))
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
+@given(cases())
+def _planner_matches_lowering(case):
+    circuit, ordering, config = case
+    cost, chain = plan(circuit, ordering.crystal_list)
+    try:
+        result = compile_ordering(circuit, ordering, config)
+    except TrapOverflow:
+        OUTCOMES["overflow"] += 1
+        return
+    report = replay(result.sequence, config)
+    assert report.ok, report.violations[:3]
+    assert cost == result.cost == report.s_count + report.m_count
+    assert chain == crystal_chain(result.final_state)
+    OUTCOMES["compiled"] += 1
+
+
+def test_planner_matches_lowering():
+    OUTCOMES.clear()
+    _planner_matches_lowering()
+    # both outcomes happen often: a LIZ near an end overflows most drawn
+    # circuits, so the floor on checked programs keeps the property from
+    # holding only vacuously
+    assert OUTCOMES["compiled"] + OUTCOMES["overflow"] >= EXAMPLES
+    assert OUTCOMES["compiled"] >= EXAMPLES // 4, OUTCOMES
+    assert OUTCOMES["overflow"] >= EXAMPLES // 10, OUTCOMES
+
+
+@pytest.mark.parametrize("circuit", [gen_qft(12), gen_toffoli(10),
+                                     gen_random_circuit(9, 300, 4)],
+                         ids=["qft12", "toffoli10", "random9"])
+@pytest.mark.parametrize("method", ["oai", "oir", "ipo"])
+def test_plan_cost_matches_compile(circuit, method):
+    ordering = make_ordering(circuit, method, 3 if method == "oir" else None)
+    result = compile_ordering(circuit, ordering, bench_config(circuit.n_qubits))
+    assert plan_cost(circuit, ordering.crystal_list) == result.cost
+
+
+def test_step_costs():
+    # pair-pair 6, pair-singleton 4, singleton-singleton 2
+    circuit = build_circuit(4, [("cz", (0, 2), ())])
+    assert plan_cost(circuit, ((1, 2), (3, 4))) == 6
+    assert plan_cost(circuit, ((1, 2), (3,), (4,))) == 4
+    assert plan_cost(circuit, ((1,), (3,), (2, 4))) == 2
+
+
+def test_plan_final_chain():
+    # the traveler rests at the near end of each crystal it enters; each
+    # partner takes the far end of the crystal the traveler left
+    circuit = build_circuit(6, [("cz", (0, 5), ())])
+    cost, chain = plan(circuit, ((1, 2), (3, 4), (5, 6)))
+    assert cost == 12
+    assert chain == [[2, 3], [4, 6], [1, 5]]
+
+
+def test_plan_rejects_a_layout_of_other_ions():
+    circuit = build_circuit(3, [("cz", (0, 1), ())])
+    with pytest.raises(ValueError):
+        plan(circuit, ((1, 2),))
+    with pytest.raises(ValueError):
+        plan(circuit, ((1, 2, 3),))
+    with pytest.raises(ValueError):
+        plan(circuit, ((1, 1), (2, 3)))

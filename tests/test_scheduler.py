@@ -4,7 +4,8 @@ import random
 import pytest
 
 from ionshuttle.commands import replay, serialize
-from ionshuttle.ordering import order_inputs_randomly, place_in_the_model
+from ionshuttle.ordering import (order_as_is, order_inputs_randomly,
+                                 place_in_the_model)
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import ion_permutation, schedule, send_to_segment
 from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState, new_state
@@ -207,6 +208,15 @@ class TestSchedule:
         dgs = [params[0] for op, params in result.sequence.raw if op == "DG"]
         assert dgs == list(range(25))
         assert sum(result.per_gate_costs) == result.cost
+
+    def test_overflow_names_gate_and_span(self):
+        circ = build_circuit(6, [("cz", (0, 1), ()), ("cz", (0, 5), ())])
+        state = new_state(TrapConfig(n_segments=12, liz=6))
+        place_in_the_model(state, order_as_is(circ), circ)
+        with pytest.raises(TrapOverflow, match=r"^gate 1: .*occupied "
+                           r"segments \d+-\d+ of 12\)$") as err:
+            schedule(circ, state)
+        assert isinstance(err.value.__cause__, TrapOverflow)
 
     def test_schedule_rejects_wrong_ion_set(self):
         circ = build_circuit(4, [("cz", (0, 1), ())])
