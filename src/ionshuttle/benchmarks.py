@@ -8,6 +8,7 @@ approaches the limit L = 6/K for K ions per crystal, so L = 3 here.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -216,49 +217,37 @@ def _suite_circuit(suite: str, n: int, n_gates: int, seed: int) -> Circuit:
     raise ValueError(f"unknown suite {suite!r}")
 
 
-_WORKER_JOB: tuple[Circuit, TrapConfig, bool] | None = None
-
-
-def _sweep_init(circuit: Circuit, cfg: TrapConfig, verify: bool) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = (circuit, cfg, verify)
-
-
-def _sweep_trial(trial_seed: int) -> int:
-    circuit, cfg, verify = _WORKER_JOB
-    return compile_ordering(circuit, order_inputs_randomly(circuit, trial_seed),
-                            cfg, verify=verify).cost
+def _trial_cost(circuit: Circuit, cfg: TrapConfig, verify: bool, seed: int) -> int:
+    return compile_ordering(circuit, order_inputs_randomly(circuit, seed), cfg,
+                            verify=verify).cost
 
 
 def oir_costs(circuit: Circuit, seeds, config: TrapConfig | None = None,
               verify: bool = True, workers: int = 1) -> list[int]:
     """Compile one randomized layout per seed; independent trials fan out
     over ``workers`` processes (results stay in seed order)."""
-    cfg = config or bench_config(circuit.n_qubits)
+    trial = functools.partial(_trial_cost, circuit,
+                              config or bench_config(circuit.n_qubits), verify)
     seeds = list(seeds)
     if workers > 1 and len(seeds) > 1:
         import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_sweep_init,
-                      initargs=(circuit, cfg, verify)) as pool:
-            return pool.map(_sweep_trial, seeds,
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.map(trial, seeds,
                             chunksize=max(1, len(seeds) // (4 * workers)))
-    return [compile_ordering(circuit, order_inputs_randomly(circuit, s), cfg,
-                             verify=verify).cost for s in seeds]
+    return list(map(trial, seeds))
 
 
 def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
               trials: int = 1, seed: int = 0, n_gates: int = 1000,
-              config: TrapConfig | None = None, verify: bool = True,
-              workers: int = 1) -> SweepReport:
+              config: TrapConfig | None = None, workers: int = 1) -> SweepReport:
     """Compile each suite circuit under each ordering method.
 
     Deterministic methods run once; the randomized one runs ``trials`` times
-    with seeds derived from the master seed by counter.  Trials are
-    independent (each compile owns its trap), so ``workers`` > 1 fans them
-    out over processes; records stay keyed by trial index, keeping the
-    report identical to a serial run.
+    with seeds derived from the master seed by counter.  Every compile is
+    replayed and verified.  Trials are independent (each compile owns its
+    trap), so ``workers`` > 1 fans them out over processes; records stay
+    keyed by trial index, keeping the report identical to a serial run.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -271,11 +260,11 @@ def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
             if method == "oir":
                 runs: list[tuple[int, int | None]] = [(t, seed + t) for t in range(trials)]
                 costs = oir_costs(circuit, [ts for _, ts in runs], cfg,
-                                  verify=verify, workers=workers)
+                                  workers=workers)
             else:
                 runs = [(0, None)]
                 costs = [compile_ordering(circuit, make_ordering(circuit, method),
-                                          cfg, verify=verify).cost]
+                                          cfg, verify=True).cost]
             for (trial, trial_seed), c in zip(runs, costs):
                 report.records.append(CompileRecord(
                     suite, n, method, trial, trial_seed, c, n2q,
@@ -294,7 +283,7 @@ def enumerate_orderings(n: int):
     lexicographic order of the flat permutation, paired left to right."""
     for perm in itertools.permutations(range(1, n + 1)):
         if perm <= perm[::-1]:
-            yield _chunk_pairs(list(perm), "oracle")
+            yield _chunk_pairs(list(perm))
 
 
 def ordering_cost(circuit: Circuit, ordering: Ordering,
@@ -331,7 +320,7 @@ def brute_force_best_ordering(circuit: Circuit,
     best: tuple[Ordering, int] | None = None
     for first in enumerate_orderings(n):
         layouts = (first,) if n % 2 == 0 else (
-            first, _chunk_pairs(list(reversed(first.ions())), "oracle"))
+            first, _chunk_pairs(list(reversed(first.ions()))))
         for ordering in layouts:
             c = plan_cost(circuit, ordering.crystal_list)
             if verify:

@@ -292,7 +292,7 @@ def _trace_rows(sequence: CommandSequence,
         if op == "DG":
             pending_gates.append(params[0])
         if op in STATE_CHANGING:
-            occupants = {c.segment: tuple(c.ions) for c in state.crystals.values()}
+            occupants = {s: tuple(c.ions) for s, c in state.seg_crystal.items()}
             rows.append(_TraceRow(
                 pending_first if pending_first is not None else seq,
                 seq, occupants, frozenset(state.wells), pending_gates))

@@ -22,16 +22,14 @@ class Ordering:
     """Top-to-bottom layout: each group is one crystal's ion order."""
 
     crystal_list: tuple[tuple[int, ...], ...]
-    method: str
-    seed: int | None = None
 
     def ions(self) -> tuple[int, ...]:
         return tuple(ion for group in self.crystal_list for ion in group)
 
 
-def _chunk_pairs(ions: list[int], method: str, seed: int | None = None) -> Ordering:
+def _chunk_pairs(ions: list[int]) -> Ordering:
     groups = tuple(tuple(ions[i:i + 2]) for i in range(0, len(ions), 2))
-    return Ordering(groups, method, seed)
+    return Ordering(groups)
 
 
 def _gate_ions(circuit: Circuit) -> list[tuple[int, int]]:
@@ -41,7 +39,7 @@ def _gate_ions(circuit: Circuit) -> list[tuple[int, int]]:
 
 def order_as_is(circuit: Circuit) -> Ordering:
     """Pair ions left to right: [{1,2},{3,4},...]."""
-    return _chunk_pairs(list(range(1, circuit.n_qubits + 1)), "oai")
+    return _chunk_pairs(list(range(1, circuit.n_qubits + 1)))
 
 
 def order_inputs_randomly(circuit: Circuit, seed: int) -> Ordering:
@@ -49,7 +47,7 @@ def order_inputs_randomly(circuit: Circuit, seed: int) -> Ordering:
     generator), paired into crystals; deterministic per seed."""
     ions = list(range(1, circuit.n_qubits + 1))
     random.Random(seed).shuffle(ions)
-    return _chunk_pairs(ions, "oir", seed)
+    return _chunk_pairs(ions)
 
 
 def increase_pairwise_order(circuit: Circuit) -> Ordering:
@@ -115,13 +113,13 @@ def increase_pairwise_order(circuit: Circuit) -> Ordering:
     for idx, still in enumerate(in_v):
         if still:
             chained.append(idx)
-    return Ordering(tuple(crystals[i] for i in chained), "ipo")
+    return Ordering(tuple(crystals[i] for i in chained))
 
 
 def reverse_ordering(ordering: Ordering) -> Ordering:
     """Mirror the layout end to end (the cost-equivalent twin)."""
     groups = tuple(tuple(reversed(g)) for g in reversed(ordering.crystal_list))
-    return Ordering(groups, ordering.method, ordering.seed)
+    return Ordering(groups)
 
 
 def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -> None:
@@ -132,7 +130,7 @@ def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -
     the LIZ (gateless circuits anchor the first crystal there).  If the
     anchored block sticks out of the trap it is shifted minimally inward.
     """
-    if state.crystals:
+    if state.seg_crystal:
         raise ValueError("placement needs an empty trap")
     flat = sorted(ordering.ions())
     if flat != list(range(1, circuit.n_qubits + 1)):

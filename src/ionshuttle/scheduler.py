@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .commands import CommandSequence
 from .qasm import Circuit, Gate
-from .trap import TrapOverflow, TrapState
+from .trap import Crystal, TrapOverflow, TrapState
 
 
 @dataclass
@@ -107,8 +107,8 @@ def plan_cost(circuit: Circuit, crystal_list) -> int:
 
 def crystal_chain(state: TrapState) -> list[list[int]]:
     """The trap's crystals in segment order, each as its ion order."""
-    crystals, seg_map = state.crystals, state.seg_crystal
-    return [list(crystals[seg_map[s]].ions) for s in sorted(seg_map)]
+    seg_map = state.seg_crystal
+    return [list(seg_map[s].ions) for s in sorted(seg_map)]
 
 
 # -- lowering --------------------------------------------------------------------
@@ -127,7 +127,7 @@ class _Scheduler:
 
     # -- transport ---------------------------------------------------------
 
-    def _send(self, cid: int, target: int) -> None:
+    def _send(self, crystal: Crystal, target: int) -> None:
         """Move a crystal to ``target``, recursively pushing blockers one
         spacing (2 segments) beyond the target, in the direction of travel.
 
@@ -141,14 +141,12 @@ class _Scheduler:
         seg_map = state.seg_crystal
         history = state.history
         record = state.record
-        crystals = state.crystals
         nseg = self.n_segments
         moved = False
         # explicit push stack: resolving a blocker suspends the mover's frame
-        stack = [(cid, target)]
+        stack = [(crystal, target)]
         while stack:
-            cid, target = stack[-1]
-            crystal = crystals[cid]
+            crystal, target = stack[-1]
             seg = crystal.segment
             if seg == target:
                 stack.pop()
@@ -170,7 +168,7 @@ class _Scheduler:
                     blocked = True
                     break
                 del seg_map[seg]
-                seg_map[nxt] = cid
+                seg_map[nxt] = crystal
                 crystal.segment = nxt
                 moved = True
                 if record:
@@ -181,9 +179,9 @@ class _Scheduler:
         if moved:
             state.scheduling_started = True
 
-    def _bring_to_liz(self, cid: int) -> None:
-        if self.state.crystals[cid].segment != self.liz:
-            self._send(cid, self.liz)
+    def _bring_to_liz(self, crystal: Crystal) -> None:
+        if crystal.segment != self.liz:
+            self._send(crystal, self.liz)
 
     def _clear_split_zone(self) -> None:
         """Push away crystals that would sit too close to the split products
@@ -200,10 +198,11 @@ class _Scheduler:
 
     # -- LIZ operations with the empty-well bracket --------------------------
 
-    def _wells_on(self) -> tuple:
-        """Add balancing wells beside the staging sites when no crystal is
-        already there; preconditions hold by construction, so the well set
-        and history are updated directly."""
+    def _at_liz(self, primitive, *args):
+        """Run a LIZ primitive between balancing wells added beside the
+        staging sites that hold no crystal, and return its result.  The
+        wells' preconditions hold by construction, so the well set and
+        history are updated directly."""
         state = self.state
         seg_map = state.seg_crystal
         active = tuple(w for w in self.well_cmds if w[0] not in seg_map)
@@ -214,46 +213,23 @@ class _Scheduler:
             wells.add(s)
             if record:
                 history.append(aec)
-        return active
-
-    def _wells_off(self, active: tuple) -> None:
-        state = self.state
-        record = state.record
-        wells = state.wells
-        history = state.history
+        out = primitive(*args)
         for s, _, rec in active:
             wells.discard(s)
             if record:
                 history.append(rec)
+        return out
 
-    def _split(self, d: int) -> tuple[int, int]:
+    def _split(self, d: int) -> tuple[Crystal, Crystal]:
         """Split the LIZ crystal; return (product on side -d, product on
         side +d), where side +1 is below the LIZ."""
         self._clear_split_zone()
-        spots = self._wells_on()
-        above, below = self.state.split_at_liz()
-        self._wells_off(spots)
+        above, below = self._at_liz(self.state.split_at_liz)
         return (above, below) if d > 0 else (below, above)
 
-    def _merge(self) -> int:
-        spots = self._wells_on()
-        out = self.state.merge_at_liz()
-        self._wells_off(spots)
-        return out
-
-    def _rotate_liz(self) -> None:
-        spots = self._wells_on()
-        self.state.rotate_at_liz()
-        self._wells_off(spots)
-
-    def _dg(self, gate_index: int) -> None:
-        spots = self._wells_on()
-        self.state.record_gate(gate_index)
-        self._wells_off(spots)
-
-    def _rotate_crystal(self, cid: int) -> None:
-        self._bring_to_liz(cid)
-        self._rotate_liz()
+    def _rotate_crystal(self, crystal: Crystal) -> None:
+        self._bring_to_liz(crystal)
+        self._at_liz(self.state.rotate_at_liz)
 
     # -- exchange ------------------------------------------------------------
 
@@ -271,54 +247,56 @@ class _Scheduler:
         # orient so the travelers face each other (no-ops for singletons)
         back = 0 if d > 0 else -1
         if len(c1.ions) == 2 and c1.ions[back] == ion_a:
-            self._rotate_crystal(c1.id)
+            self._rotate_crystal(c1)
         if len(c4.ions) == 2 and c4.ions[-1 - back] == ion_b:
-            self._rotate_crystal(c4.id)
+            self._rotate_crystal(c4)
 
         c1_pair = len(c1.ions) == 2
         c4_pair = len(c4.ions) == 2
         if c1_pair:
-            self._bring_to_liz(c1.id)
+            self._bring_to_liz(c1)
             partner_a, traveler_a = self._split(d)
         else:
-            traveler_a = c1.id
+            traveler_a = c1
         if c4_pair:
-            self._bring_to_liz(c4.id)
+            self._bring_to_liz(c4)
             partner_b, traveler_b = self._split(-d)
         else:
-            traveler_b = c4.id
+            traveler_b = c4
 
         self._send(traveler_a, liz - d)
         self._send(traveler_b, liz + d)
-        self._merge()                      # ion_a on the -d side of ion_b
-        self._rotate_liz()                 # swap them, so they part exchanged
+        self._at_liz(state.merge_at_liz)   # ion_a on the -d side of ion_b
+        self._at_liz(state.rotate_at_liz)  # swap them, so they part exchanged
         if do_gate:
-            self._dg(gate_index)
+            self._at_liz(state.record_gate, gate_index)
         out_b, out_a = self._split(d)      # ion_a on the +d side
 
         if c1_pair:
             self._send(partner_a, liz - d)
             self._send(out_b, liz + d)
-            self._merge()                  # ion_a's old home, now holding ion_b
+            self._at_liz(state.merge_at_liz)  # ion_a's old home, now holding ion_b
         if c4_pair:
             self._send(out_a, liz - d)
             self._send(partner_b, liz + d)
-            self._merge()                  # ion_b's old home, now holding ion_a
+            self._at_liz(state.merge_at_liz)  # ion_b's old home, now holding ion_a
 
     def run_gate(self, gate: Gate, steps) -> None:
         """Lower one gate's planned steps; a gate without steps runs on its
         first operand's crystal, brought to the LIZ."""
         if not steps:
             self._bring_to_liz(self.state.ion_crystal[gate.operands[0] + 1])
-            self._dg(gate.index)
+            self._at_liz(self.state.record_gate, gate.index)
         for ion, partner, d, runs_gate in steps:
             self._exchange(ion, partner, d, runs_gate, gate.index)
 
 
-def send_to_segment(state: TrapState, crystal_id: int, target: int) -> None:
+def send_to_segment(state: TrapState, crystal: Crystal, target: int) -> None:
     """Transport one crystal to ``target``, pushing blockers out of the way
     (each single-segment step is emitted as its own move command)."""
-    _Scheduler(state)._send(crystal_id, target)
+    if state.seg_crystal.get(crystal.segment) is not crystal:
+        raise ValueError("crystal is not in the trap (split or merged away?)")
+    _Scheduler(state)._send(crystal, target)
 
 
 def ion_permutation(state: TrapState, ion_a: int, ion_b: int, do_gate: bool,
@@ -326,7 +304,7 @@ def ion_permutation(state: TrapState, ion_a: int, ion_b: int, do_gate: bool,
     """Exchange two ions between adjacent crystals (ion_a's crystal above)."""
     ca = state.crystal_of(ion_a)
     cb = state.crystal_of(ion_b)
-    if ca.id == cb.id:
+    if ca is cb:
         raise ValueError("ions already share a crystal")
     if ca.segment > cb.segment:
         raise ValueError("ion_a must sit in the upper crystal")

@@ -4,9 +4,13 @@ The trap is a 1-indexed array of segments.  A segment is empty, holds one
 ion crystal (an ordered group of one or two ions), or holds an empty
 potential well used to balance fields near the laser interaction zone
 (LIZ).  There is one LIZ, and split, merge and rotation happen only
-there.  Crystals must stay at least 2 segments apart at all times; the
-spacing is fixed at 2, so every spacing check looks only at the segments
-next to a crystal.
+there, so it needs a segment on each side.  Crystals must stay at least 2
+segments apart at all times; the spacing is fixed at 2, so every spacing
+check looks only at the segments next to a crystal.
+
+A ``Crystal`` object is its own handle: placement, split and merge return
+the crystals they create, and a crystal that splits or merges is replaced
+by new ones.
 
 Every mutating operation validates its constraints before touching state
 and, when recording is enabled, appends the matching shuttling command to
@@ -80,46 +84,45 @@ class TrapConfig:
     def validate(self) -> None:
         if self.n_segments < 5:
             raise InvalidConfig(f"need at least 5 segments, got {self.n_segments}")
-        if not 1 <= self.liz <= self.n_segments:
-            raise InvalidConfig(f"LIZ segment {self.liz} outside 1..{self.n_segments}")
+        if not 2 <= self.liz <= self.n_segments - 1:
+            # split and merge stage crystals on both sides of the LIZ
+            raise InvalidConfig(
+                f"LIZ segment {self.liz} outside 2..{self.n_segments - 1}")
 
 
 class Crystal:
     """An ordered group of ions in one potential well; ions[0] is the top."""
 
-    __slots__ = ("id", "ions", "segment")
+    __slots__ = ("ions", "segment")
 
-    def __init__(self, cid: int, ions: list[int], segment: int):
-        self.id = cid
+    def __init__(self, ions: list[int], segment: int):
         self.ions = ions
         self.segment = segment
 
     def __repr__(self) -> str:
-        return f"Crystal(id={self.id}, ions={self.ions}, segment={self.segment})"
+        return f"Crystal(ions={self.ions}, segment={self.segment})"
 
 
 class TrapState:
     """Mutable single-owner trap state.
 
-    ``seg_crystal`` maps occupied segment -> crystal id, ``wells`` holds the
-    segments with an (ion-free) potential well, ``ion_crystal`` maps ion id
-    -> owning crystal id.  Crystal ids are minted fresh on every placement,
-    split and merge, strictly increasing.
+    ``seg_crystal`` maps occupied segment -> crystal and is the one
+    registry of crystals; ``ion_crystal`` maps ion id -> owning crystal;
+    ``wells`` holds the segments with an (ion-free) potential well.  Each
+    crystal's ``segment`` is its key in ``seg_crystal``.
     """
 
     def __init__(self, config: TrapConfig | None = None, record: bool = True):
         config = config or TrapConfig()
         config.validate()
         self.config = config
-        self.seg_crystal: dict[int, int] = {}
+        self.seg_crystal: dict[int, Crystal] = {}
         self.wells: set[int] = set()
-        self.crystals: dict[int, Crystal] = {}
-        self.ion_crystal: dict[int, int] = {}
+        self.ion_crystal: dict[int, Crystal] = {}
         self.scheduling_started = False
         self.record = record
         self.s_count = 0
         self.m_count = 0
-        self._next_id = 1
         self.history: list[tuple[str, tuple[int, ...]]] = [("START", ())] if record else []
 
     # -- helpers -----------------------------------------------------------
@@ -128,18 +131,12 @@ class TrapState:
         if self.record:
             self.history.append((op, params))
 
-    def _fresh_id(self) -> int:
-        cid = self._next_id
-        self._next_id += 1
-        return cid
-
     def crystal_at(self, segment: int) -> Crystal | None:
-        cid = self.seg_crystal.get(segment)
-        return self.crystals[cid] if cid is not None else None
+        return self.seg_crystal.get(segment)
 
     def crystal_of(self, ion: int) -> Crystal:
         try:
-            return self.crystals[self.ion_crystal[ion]]
+            return self.ion_crystal[ion]
         except KeyError:
             raise EmptySegment(f"ion {ion} is not in the trap") from None
 
@@ -163,7 +160,7 @@ class TrapState:
 
     # -- initial placement (AIC) -------------------------------------------
 
-    def place_ion(self, ion: int, segment: int) -> int:
+    def place_ion(self, ion: int, segment: int) -> Crystal:
         """Add one ion at ``segment``, extending a 1-ion crystal already
         there.  Only legal before shuttling starts."""
         if self.scheduling_started:
@@ -177,20 +174,17 @@ class TrapState:
             if len(crystal.ions) >= 2:
                 raise CapacityExceeded(f"crystal at segment {segment} is full")
             crystal.ions.append(ion)
-            self.ion_crystal[ion] = crystal.id
         else:
             bad = self._conflict(segment, exclude=segment)
             if bad is not None:
                 raise SpacingViolation(
                     f"segment {segment} too close to occupied segment {bad}")
-            cid = self._fresh_id()
-            self.crystals[cid] = Crystal(cid, [ion], segment)
-            self.seg_crystal[segment] = cid
-            self.ion_crystal[ion] = cid
+            crystal = self.seg_crystal[segment] = Crystal([ion], segment)
+        self.ion_crystal[ion] = crystal
         self._emit("AIC", (ion, segment))
-        return self.seg_crystal[segment]
+        return crystal
 
-    def place_crystal(self, ions: list[int], segment: int) -> int:
+    def place_crystal(self, ions: list[int], segment: int) -> Crystal:
         """Place a whole crystal (validated as a unit) before scheduling."""
         if not ions or len(ions) > 2:
             raise CapacityExceeded(f"crystal of {len(ions)} ions not supported")
@@ -198,10 +192,9 @@ class TrapState:
             raise DuplicateIon(f"duplicate ion in {ions}")
         if segment in self.seg_crystal:
             raise SpacingViolation(f"segment {segment} already occupied")
-        cid = 0
         for ion in ions:
-            cid = self.place_ion(ion, segment)
-        return cid
+            crystal = self.place_ion(ion, segment)
+        return crystal
 
     # -- transport ----------------------------------------------------------
 
@@ -214,8 +207,8 @@ class TrapState:
         else:
             raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
         seg_map = self.seg_crystal
-        cid = seg_map.get(segment)
-        if cid is None:
+        crystal = seg_map.get(segment)
+        if crystal is None:
             raise EmptySegment(f"no crystal at segment {segment}")
         if not 1 <= dest <= self.config.n_segments:
             raise OutOfBounds(f"move from segment {segment} leaves the trap")
@@ -225,8 +218,8 @@ class TrapState:
             raise SpacingViolation(
                 f"moving to segment {dest} violates spacing near it")
         del seg_map[segment]
-        seg_map[dest] = cid
-        self.crystals[cid].segment = dest
+        seg_map[dest] = crystal
+        crystal.segment = dest
         self.scheduling_started = True
         if self.record:
             self.history.append(("SMU" if direction == "up" else "SMD", (1, segment)))
@@ -234,19 +227,16 @@ class TrapState:
 
     # -- LIZ operations ------------------------------------------------------
 
-    def split_at_liz(self) -> tuple[int, int]:
+    def split_at_liz(self) -> tuple[Crystal, Crystal]:
         """Split the 2-ion LIZ crystal; top ion lands at liz-1, bottom at
-        liz+1, both as fresh crystals.  Returns (above id, below id)."""
+        liz+1, both as new crystals.  Returns (above, below)."""
         liz = self.config.liz
         seg_map = self.seg_crystal
-        cid = seg_map.get(liz)
-        if cid is None:
+        crystal = seg_map.get(liz)
+        if crystal is None:
             raise NotInLiz("no crystal in the LIZ to split")
-        crystal = self.crystals[cid]
         if len(crystal.ions) != 2:
             raise WrongSize(f"split needs a 2-ion crystal, got {len(crystal.ions)}")
-        if liz - 1 < 1 or liz + 1 > self.config.n_segments:
-            raise OutOfBounds("split products would leave the trap")
         for stage in (liz - 1, liz + 1):
             if stage in self.wells:
                 raise Blocked(f"segment {stage} holds an empty well")
@@ -256,24 +246,18 @@ class TrapState:
                         f"split product at {stage} would violate spacing with {s}")
         top, bottom = crystal.ions
         del seg_map[liz]
-        del self.crystals[cid]
-        above = self._next_id
-        below = above + 1
-        self._next_id = above + 2
-        self.crystals[above] = Crystal(above, [top], liz - 1)
-        self.crystals[below] = Crystal(below, [bottom], liz + 1)
-        seg_map[liz - 1] = above
-        seg_map[liz + 1] = below
-        self.ion_crystal[top] = above
-        self.ion_crystal[bottom] = below
+        above = Crystal([top], liz - 1)
+        below = Crystal([bottom], liz + 1)
+        seg_map[liz - 1] = self.ion_crystal[top] = above
+        seg_map[liz + 1] = self.ion_crystal[bottom] = below
         self.scheduling_started = True
         self.s_count += 1
         if self.record:
             self.history.append(("S", ()))
         return above, below
 
-    def merge_at_liz(self) -> int:
-        """Merge the crystals at liz-1 and liz+1 into a fresh crystal at the
+    def merge_at_liz(self) -> Crystal:
+        """Merge the crystals at liz-1 and liz+1 into a new crystal at the
         LIZ, ordered top operand first."""
         liz = self.config.liz
         above = self.crystal_at(liz - 1)
@@ -290,19 +274,14 @@ class TrapState:
         ions = above.ions + below.ions
         del self.seg_crystal[liz - 1]
         del self.seg_crystal[liz + 1]
-        del self.crystals[above.id]
-        del self.crystals[below.id]
-        cid = self._next_id
-        self._next_id = cid + 1
-        self.crystals[cid] = Crystal(cid, ions, liz)
-        self.seg_crystal[liz] = cid
+        merged = self.seg_crystal[liz] = Crystal(ions, liz)
         for ion in ions:
-            self.ion_crystal[ion] = cid
+            self.ion_crystal[ion] = merged
         self.scheduling_started = True
         self.m_count += 1
         if self.record:
             self.history.append(("M", ()))
-        return cid
+        return merged
 
     def rotate_at_liz(self) -> None:
         """Physically reverse the ion order of the LIZ crystal (a no-op for

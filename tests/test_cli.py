@@ -163,6 +163,16 @@ def test_compile_invalid_trap_override(qft8_file):
     assert main(["compile", "-i", str(qft8_file), "--liz", "99"]) == 3
 
 
+@pytest.mark.parametrize("liz", ["1", "20"])
+def test_compile_liz_on_end_segment_exit_code(tmp_path, capsys, liz):
+    # split and merge need a segment on each side of the LIZ
+    src = tmp_path / "four.qasm"
+    src.write_text(HEADER + "qreg q[4];\ncz q[0],q[2];\n")
+    assert main(["compile", "-i", str(src), "--ordering", "oai",
+                 "--segments", "20", "--liz", liz]) == 3
+    assert "LIZ segment" in capsys.readouterr().err
+
+
 def test_compile_default_trap_above_eight_qubits(tmp_path):
     src = tmp_path / "ten.qasm"
     src.write_text(HEADER + "qreg q[10];\ncx q[0],q[9];\n")

@@ -47,7 +47,7 @@ def cases(draw):
     near = draw(st.integers(2, 5))
     liz = draw(st.sampled_from((near, n_segments + 1 - near,
                                 draw(st.integers(2, n_segments - 1)))))
-    return (build_circuit(n, specs), Ordering(tuple(groups), "random"),
+    return (build_circuit(n, specs), Ordering(tuple(groups)),
             TrapConfig(n_segments=n_segments, liz=liz))
 
 

@@ -16,25 +16,25 @@ def ops_of(state, kinds):
 
 
 def ion_sets(state):
-    return sorted(tuple(sorted(c.ions)) for c in state.crystals.values())
+    return sorted(tuple(sorted(c.ions)) for c in state.seg_crystal.values())
 
 
 class TestSendToSegment:
     def test_clear_path_step_count(self):
         state = new_state()
-        cid = state.place_crystal([1], 10)
-        send_to_segment(state, cid, 19)
+        crystal = state.place_crystal([1], 10)
+        send_to_segment(state, crystal, 19)
         moves = [cmd for cmd in state.history if cmd[0] in ("SMU", "SMD")]
         assert moves == [("SMD", (1, s)) for s in range(10, 19)]
-        assert state.crystals[cid].segment == 19
+        assert crystal.segment == 19
 
     def test_blocker_pushed_one_spacing_beyond_target(self):
         state = new_state()
         mover = state.place_crystal([1], 17)
         blocker = state.place_crystal([2], 19)
         send_to_segment(state, mover, 19)
-        assert state.crystals[mover].segment == 19
-        assert state.crystals[blocker].segment == 21
+        assert mover.segment == 19
+        assert blocker.segment == 21
         moves = [cmd for cmd in state.history if cmd[0] in ("SMU", "SMD")]
         assert moves == [("SMD", (1, 19)), ("SMD", (1, 20)),
                         ("SMD", (1, 17)), ("SMD", (1, 18))]
@@ -52,8 +52,17 @@ class TestSendToSegment:
         mover = state.place_crystal([1], 21)
         blocker = state.place_crystal([2], 19)
         send_to_segment(state, mover, 19)
-        assert state.crystals[mover].segment == 19
-        assert state.crystals[blocker].segment == 17
+        assert mover.segment == 19
+        assert blocker.segment == 17
+
+    def test_crystal_replaced_by_merge_rejected(self):
+        state = new_state()
+        above = state.place_crystal([1], 18)
+        state.place_crystal([2], 20)
+        state.merge_at_liz()
+        with pytest.raises(ValueError):
+            send_to_segment(state, above, 10)
+        assert sorted(state.seg_crystal) == [19]
 
 
 class TestIonPermutation:
@@ -70,7 +79,7 @@ class TestIonPermutation:
         assert ion_sets(state) == [(1, 4), (2, 3)]
         # upper home keeps its old partner on top; traveler rests on top of
         # the lower home (normative trace order)
-        crystals = sorted(state.crystals.values(), key=lambda c: c.segment)
+        crystals = sorted(state.seg_crystal.values(), key=lambda c: c.segment)
         assert crystals[0].ions == [2, 3]
         assert crystals[1].ions == [1, 4]
 
@@ -88,7 +97,7 @@ class TestIonPermutation:
         ion_permutation(state, 1, 3, do_gate=True, gate_index=0)
         assert ops_of(state, ("S", "M", "RC", "DG")) == ["M", "RC", "DG", "S"]
         assert state.s_count + state.m_count == 2
-        crystals = sorted(state.crystals.values(), key=lambda c: c.segment)
+        crystals = sorted(state.seg_crystal.values(), key=lambda c: c.segment)
         assert [c.ions for c in crystals] == [[3], [1]]
 
     def test_pair_above_singleton(self):
@@ -98,7 +107,7 @@ class TestIonPermutation:
         ion_permutation(state, 2, 3, do_gate=False)
         assert ops_of(state, ("S", "M")) == ["S", "M", "S", "M"]
         assert ion_sets(state) == [(1, 3), (2,)]
-        pair = next(c for c in state.crystals.values() if len(c.ions) == 2)
+        pair = next(c for c in state.seg_crystal.values() if len(c.ions) == 2)
         assert pair.ions == [1, 3]
 
     def test_precondition_same_crystal(self):
@@ -126,7 +135,7 @@ class TestIonPermutation:
         state.place_crystal([3, 4], 19)
         state.place_crystal([5, 6], 21)
         before = {c: set(cr.ions) for c, cr in
-                  ((cr.segment, cr) for cr in state.crystals.values())}
+                  ((cr.segment, cr) for cr in state.seg_crystal.values())}
         ion_permutation(state, 4, 5, do_gate=False)
         assert ion_sets(state) == [(1, 2), (3, 5), (4, 6)]
         assert before  # membership of {1,2} untouched

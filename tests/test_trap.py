@@ -28,6 +28,11 @@ def test_config_rejects_liz_out_of_range():
         new_state(TrapConfig(n_segments=32, liz=33))
     with pytest.raises(InvalidConfig):
         new_state(TrapConfig(liz=0))
+    # split and merge need a segment on each side of the LIZ
+    with pytest.raises(InvalidConfig):
+        new_state(TrapConfig(liz=1))
+    with pytest.raises(InvalidConfig):
+        new_state(TrapConfig(liz=32))
 
 
 def test_config_rejects_unsupported_limits():
@@ -42,9 +47,9 @@ def test_config_rejects_unsupported_limits():
 class TestPlacement:
     def test_place_pair_in_empty_trap(self):
         state = new_state()
-        cid = state.place_crystal([1, 2], 19)
-        assert state.crystals[cid].ions == [1, 2]
-        assert state.seg_crystal == {19: cid}
+        crystal = state.place_crystal([1, 2], 19)
+        assert crystal.ions == [1, 2]
+        assert state.seg_crystal == {19: crystal}
         assert state.history[1:] == [("AIC", (1, 19)), ("AIC", (2, 19))]
 
     def test_adjacent_placement_violates_spacing(self):
@@ -68,9 +73,9 @@ class TestPlacement:
 
     def test_place_ion_extends_singleton(self):
         state = new_state()
-        cid = state.place_ion(1, 10)
-        assert state.place_ion(2, 10) == cid
-        assert state.crystals[cid].ions == [1, 2]
+        crystal = state.place_ion(1, 10)
+        assert state.place_ion(2, 10) is crystal
+        assert crystal.ions == [1, 2]
         with pytest.raises(CapacityExceeded):
             state.place_ion(3, 10)
 
@@ -121,10 +126,10 @@ class TestSplitMerge:
         state = new_state()
         state.place_crystal([4, 7], 19)
         above, below = state.split_at_liz()
-        assert state.crystals[above].ions == [4]
-        assert state.crystals[above].segment == 18
-        assert state.crystals[below].ions == [7]
-        assert state.crystals[below].segment == 20
+        assert above.ions == [4]
+        assert above.segment == 18
+        assert below.ions == [7]
+        assert below.segment == 20
         assert 19 not in state.seg_crystal
         assert state.history[-1] == ("S", ())
         assert state.s_count == 1
@@ -149,7 +154,7 @@ class TestSplitMerge:
         c = state.crystal_at(21)
         del state.seg_crystal[21]
         c.segment = 20
-        state.seg_crystal[20] = c.id
+        state.seg_crystal[20] = c
         with pytest.raises(Blocked):
             state.split_at_liz()
 
@@ -165,9 +170,9 @@ class TestSplitMerge:
         state = new_state()
         state.place_crystal([4], 18)
         state.place_crystal([7], 20)
-        cid = state.merge_at_liz()
-        assert state.crystals[cid].ions == [4, 7]
-        assert state.crystals[cid].segment == 19
+        merged = state.merge_at_liz()
+        assert merged.ions == [4, 7]
+        assert merged.segment == 19
         assert state.history[-1] == ("M", ())
         assert state.m_count == 1
 
@@ -188,10 +193,10 @@ class TestSplitMerge:
         state = new_state()
         state.place_crystal([4, 7], 19)
         state.split_at_liz()
-        cid = state.merge_at_liz()
-        assert state.crystals[cid].ions == [4, 7]
+        merged = state.merge_at_liz()
+        assert merged.ions == [4, 7]
 
-    def test_fresh_ids_strictly_increase(self):
+    def test_split_and_merge_return_new_crystals(self):
         state = new_state()
         first = state.place_crystal([4, 7], 19)
         seen = [first]
@@ -199,8 +204,7 @@ class TestSplitMerge:
             above, below = state.split_at_liz()
             merged = state.merge_at_liz()
             seen.extend([above, below, merged])
-        assert seen == sorted(seen)
-        assert len(set(seen)) == len(seen)
+        assert len({id(c) for c in seen}) == len(seen)
 
 
 class TestRotation:
@@ -240,7 +244,7 @@ class TestSpacing:
         c = state.crystal_at(20)
         del state.seg_crystal[20]
         c.segment = 19
-        state.seg_crystal[19] = c.id
+        state.seg_crystal[19] = c
         assert state.check_spacing() == [(18, 19)]
 
     def test_empty_trap_passes(self):
@@ -272,7 +276,9 @@ def test_ion_conservation_and_spacing_under_random_ops():
             pass
         assert sorted(state.ion_crystal) == ions
         assert state.check_spacing() == []
-        for cid, crystal in state.crystals.items():
-            assert state.seg_crystal[crystal.segment] == cid
+        crystals = list(state.seg_crystal.values())
+        assert sorted(ion for c in crystals for ion in c.ions) == ions
+        for crystal in crystals:
+            assert state.seg_crystal[crystal.segment] is crystal
             for ion in crystal.ions:
-                assert state.ion_crystal[ion] == cid
+                assert state.ion_crystal[ion] is crystal
