@@ -20,8 +20,9 @@ from .qasm import (Circuit, Gate, QasmError, QasmSyntaxError, UndeclaredQubit,
                    to_qasm)
 from .scheduler import ScheduleResult, ion_permutation, schedule, send_to_segment
 from .trap import (Blocked, CapacityExceeded, Crystal, DuplicateIon,
-                   EmptySegment, InvalidConfig, MissingOperand, NotInLiz,
-                   OutOfBounds, ResultTooLarge, SpacingViolation, TrapConfig,
-                   TrapError, TrapOverflow, TrapState, WrongSize, new_state)
+                   EmptySegment, InvalidConfig, InvalidId, MissingOperand,
+                   NotInLiz, OutOfBounds, ResultTooLarge, SpacingViolation,
+                   TrapConfig, TrapError, TrapOverflow, TrapState, WrongSize,
+                   new_state)
 
 __version__ = "0.1.0"

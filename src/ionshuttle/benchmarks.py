@@ -229,7 +229,8 @@ def oir_costs(circuit: Circuit, seeds, config: TrapConfig | None = None,
     trial = functools.partial(_trial_cost, circuit,
                               config or bench_config(circuit.n_qubits), verify)
     seeds = list(seeds)
-    if workers > 1 and len(seeds) > 1:
+    workers = min(workers, len(seeds))
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers) as pool:

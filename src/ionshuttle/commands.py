@@ -240,7 +240,7 @@ def replay(sequence: CommandSequence, config: TrapConfig | None = None,
     the LIZ still reverses its crystal, see :func:`apply`).  Strict mode
     raises ReplayError at the first violation.
     """
-    state = TrapState(config or sequence.config(), record=False)
+    state = TrapState(config or sequence.config())
     violations: list[tuple[int, str]] = []
     _execute(sequence, state, _reject if strict else
              lambda seq, message: violations.append((seq, message)))
@@ -282,7 +282,7 @@ def _trace_rows(sequence: CommandSequence,
     Raises ReplayError at the first command strict replay would reject.
     """
     cfg = config or sequence.config()
-    state = TrapState(cfg, record=False)
+    state = TrapState(cfg)
     rows: list[_TraceRow] = []
     pending_first: int | None = None
     pending_gates: list[int] = []

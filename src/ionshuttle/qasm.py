@@ -278,16 +278,22 @@ class _Parser:
     def _term(self) -> float:
         value = self._factor()
         while self._peek() and self._peek().value in "*/":
-            if self._next().value == "*":
-                value *= self._factor()
+            op = self._next().value
+            tok = self._peek()
+            factor = self._factor()
+            if op == "*":
+                value *= factor
+            elif factor == 0:
+                raise QasmSyntaxError("division by zero", tok.line, tok.col)
             else:
-                value /= self._factor()
+                value /= factor
         return value
 
     def _factor(self) -> float:
         tok = self._peek()
         if tok is None:
-            raise QasmSyntaxError("unexpected end of expression", 0, 0)
+            last = self.tokens[-1]
+            raise QasmSyntaxError("unexpected end of expression", last.line, last.col)
         if tok.value == "-":
             self._next()
             return -self._factor()

@@ -14,25 +14,29 @@ never pass each other or change size, so a step costs 2 split+merge plus 2
 for each two-ion crystal among the two (3 splits and 3 merges between two
 pairs), and ``plan_cost`` gives a layout's cost without touching a trap.
 
-The lowering (``schedule``) reads the chain off a placed trap, in segment
-order, and turns every planned step into the fixed split/merge
+The lowering (``schedule``) copies the placed trap's chain once, with each
+crystal's segment, and never writes the trap: it keeps its own chain (a
+split replaces one entry with two, a merge two with one), its own command
+list and its own split+merge count.  Every planned step becomes the fixed
 choreography: orient both crystals so the two ions face each other, split
 each two-ion crystal, stage the two travelers beside the LIZ, merge, rotate
 (so the ions part in exchanged directions), run the gate when the step asks
 for it, split, and re-merge the leftover partners into their home crystals.
 A gate without steps brings its crystal to the LIZ and runs there.
 
-Crystals blocking a transport are pushed recursively one spacing beyond the
-mover's destination and are not restored afterwards.  Split, merge,
+Crystals never pass each other, so a transport's only possible blocker is
+the mover's chain neighbour ahead; it is pushed recursively one spacing
+beyond the mover's destination and not restored afterwards.  Split, merge,
 rotation and gate execution are bracketed by add/remove-empty-well commands
 at the two segments beyond the staging sites whenever those hold no
-crystal.
+crystal.  ``send_to_segment`` and ``ion_permutation`` lower one transport
+or exchange and run it on the given trap through ``commands.apply``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commands import CommandSequence
+from .commands import CommandSequence, RawCommand, apply
 from .qasm import Circuit, Gate
 from .trap import Crystal, TrapOverflow, TrapState
 
@@ -42,7 +46,6 @@ class ScheduleResult:
     sequence: CommandSequence
     cost: int
     per_gate_costs: list[int]
-    final_state: TrapState
 
 
 # -- planner -------------------------------------------------------------------
@@ -114,194 +117,187 @@ def crystal_chain(state: TrapState) -> list[list[int]]:
 # -- lowering --------------------------------------------------------------------
 
 
-class _Scheduler:
-    def __init__(self, state: TrapState):
-        self.state = state
-        cfg = state.config
-        self.liz = cfg.liz
-        self.n_segments = cfg.n_segments
-        # precomputed well-bracket commands for the fixed sites beside the LIZ
-        self.well_cmds = tuple(
-            (s, ("AEC", (s,)), ("REC", (s,)))
-            for s in (cfg.liz - 2, cfg.liz + 2) if 1 <= s <= cfg.n_segments)
+class _Lowering:
+    """The lowering's top-to-bottom ``chain`` of crystals, the commands it
+    emitted (``out``) and their split+merge ``cost``."""
 
-    # -- transport ---------------------------------------------------------
+    def __init__(self, state: TrapState):
+        cfg = state.config
+        self.liz = liz = cfg.liz
+        self.n_segments = n = cfg.n_segments
+        seg_map = state.seg_crystal
+        self.chain = [Crystal(list(seg_map[s].ions), s) for s in sorted(seg_map)]
+        self.out: list[RawCommand] = []
+        self.cost = 0
+        # one command per origin segment for each single-step move
+        self.steps = {1: [("SMD", (1, s)) for s in range(n + 1)],
+                      -1: [("SMU", (1, s)) for s in range(n + 1)]}
+        # the well-bracket commands for the fixed sites beside the LIZ
+        self.well_cmds = tuple((s, ("AEC", (s,)), ("REC", (s,)))
+                               for s in (liz - 2, liz + 2) if 1 <= s <= n)
 
     def _send(self, crystal: Crystal, target: int) -> None:
         """Move a crystal to ``target``, recursively pushing blockers one
         spacing (2 segments) beyond the target, in the direction of travel.
-
-        Steps are applied inline: the blocker scan already proves the next
-        segment safe, so re-validating through move_crystal_step would only
-        repeat it (replay still validates every emitted move independently).
-        """
+        The one possible blocker, the chain neighbour ahead, stops the mover
+        one spacing short of it."""
         if not 1 <= target <= self.n_segments:
             raise TrapOverflow(f"transport target {target} outside trap")
-        state = self.state
-        seg_map = state.seg_crystal
-        history = state.history
-        record = state.record
-        nseg = self.n_segments
-        moved = False
-        # explicit push stack: resolving a blocker suspends the mover's frame
-        stack = [(crystal, target)]
+        chain = self.chain
+        # explicit push stack of (chain index, target): resolving a blocker
+        # suspends the mover's frame
+        stack = [(chain.index(crystal), target)]
         while stack:
-            crystal, target = stack[-1]
+            i, target = stack[-1]
+            crystal = chain[i]
             seg = crystal.segment
             if seg == target:
                 stack.pop()
                 continue
             d = 1 if target > seg else -1
-            op = "SMD" if d > 0 else "SMU"
-            push_to = target + 2 * d
-            blocked = False
-            while seg != target:
-                nxt = seg + d
-                # the next step is legal unless a crystal sits at nxt or beyond it
-                blocker = nxt if nxt in seg_map else (
-                    nxt + d if nxt + d in seg_map else 0)
-                if blocker:
-                    if not 1 <= push_to <= nseg:
-                        raise TrapOverflow(
-                            f"push chain from segment {blocker} leaves the trap")
-                    stack.append((seg_map[blocker], push_to))
-                    blocked = True
-                    break
-                del seg_map[seg]
-                seg_map[nxt] = crystal
-                crystal.segment = nxt
-                moved = True
-                if record:
-                    history.append((op, (1, seg)))
-                seg = nxt
-            if not blocked:
-                stack.pop()
-        if moved:
-            state.scheduling_started = True
-
-    def _bring_to_liz(self, crystal: Crystal) -> None:
-        if crystal.segment != self.liz:
-            self._send(crystal, self.liz)
-
-    def _clear_split_zone(self) -> None:
-        """Push away crystals that would sit too close to the split products
-        at liz-1 / liz+1 (the splittee itself excepted)."""
-        seg_map = self.state.seg_crystal
-        for side in (-1, 1):
-            stage = self.liz + side
-            beyond = stage + side
-            push_to = beyond + side
-            while stage in seg_map or beyond in seg_map:
+            j = i + d
+            stop = target
+            if 0 <= j < len(chain) and (chain[j].segment - 2 * d - target) * d < 0:
+                stop = chain[j].segment - 2 * d
+            self.out.extend(self.steps[d][seg:stop:d])
+            crystal.segment = stop
+            if stop != target:
+                push_to = target + 2 * d
                 if not 1 <= push_to <= self.n_segments:
-                    raise TrapOverflow(f"no room beside the LIZ at segment {push_to}")
-                self._send(seg_map[stage if stage in seg_map else beyond], push_to)
+                    raise TrapOverflow(f"push chain from segment "
+                                       f"{chain[j].segment} leaves the trap")
+                stack.append((j, push_to))
 
     # -- LIZ operations with the empty-well bracket --------------------------
 
-    def _at_liz(self, primitive, *args):
-        """Run a LIZ primitive between balancing wells added beside the
-        staging sites that hold no crystal, and return its result.  The
-        wells' preconditions hold by construction, so the well set and
-        history are updated directly."""
-        state = self.state
-        seg_map = state.seg_crystal
-        active = tuple(w for w in self.well_cmds if w[0] not in seg_map)
-        record = state.record
-        wells = state.wells
-        history = state.history
-        for s, aec, _ in active:
-            wells.add(s)
-            if record:
-                history.append(aec)
-        out = primitive(*args)
-        for s, _, rec in active:
-            wells.discard(s)
-            if record:
-                history.append(rec)
-        return out
+    def _at_liz(self, cmd: RawCommand, lo: int, hi: int) -> None:
+        """Emit a LIZ command between balancing wells added beside the
+        staging sites that hold no crystal.  ``lo``..``hi`` index the
+        crystals at or beside the LIZ, so only their outer chain neighbours
+        can sit on a well site."""
+        chain, out = self.chain, self.out
+        recs = []
+        for s, aec, rec in self.well_cmds:
+            j = lo - 1 if s < self.liz else hi + 1
+            if not (0 <= j < len(chain) and chain[j].segment == s):
+                out.append(aec)
+                recs.append(rec)
+        out.append(cmd)
+        out.extend(recs)
 
-    def _split(self, d: int) -> tuple[Crystal, Crystal]:
-        """Split the LIZ crystal; return (product on side -d, product on
-        side +d), where side +1 is below the LIZ."""
-        self._clear_split_zone()
-        above, below = self._at_liz(self.state.split_at_liz)
+    def _run(self, crystal: Crystal, cmd: RawCommand) -> None:
+        """Bring a crystal to the LIZ and rotate it or run a gate on it."""
+        self._send(crystal, self.liz)
+        k = self.chain.index(crystal)
+        self._at_liz(cmd, k, k)
+        if cmd[0] == "RC":
+            crystal.ions.reverse()
+
+    def _split(self, crystal: Crystal, d: int) -> tuple[Crystal, Crystal]:
+        """Bring a two-ion crystal to the LIZ and split it, first pushing
+        away the neighbours that would sit too close to the products at
+        liz-1 / liz+1; return (product on side -d, product on side +d),
+        where side +1 is below the LIZ."""
+        liz, chain = self.liz, self.chain
+        self._send(crystal, liz)
+        k = chain.index(crystal)
+        for side in (-1, 1):
+            j = k + side
+            if 0 <= j < len(chain) and chain[j].segment in (liz + side, liz + 2 * side):
+                push_to = liz + 3 * side
+                if not 1 <= push_to <= self.n_segments:
+                    raise TrapOverflow(f"no room beside the LIZ at segment {push_to}")
+                self._send(chain[j], push_to)
+        self._at_liz(("S", ()), k, k)
+        above = Crystal(crystal.ions[:1], liz - 1)
+        below = Crystal(crystal.ions[1:], liz + 1)
+        chain[k:k + 1] = [above, below]
+        self.cost += 1
         return (above, below) if d > 0 else (below, above)
 
-    def _rotate_crystal(self, crystal: Crystal) -> None:
-        self._bring_to_liz(crystal)
-        self._at_liz(self.state.rotate_at_liz)
+    def _merge(self, crystal: Crystal) -> Crystal:
+        """Merge ``crystal`` with the one on the other side of the LIZ,
+        ordered top operand first."""
+        chain = self.chain
+        k = chain.index(crystal) - (crystal.segment > self.liz)
+        self._at_liz(("M", ()), k, k + 1)
+        merged = Crystal(chain[k].ions + chain[k + 1].ions, self.liz)
+        chain[k:k + 2] = [merged]
+        self.cost += 1
+        return merged
 
     # -- exchange ------------------------------------------------------------
 
-    def _exchange(self, ion_a: int, ion_b: int, d: int, do_gate: bool,
-                  gate_index: int) -> None:
+    def _exchange(self, ion_a: int, ion_b: int, d: int, gate: int | None) -> None:
         """Exchange ion_a with ion_b from the adjacent crystal in direction
-        ``d`` (+1: below, -1: above), running the gate on the temporary
-        merged crystal when requested.  ion_a ends in ion_b's crystal and
+        ``d`` (+1: below, -1: above), running gate ``gate`` on the temporary
+        merged crystal unless it is None.  ion_a ends in ion_b's crystal and
         ion_b in ion_a's; the choreography (and so the cost) is the same
         either way, with every direction and intra-crystal end flipped."""
-        state = self.state
-        liz = self.liz
-        c1 = state.crystal_of(ion_a)
-        c4 = state.crystal_of(ion_b)
+        liz, chain = self.liz, self.chain
+        rotate = ("RC", (liz,))
+        c1 = next(c for c in chain if ion_a in c.ions)
+        c4 = chain[chain.index(c1) + d]
         # orient so the travelers face each other (no-ops for singletons)
         back = 0 if d > 0 else -1
         if len(c1.ions) == 2 and c1.ions[back] == ion_a:
-            self._rotate_crystal(c1)
+            self._run(c1, rotate)
         if len(c4.ions) == 2 and c4.ions[-1 - back] == ion_b:
-            self._rotate_crystal(c4)
+            self._run(c4, rotate)
 
         c1_pair = len(c1.ions) == 2
         c4_pair = len(c4.ions) == 2
+        traveler_a, traveler_b = c1, c4
         if c1_pair:
-            self._bring_to_liz(c1)
-            partner_a, traveler_a = self._split(d)
-        else:
-            traveler_a = c1
+            partner_a, traveler_a = self._split(c1, d)
         if c4_pair:
-            self._bring_to_liz(c4)
-            partner_b, traveler_b = self._split(-d)
-        else:
-            traveler_b = c4
+            partner_b, traveler_b = self._split(c4, -d)
 
         self._send(traveler_a, liz - d)
         self._send(traveler_b, liz + d)
-        self._at_liz(state.merge_at_liz)   # ion_a on the -d side of ion_b
-        self._at_liz(state.rotate_at_liz)  # swap them, so they part exchanged
-        if do_gate:
-            self._at_liz(state.record_gate, gate_index)
-        out_b, out_a = self._split(d)      # ion_a on the +d side
+        merged = self._merge(traveler_a)       # ion_a on the -d side of ion_b
+        self._run(merged, rotate)              # swap them, so they part exchanged
+        if gate is not None:
+            self._run(merged, ("DG", (gate,)))
+        out_b, out_a = self._split(merged, d)  # ion_a on the +d side
 
         if c1_pair:
             self._send(partner_a, liz - d)
             self._send(out_b, liz + d)
-            self._at_liz(state.merge_at_liz)  # ion_a's old home, now holding ion_b
+            self._merge(out_b)  # ion_a's old home, now holding ion_b
         if c4_pair:
             self._send(out_a, liz - d)
             self._send(partner_b, liz + d)
-            self._at_liz(state.merge_at_liz)  # ion_b's old home, now holding ion_a
+            self._merge(out_a)  # ion_b's old home, now holding ion_a
 
     def run_gate(self, gate: Gate, steps) -> None:
         """Lower one gate's planned steps; a gate without steps runs on its
         first operand's crystal, brought to the LIZ."""
         if not steps:
-            self._bring_to_liz(self.state.ion_crystal[gate.operands[0] + 1])
-            self._at_liz(self.state.record_gate, gate.index)
+            ion = gate.operands[0] + 1
+            self._run(next(c for c in self.chain if ion in c.ions),
+                      ("DG", (gate.index,)))
         for ion, partner, d, runs_gate in steps:
-            self._exchange(ion, partner, d, runs_gate, gate.index)
+            self._exchange(ion, partner, d, gate.index if runs_gate else None)
 
 
-def send_to_segment(state: TrapState, crystal: Crystal, target: int) -> None:
-    """Transport one crystal to ``target``, pushing blockers out of the way
-    (each single-segment step is emitted as its own move command)."""
+def send_to_segment(state: TrapState, crystal: Crystal, target: int) -> list[RawCommand]:
+    """Transport one crystal to ``target``, pushing blockers out of the way;
+    apply the moves (one command per single-segment step) to ``state`` and
+    return them."""
     if state.seg_crystal.get(crystal.segment) is not crystal:
         raise ValueError("crystal is not in the trap (split or merged away?)")
-    _Scheduler(state)._send(crystal, target)
+    low = _Lowering(state)
+    low._send(low.chain[sorted(state.seg_crystal).index(crystal.segment)], target)
+    for op, params in low.out:
+        apply(state, op, params)
+    return low.out
 
 
 def ion_permutation(state: TrapState, ion_a: int, ion_b: int, do_gate: bool,
-                    gate_index: int = 0) -> None:
-    """Exchange two ions between adjacent crystals (ion_a's crystal above)."""
+                    gate_index: int = 0) -> list[RawCommand]:
+    """Exchange two ions between adjacent crystals (ion_a's crystal above);
+    apply the commands to ``state`` and return them."""
     ca = state.crystal_of(ion_a)
     cb = state.crystal_of(ion_b)
     if ca is cb:
@@ -310,36 +306,42 @@ def ion_permutation(state: TrapState, ion_a: int, ion_b: int, do_gate: bool,
         raise ValueError("ion_a must sit in the upper crystal")
     if any(ca.segment < s < cb.segment for s in state.seg_crystal):
         raise ValueError("crystals are not adjacent in the trap order")
-    _Scheduler(state)._exchange(ion_a, ion_b, 1, do_gate, gate_index)
+    low = _Lowering(state)
+    low._exchange(ion_a, ion_b, 1, gate_index if do_gate else None)
+    for op, params in low.out:
+        apply(state, op, params)
+    return low.out
 
 
 def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
     """Generate the full shuttling program for ``circuit`` from a placed trap.
 
-    Every gate is executed exactly once at the LIZ, in circuit order; the
-    reported cost is the number of split and merge commands emitted, which
-    equals ``plan_cost`` of the placed chain.  A ``TrapOverflow`` names the
-    gate and the occupied span of the trap when it happened.
+    ``state`` is only read: the program opens with START and one AIC per
+    ion in segment order, then lowers every gate at the LIZ exactly once,
+    in circuit order.  The reported cost is the number of split and merge
+    commands emitted, which equals ``plan_cost`` of the placed chain.  A
+    ``TrapOverflow`` names the gate and the occupied span of the trap when
+    it happened.
     """
     expected = set(range(1, circuit.n_qubits + 1))
     if set(state.ion_crystal) != expected:
         raise ValueError("trap does not hold exactly the circuit's ions")
     if state.check_spacing():
         raise ValueError("initial state violates crystal spacing")
-    sch = _Scheduler(state)
+    low = _Lowering(state)
+    low.out.append(("START", ()))
+    low.out.extend(("AIC", (ion, c.segment)) for c in low.chain for ion in c.ions)
     chain = crystal_chain(state)
     where = {ion: i for i, ions in enumerate(chain) for ion in ions}
     per_gate: list[int] = []
     for gate in circuit.gates:
-        before = state.s_count + state.m_count
+        before = low.cost
         try:
-            sch.run_gate(gate, _plan_gate(chain, where, gate))
+            low.run_gate(gate, _plan_gate(chain, where, gate))
         except TrapOverflow as e:
-            occupied = state.occupied_segments()
             raise TrapOverflow(
-                f"gate {gate.index}: {e} (occupied segments "
-                f"{occupied[0]}-{occupied[-1]} of {state.config.n_segments})") from e
-        per_gate.append(state.s_count + state.m_count - before)
-    sequence = CommandSequence(state.config.n_segments, state.config.liz,
-                               list(state.history))
-    return ScheduleResult(sequence, state.s_count + state.m_count, per_gate, state)
+                f"gate {gate.index}: {e} (occupied segments {low.chain[0].segment}-"
+                f"{low.chain[-1].segment} of {low.n_segments})") from e
+        per_gate.append(low.cost - before)
+    sequence = CommandSequence(low.n_segments, low.liz, low.out)
+    return ScheduleResult(sequence, low.cost, per_gate)

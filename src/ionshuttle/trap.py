@@ -12,9 +12,10 @@ A ``Crystal`` object is its own handle: placement, split and merge return
 the crystals they create, and a crystal that splits or merges is replaced
 by new ones.
 
-Every mutating operation validates its constraints before touching state
-and, when recording is enabled, appends the matching shuttling command to
-``history`` as a raw ``(opcode, params)`` tuple.
+This is the executor's model: ``commands.apply`` maps each opcode onto one
+primitive here, and placement builds the initial trap with ``place_crystal``.
+Every primitive validates its constraints before touching state and then
+mutates it; none records commands (the lowering emits its own).
 """
 from __future__ import annotations
 
@@ -69,6 +70,10 @@ class ResultTooLarge(TrapError):
     pass
 
 
+class InvalidId(TrapError):
+    """An ion id below 1 or a negative gate index."""
+
+
 class TrapOverflow(TrapError):
     """A transport push chain ran past the end of the trap."""
 
@@ -112,7 +117,7 @@ class TrapState:
     crystal's ``segment`` is its key in ``seg_crystal``.
     """
 
-    def __init__(self, config: TrapConfig | None = None, record: bool = True):
+    def __init__(self, config: TrapConfig | None = None):
         config = config or TrapConfig()
         config.validate()
         self.config = config
@@ -120,16 +125,10 @@ class TrapState:
         self.wells: set[int] = set()
         self.ion_crystal: dict[int, Crystal] = {}
         self.scheduling_started = False
-        self.record = record
         self.s_count = 0
         self.m_count = 0
-        self.history: list[tuple[str, tuple[int, ...]]] = [("START", ())] if record else []
 
     # -- helpers -----------------------------------------------------------
-
-    def _emit(self, op: str, params: tuple[int, ...]) -> None:
-        if self.record:
-            self.history.append((op, params))
 
     def crystal_at(self, segment: int) -> Crystal | None:
         return self.seg_crystal.get(segment)
@@ -165,6 +164,8 @@ class TrapState:
         there.  Only legal before shuttling starts."""
         if self.scheduling_started:
             raise Blocked("initial placement after shuttling started")
+        if ion < 1:
+            raise InvalidId(f"ion id {ion} is below 1")
         if ion in self.ion_crystal:
             raise DuplicateIon(f"ion {ion} already placed")
         if not 1 <= segment <= self.config.n_segments:
@@ -181,7 +182,6 @@ class TrapState:
                     f"segment {segment} too close to occupied segment {bad}")
             crystal = self.seg_crystal[segment] = Crystal([ion], segment)
         self.ion_crystal[ion] = crystal
-        self._emit("AIC", (ion, segment))
         return crystal
 
     def place_crystal(self, ions: list[int], segment: int) -> Crystal:
@@ -221,8 +221,6 @@ class TrapState:
         seg_map[dest] = crystal
         crystal.segment = dest
         self.scheduling_started = True
-        if self.record:
-            self.history.append(("SMU" if direction == "up" else "SMD", (1, segment)))
         return dest
 
     # -- LIZ operations ------------------------------------------------------
@@ -252,8 +250,6 @@ class TrapState:
         seg_map[liz + 1] = self.ion_crystal[bottom] = below
         self.scheduling_started = True
         self.s_count += 1
-        if self.record:
-            self.history.append(("S", ()))
         return above, below
 
     def merge_at_liz(self) -> Crystal:
@@ -279,8 +275,6 @@ class TrapState:
             self.ion_crystal[ion] = merged
         self.scheduling_started = True
         self.m_count += 1
-        if self.record:
-            self.history.append(("M", ()))
         return merged
 
     def rotate_at_liz(self) -> None:
@@ -291,8 +285,6 @@ class TrapState:
             raise EmptySegment("no crystal in the LIZ to rotate")
         crystal.ions.reverse()
         self.scheduling_started = True
-        if self.record:
-            self.history.append(("RC", (self.config.liz,)))
 
     # -- empty wells and gate markers ---------------------------------------
 
@@ -305,23 +297,19 @@ class TrapState:
             raise Blocked(f"segment {segment} already holds a well")
         self.wells.add(segment)
         self.scheduling_started = True
-        if self.record:
-            self.history.append(("AEC", (segment,)))
 
     def remove_well(self, segment: int) -> None:
         if segment not in self.wells:
             raise EmptySegment(f"no empty well at segment {segment}")
         self.wells.discard(segment)
-        if self.record:
-            self.history.append(("REC", (segment,)))
 
     def record_gate(self, gate_index: int) -> None:
         """Record gate execution on the LIZ crystal (no state change)."""
+        if gate_index < 0:
+            raise InvalidId(f"gate index {gate_index} is negative")
         if self.config.liz not in self.seg_crystal:
             raise NotInLiz("gate executed with no crystal in the LIZ")
         self.scheduling_started = True
-        if self.record:
-            self.history.append(("DG", (gate_index,)))
 
 
 def new_state(config: TrapConfig | None = None) -> TrapState:

@@ -1,6 +1,7 @@
 """Benchmark generators, sweeps, circuit fit and the exhaustive oracle."""
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,8 +9,8 @@ from ionshuttle.benchmarks import (InvalidShape, TooLarge, bench_config,
                                    brute_force_best_ordering, circuit_fit,
                                    compile_ordering, enumerate_orderings,
                                    gen_qft, gen_random_circuit, gen_toffoli,
-                                   make_ordering, ordering_cost, qft_fit,
-                                   run_sweep, theoretical_limit)
+                                   make_ordering, oir_costs, ordering_cost,
+                                   qft_fit, run_sweep, theoretical_limit)
 from ionshuttle.ordering import reverse_ordering
 from ionshuttle.qasm import build_circuit
 from ionshuttle.trap import TrapConfig, TrapOverflow
@@ -135,6 +136,33 @@ class TestSweep:
         a = run_sweep("random", [6], trials=3, seed=9, n_gates=25)
         b = run_sweep("random", [6], trials=3, seed=9, n_gates=25)
         assert a.to_csv() == b.to_csv()
+
+    def test_pool_never_larger_than_seed_count(self, monkeypatch):
+        import multiprocessing
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=SerialPool))
+        circuit = gen_random_circuit(6, 20, 0)
+        assert oir_costs(circuit, [1, 2], workers=64) == oir_costs(circuit, [1, 2])
+        assert sizes == [2]
+        oir_costs(circuit, [3], workers=64)  # one seed runs without a pool
+        assert sizes == [2]
 
     def test_bench_config_scales(self):
         assert bench_config(8) == bench_config(4)

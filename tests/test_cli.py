@@ -114,6 +114,27 @@ def test_validate_strict_reports_first_violation(tmp_path, capsys):
     assert "command 3: rotation outside LIZ" in capsys.readouterr().err
 
 
+def test_validate_rejects_meaningless_ids(tmp_path, capsys):
+    bad = tmp_path / "ids.seq"
+    bad.write_text("1 START 0\n2 AIC 2 0 19\n3 AIC 2 -4 19\n4 DG 1 -7\n")
+    assert main(["validate", "-i", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "ion id 0" in out and "ion id -4" in out
+    assert main(["validate", "-i", str(bad), "--strict"]) == 1
+    assert "command 2: ion id 0 is below 1" in capsys.readouterr().err
+    assert main(["trace", "-i", str(bad)]) == 1
+    assert "command 2:" in capsys.readouterr().err
+
+
+def test_compile_bad_expression_exit_code(tmp_path, capsys):
+    for body, where in (("rz(1/0) q[0];\n", "4:6: division by zero"),
+                        ("rz(1+", "4:5: unexpected end of expression")):
+        src = tmp_path / "expr.qasm"
+        src.write_text(HEADER + "qreg q[2];\n" + body)
+        assert main(["compile", "-i", str(src)]) == 2
+        assert where in capsys.readouterr().err
+
+
 def test_invalid_trap_override_exit_code(tmp_path):
     seq = tmp_path / "ok.seq"
     seq.write_text("1 START 0\n")

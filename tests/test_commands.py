@@ -156,6 +156,20 @@ class TestReplay:
         assert [seq for seq, _ in report.violations] == [3]
         assert sorted(report.final_state.seg_crystal) == [10, 14]
 
+    def test_meaningless_ids_flagged(self):
+        # ion ids start at 1 and gate indices at 0; ion 1 fills the LIZ so
+        # the DG fails on its index alone
+        text = ("1 START 0\n2 AIC 2 0 19\n3 AIC 2 -4 19\n4 AIC 2 1 19\n"
+                "5 DG 1 -7\n")
+        report = replay(parse_sequence(text))
+        assert [seq for seq, _ in report.violations] == [2, 3, 5]
+        assert "ion id 0" in report.violations[0][1]
+        assert "gate index -7" in report.violations[2][1]
+        assert sorted(report.final_state.ion_crystal) == [1]
+        with pytest.raises(ReplayError) as err:
+            replay(parse_sequence(text), strict=True)
+        assert str(err.value) == "command 2: ion id 0 is below 1"
+
 
 class TestCost:
     def test_no_split_merge(self):
@@ -214,6 +228,13 @@ class TestTrace:
             render_trace(parse_sequence("1 START 0\n2 SMD 1 10\n"))
         assert err.value.seq == 2
         assert str(err.value) == "command 2: no crystal at segment 10"
+
+    def test_rejects_meaningless_ids(self):
+        for text, seq in (("1 START 0\n2 AIC 2 -4 19\n", 2),
+                          ("1 START 0\n2 AIC 2 1 19\n3 DG 1 -7\n", 3)):
+            with pytest.raises(ReplayError) as err:
+                render_trace(parse_sequence(text))
+            assert err.value.seq == seq
 
     def test_svg_renders(self):
         svg = render_trace_svg(exchange_sequence())

@@ -9,6 +9,7 @@ from ionshuttle.ordering import (increase_pairwise_order, order_as_is,
                                  order_inputs_randomly, place_in_the_model,
                                  reverse_ordering)
 from ionshuttle.qasm import build_circuit
+from ionshuttle.scheduler import schedule
 from ionshuttle.trap import CapacityExceeded, TrapConfig, TrapState
 
 
@@ -148,9 +149,10 @@ class TestPlacement:
         circ = circuit_on_ions(5, [(1, 2)])
         state = TrapState(TrapConfig())
         place_in_the_model(state, order_as_is(circ), circ)
-        aics = [cmd for cmd in state.history if cmd[0] == "AIC"]
+        raw = schedule(circ, state).sequence.raw
+        aics = [cmd for cmd in raw if cmd[0] == "AIC"]
         assert [p[0] for _, p in aics] == [1, 2, 3, 4, 5]
-        assert state.history[0] == ("START", ())
+        assert raw[0] == ("START", ())
 
     def test_rejects_non_partition(self):
         circ = circuit_on_ions(4, [])

@@ -1,9 +1,10 @@
 """The chain planner against its physical lowering.
 
 ``plan`` sees only the crystal chain; ``schedule`` lowers the same steps
-into commands on a real trap.  Whenever the lowering succeeds, the two must
-agree on the split+merge cost (also as replayed from the emitted program)
-and on the final chain, read off the trap in segment order.
+into commands from a placed trap, which it leaves untouched.  Whenever the
+lowering succeeds, the two must agree on the split+merge cost (also as
+replayed from the emitted program) and on the final chain, read off the
+replayed trap in segment order.
 """
 from collections import Counter
 
@@ -16,18 +17,16 @@ from ionshuttle.benchmarks import (bench_config, compile_ordering, gen_qft,
 from ionshuttle.commands import replay
 from ionshuttle.ordering import Ordering
 from ionshuttle.qasm import build_circuit
-from ionshuttle.scheduler import crystal_chain, plan, plan_cost
-from ionshuttle.trap import TrapConfig, TrapOverflow
+from ionshuttle.scheduler import crystal_chain, plan, plan_cost, schedule
+from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState
 
 EXAMPLES = 300
 OUTCOMES: Counter = Counter()
 
 
-@st.composite
-def cases(draw):
-    """A circuit with one- and two-qubit gates, a random layout of one- and
-    two-ion crystals, and a trap that holds the layout, with its LIZ drawn
-    near either end in two cases out of three."""
+def circuit_and_layout(draw):
+    """A circuit with one- and two-qubit gates and a random layout of one-
+    and two-ion crystals."""
     n = draw(st.integers(2, 10))
     specs = []
     for _ in range(draw(st.integers(0, 25))):
@@ -42,12 +41,21 @@ def cases(draw):
         size = 1 if i == n - 1 else draw(st.sampled_from((1, 2, 2)))
         groups.append(tuple(ions[i:i + size]))
         i += size
-    n_segments = draw(st.integers(max(6, 2 * len(groups) + 1), 4 * n + 16))
+    return build_circuit(n, specs), tuple(groups)
+
+
+@st.composite
+def cases(draw):
+    """A circuit and layout, and a trap that holds the layout, with its LIZ
+    drawn near either end in two cases out of three."""
+    circuit, groups = circuit_and_layout(draw)
+    n_segments = draw(st.integers(max(6, 2 * len(groups) + 1),
+                                  4 * circuit.n_qubits + 16))
     # the LIZ stays off the end segments, where a split has no room on one side
     near = draw(st.integers(2, 5))
     liz = draw(st.sampled_from((near, n_segments + 1 - near,
                                 draw(st.integers(2, n_segments - 1)))))
-    return (build_circuit(n, specs), Ordering(tuple(groups)),
+    return (circuit, Ordering(groups),
             TrapConfig(n_segments=n_segments, liz=liz))
 
 
@@ -64,7 +72,7 @@ def _planner_matches_lowering(case):
     report = replay(result.sequence, config)
     assert report.ok, report.violations[:3]
     assert cost == result.cost == report.s_count + report.m_count
-    assert chain == crystal_chain(result.final_state)
+    assert chain == crystal_chain(report.final_state)
     OUTCOMES["compiled"] += 1
 
 
@@ -74,6 +82,56 @@ def test_planner_matches_lowering():
     # both outcomes happen often: a LIZ near an end overflows most drawn
     # circuits, so the floor on checked programs keeps the property from
     # holding only vacuously
+    assert OUTCOMES["compiled"] + OUTCOMES["overflow"] >= EXAMPLES
+    assert OUTCOMES["compiled"] >= EXAMPLES // 4, OUTCOMES
+    assert OUTCOMES["overflow"] >= EXAMPLES // 10, OUTCOMES
+
+
+@st.composite
+def placed_cases(draw):
+    """A circuit and layout placed by hand: crystals at random gaps of 2 to
+    5 segments, in a trap with a random LIZ off the end segments."""
+    circuit, groups = circuit_and_layout(draw)
+    segments = [draw(st.integers(1, 4))]
+    for _ in groups[1:]:
+        segments.append(segments[-1] + draw(st.integers(2, 5)))
+    n_segments = draw(st.integers(max(5, segments[-1]), segments[-1] + 24))
+    state = TrapState(TrapConfig(n_segments=n_segments,
+                                 liz=draw(st.integers(2, n_segments - 1))))
+    for ions, segment in zip(groups, segments):
+        state.place_crystal(list(ions), segment)
+    return circuit, groups, state
+
+
+def snapshot(state):
+    """Everything a TrapState holds, crystals compared by identity."""
+    return ({s: (c, list(c.ions), c.segment) for s, c in state.seg_crystal.items()},
+            dict(state.ion_crystal), set(state.wells), state.scheduling_started,
+            state.s_count, state.m_count)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
+@given(placed_cases())
+def _schedule_reads_placed_state(case):
+    circuit, groups, state = case
+    before = snapshot(state)
+    cost, chain = plan(circuit, groups)
+    try:
+        result = schedule(circuit, state)
+    except TrapOverflow:
+        OUTCOMES["overflow"] += 1
+    else:
+        report = replay(result.sequence, state.config)
+        assert report.ok, report.violations[:3]
+        assert cost == result.cost == report.s_count + report.m_count
+        assert chain == crystal_chain(report.final_state)
+        OUTCOMES["compiled"] += 1
+    assert snapshot(state) == before
+
+
+def test_schedule_reads_placed_state():
+    OUTCOMES.clear()
+    _schedule_reads_placed_state()
     assert OUTCOMES["compiled"] + OUTCOMES["overflow"] >= EXAMPLES
     assert OUTCOMES["compiled"] >= EXAMPLES // 4, OUTCOMES
     assert OUTCOMES["overflow"] >= EXAMPLES // 10, OUTCOMES

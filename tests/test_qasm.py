@@ -101,6 +101,21 @@ def test_angle_expressions():
     assert params[3] == (2 * (math.pi + 1),)
 
 
+def test_division_by_zero_is_a_syntax_error():
+    # the error points at the divisor, also when it is a whole expression
+    for expr, col in (("1/0", 6), ("pi/(2-2)", 7), ("2*pi/-0.0", 9)):
+        with pytest.raises(QasmSyntaxError, match="division by zero") as err:
+            parse_qasm(HEADER + f"qreg q[1];\nrz({expr}) q[0];\n")
+        assert (err.value.line, err.value.col) == (4, col)
+
+
+def test_expression_cut_short_carries_position():
+    with pytest.raises(QasmSyntaxError, match="^4:6: unexpected end of "
+                       "expression$") as err:
+        parse_qasm(HEADER + "qreg q[1];\nrz(pi*")
+    assert (err.value.line, err.value.col) == (4, 6)
+
+
 def test_comments_and_whitespace():
     circ = parse_qasm("// leading comment\nOPENQASM 2.0;\nqreg q[2]; // regs\n"
                       "cx  q[0] , q[1] ;\n")

@@ -11,8 +11,8 @@ from ionshuttle.scheduler import ion_permutation, schedule, send_to_segment
 from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState, new_state
 
 
-def ops_of(state, kinds):
-    return [op for op, _ in state.history if op in kinds]
+def ops_of(commands, kinds):
+    return [op for op, _ in commands if op in kinds]
 
 
 def ion_sets(state):
@@ -23,8 +23,7 @@ class TestSendToSegment:
     def test_clear_path_step_count(self):
         state = new_state()
         crystal = state.place_crystal([1], 10)
-        send_to_segment(state, crystal, 19)
-        moves = [cmd for cmd in state.history if cmd[0] in ("SMU", "SMD")]
+        moves = send_to_segment(state, crystal, 19)
         assert moves == [("SMD", (1, s)) for s in range(10, 19)]
         assert crystal.segment == 19
 
@@ -32,10 +31,9 @@ class TestSendToSegment:
         state = new_state()
         mover = state.place_crystal([1], 17)
         blocker = state.place_crystal([2], 19)
-        send_to_segment(state, mover, 19)
+        moves = send_to_segment(state, mover, 19)
         assert mover.segment == 19
         assert blocker.segment == 21
-        moves = [cmd for cmd in state.history if cmd[0] in ("SMU", "SMD")]
         assert moves == [("SMD", (1, 19)), ("SMD", (1, 20)),
                         ("SMD", (1, 17)), ("SMD", (1, 18))]
 
@@ -85,17 +83,17 @@ class TestIonPermutation:
 
     def test_top_ion_triggers_orientation_rotation(self):
         state = self._two_pairs()
-        ion_permutation(state, 1, 3, do_gate=False)
+        commands = ion_permutation(state, 1, 3, do_gate=False)
         # ion 1 was on top of [1,2] and ion 3 on top of [3,4]: one initial
         # orientation rotation plus the mid-exchange rotation
-        assert ops_of(state, ("RC",)) == ["RC", "RC"]
+        assert ops_of(commands, ("RC",)) == ["RC", "RC"]
 
     def test_two_singletons(self):
         state = new_state()
         state.place_crystal([1], 19)
         state.place_crystal([3], 21)
-        ion_permutation(state, 1, 3, do_gate=True, gate_index=0)
-        assert ops_of(state, ("S", "M", "RC", "DG")) == ["M", "RC", "DG", "S"]
+        commands = ion_permutation(state, 1, 3, do_gate=True, gate_index=0)
+        assert ops_of(commands, ("S", "M", "RC", "DG")) == ["M", "RC", "DG", "S"]
         assert state.s_count + state.m_count == 2
         crystals = sorted(state.seg_crystal.values(), key=lambda c: c.segment)
         assert [c.ions for c in crystals] == [[3], [1]]
@@ -104,8 +102,8 @@ class TestIonPermutation:
         state = new_state()
         state.place_crystal([1, 2], 19)
         state.place_crystal([3], 21)
-        ion_permutation(state, 2, 3, do_gate=False)
-        assert ops_of(state, ("S", "M")) == ["S", "M", "S", "M"]
+        commands = ion_permutation(state, 2, 3, do_gate=False)
+        assert ops_of(commands, ("S", "M")) == ["S", "M", "S", "M"]
         assert ion_sets(state) == [(1, 3), (2,)]
         pair = next(c for c in state.seg_crystal.values() if len(c.ions) == 2)
         assert pair.ions == [1, 3]
@@ -170,7 +168,7 @@ class TestSchedule:
         state.place_crystal([3, 4], 21)
         result = schedule(circ, state)
         assert result.cost == 6
-        assert ops_of(state, ("S", "M", "DG")) == ["S", "S", "M", "DG", "S", "M", "M"]
+        assert ops_of(result.sequence.raw, ("S", "M", "DG")) == ["S", "S", "M", "DG", "S", "M", "M"]
         report = replay(result.sequence)
         assert report.ok and report.s_count == 3 and report.m_count == 3
 
@@ -181,7 +179,7 @@ class TestSchedule:
         state.place_crystal([3], 21)
         result = schedule(circ, state)
         assert result.cost == 0
-        assert state.crystal_at(19).ions == [3]
+        assert replay(result.sequence).final_state.crystal_at(19).ions == [3]
 
     def test_lower_operand_designated_traveler_when_above(self):
         # gate lists the lower crystal's ion first: designation must flip
@@ -191,7 +189,7 @@ class TestSchedule:
         state.place_crystal([3, 4], 21)
         result = schedule(circ, state)
         assert result.cost == 6
-        assert ion_sets(state) == [(1, 4), (2, 3)]
+        assert ion_sets(replay(result.sequence).final_state) == [(1, 4), (2, 3)]
 
     def test_multi_hop_exchange(self):
         # operands two crystals apart: one ferry hop plus the gate exchange
@@ -205,7 +203,7 @@ class TestSchedule:
         assert result.per_gate_costs == [12]
         # ferry hop displaces ion 3 into the top home, then the gated
         # exchange swaps ions 1 and 6 between the lower two crystals
-        assert ion_sets(state) == [(1, 5), (2, 3), (4, 6)]
+        assert ion_sets(replay(result.sequence).final_state) == [(1, 5), (2, 3), (4, 6)]
 
     def test_gate_count_and_order(self):
         rng = random.Random(11)
@@ -257,4 +255,4 @@ class TestSchedule:
             report = replay(result.sequence)
             assert report.ok
             assert report.s_count + report.m_count == result.cost
-            assert state.check_spacing() == []
+            assert report.final_state.check_spacing() == []

@@ -15,7 +15,6 @@ def test_default_config_matches_reference_trap():
     assert state.config.n_segments == 32
     assert state.config.liz == 19
     assert not state.seg_crystal
-    assert state.history == [("START", ())]
 
 
 def test_config_rejects_tiny_trap():
@@ -50,7 +49,6 @@ class TestPlacement:
         crystal = state.place_crystal([1, 2], 19)
         assert crystal.ions == [1, 2]
         assert state.seg_crystal == {19: crystal}
-        assert state.history[1:] == [("AIC", (1, 19)), ("AIC", (2, 19))]
 
     def test_adjacent_placement_violates_spacing(self):
         state = new_state()
@@ -92,7 +90,6 @@ class TestTransport:
         state = new_state()
         state.place_crystal([1], 10)
         assert state.move_crystal_step(10, "up") == 9
-        assert state.history[-1] == ("SMU", (1, 10))
 
     def test_step_off_the_end(self):
         state = new_state()
@@ -131,7 +128,6 @@ class TestSplitMerge:
         assert below.ions == [7]
         assert below.segment == 20
         assert 19 not in state.seg_crystal
-        assert state.history[-1] == ("S", ())
         assert state.s_count == 1
 
     def test_split_needs_two_ions(self):
@@ -173,7 +169,6 @@ class TestSplitMerge:
         merged = state.merge_at_liz()
         assert merged.ions == [4, 7]
         assert merged.segment == 19
-        assert state.history[-1] == ("M", ())
         assert state.m_count == 1
 
     def test_merge_missing_operand(self):
@@ -221,7 +216,6 @@ class TestRotation:
         state.place_crystal([4], 19)
         state.rotate_at_liz()
         assert state.crystal_at(19).ions == [4]
-        assert state.history[-1] == ("RC", (19,))
 
     def test_rotation_of_empty_liz(self):
         state = new_state()
