@@ -11,6 +11,7 @@ format error, 3 capacity or configuration error, 4 trap overflow, 5 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .benchmarks import (circuit_fit, compile_ordering, make_ordering,
@@ -49,17 +50,20 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _trap_config(args) -> TrapConfig | None:
-    """The trap the flags ask for, or None when neither flag is given."""
+def _trap_config(args, base: TrapConfig | None) -> TrapConfig | None:
+    """``base`` with each given trap flag applied.  Flags without a base
+    start from the default trap; with neither, the result is None."""
     overrides = {name: value for name, value in
                  (("n_segments", args.segments), ("liz", args.liz))
                  if value is not None}
-    return TrapConfig(**overrides) if overrides else None
+    if not overrides:
+        return base
+    return dataclasses.replace(base or TrapConfig(), **overrides)
 
 
 def cmd_compile(args) -> int:
     circuit = parse_qasm(_read(args.input), decompose=args.decompose)
-    config = _trap_config(args) or TrapConfig()
+    config = _trap_config(args, TrapConfig())
     ordering = make_ordering(circuit, args.ordering,
                              args.seed if args.ordering == "oir" else None)
     result = compile_ordering(circuit, ordering, config)
@@ -89,7 +93,7 @@ def cmd_compile(args) -> int:
 
 def cmd_validate(args) -> int:
     sequence = parse_sequence(_read(args.input))
-    report = replay(sequence, _trap_config(args), strict=args.strict)
+    report = replay(sequence, _trap_config(args, sequence.config()), strict=args.strict)
     for seq, message in report.violations:
         print(f"command {seq}: {message}")
     print(f"commands: {len(sequence)}  splits: {report.s_count}  "
@@ -100,7 +104,7 @@ def cmd_validate(args) -> int:
 
 def cmd_trace(args) -> int:
     sequence = parse_sequence(_read(args.input))
-    config = _trap_config(args)
+    config = _trap_config(args, sequence.config())
     grid = render_trace(sequence, config)
     if args.output:
         _write(args.output, grid)
@@ -115,7 +119,7 @@ def cmd_bench(args) -> int:
     n_list = [int(x) for x in args.qubits.split(",") if x]
     report = run_sweep(args.suite, n_list, method_list=tuple(args.methods.split(",")),
                        trials=args.trials, seed=args.seed, n_gates=args.gates,
-                       config=_trap_config(args), workers=args.workers)
+                       config=_trap_config(args, None), workers=args.workers)
     for row in report.rows:
         print(f"{row.suite} n={row.n} {row.method}: trials={row.trials} "
               f"min={row.min_cost} mean={row.mean_cost:.1f} max={row.max_cost}")
@@ -133,9 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def trap_flags(p):
         p.add_argument("--segments", type=int, default=None,
-                       help="trap segment count (default 32)")
+                       help="trap segment count (default 32; validate and "
+                            "trace: the sequence header's)")
         p.add_argument("--liz", type=int, default=None,
-                       help="laser interaction zone segment (default 19)")
+                       help="laser interaction zone segment (default 19; "
+                            "validate and trace: the sequence header's)")
 
     p = sub.add_parser("compile", help="compile OpenQASM 2.0 to a shuttling sequence")
     p.add_argument("-i", "--input", required=True, help="OpenQASM 2.0 file")

@@ -14,8 +14,9 @@ placeholder.
 
 ``apply`` is the one executor: it is the only code that maps an opcode
 to the ``TrapState`` primitives, and it raises a ``TrapError`` for any
-command the constraint set forbids.  ``replay`` and the trace renderers
-both run a program through it on a fresh trap.
+command the constraint set forbids.  ``_execute`` runs a program through
+it, owns the rules of program order and tallies splits and merges; replay
+and the trace renderers share it, each on a fresh trap.
 """
 from __future__ import annotations
 
@@ -162,26 +163,23 @@ def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
 
     A failing command leaves the state as it was, with one exception: an
     RC that names a segment other than the LIZ still reverses the crystal
-    there before it is rejected.  START changes nothing; where it may
-    stand is a rule of the program (see :func:`replay`).
+    there before it is rejected.  START changes nothing; where it and AIC
+    may stand is a rule of the program (see :func:`_execute`).
     """
     if op == "SMU" or op == "SMD":
-        direction = "up" if op == "SMU" else "down"
+        d = -1 if op == "SMU" else 1
         if params[0] == 1:  # the single-crystal step, by far the commonest
-            state.move_crystal_step(params[1], direction)
+            state.move_crystal_step(params[1], d)
             return
         # parallel form: move the leading crystal first, and undo the steps
         # already taken if a later one fails
-        started = state.scheduling_started
         moved: list[int] = []
         try:
-            for s in sorted(params[1:], reverse=(op == "SMD")):
-                moved.append(state.move_crystal_step(s, direction))
+            for s in sorted(params[1:], reverse=d > 0):
+                moved.append(state.move_crystal_step(s, d))
         except TrapError:
-            back = "down" if op == "SMU" else "up"
             for s in reversed(moved):
-                state.move_crystal_step(s, back)
-            state.scheduling_started = started
+                state.move_crystal_step(s, -d)
             raise
     elif op == "AEC":
         state.add_well(params[0])
@@ -205,25 +203,40 @@ def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
         state.place_ion(params[0], params[1])
 
 
-def _execute(sequence: CommandSequence, state: TrapState, bad, after=None) -> None:
-    """Run the program on ``state``: the START rule, then :func:`apply` on
-    every command.  Each violation goes to ``bad(seq, message)``; ``after``,
-    if given, is called as ``after(seq, op, params)`` once each command ran.
+def _execute(sequence: CommandSequence, state: TrapState, bad,
+             after=None) -> tuple[int, int]:
+    """Run the program on ``state``; return the numbers of S and M that ran.
+
+    Here live the rules of program order: START first and only there, and
+    AIC only before any other command ran; :func:`apply` runs the rest.
+    Each violation goes to ``bad(seq, message)``; ``after``, if given, is
+    called as ``after(seq, op, params)`` once each command ran.
     """
     raw = sequence.raw
     if raw and raw[0][0] != "START":
         bad(1, "sequence does not begin with START")
+    started = False
+    splits = merges = 0
     for seq, (op, params) in enumerate(raw, 1):
         if op == "START":
             if seq > 1:
                 bad(seq, "START not at the beginning")
+        elif op == "AIC" and started:
+            bad(seq, "initial placement after shuttling started")
         else:
             try:
                 apply(state, op, params)
             except TrapError as e:
                 bad(seq, str(e))
+            else:
+                started = op != "AIC"  # an AIC runs only before the start
+                if op == "S":
+                    splits += 1
+                elif op == "M":
+                    merges += 1
         if after is not None:
             after(seq, op, params)
+    return splits, merges
 
 
 def _reject(seq: int, message: str) -> None:
@@ -234,17 +247,17 @@ def replay(sequence: CommandSequence, config: TrapConfig | None = None,
            strict: bool = False) -> ReplayReport:
     """Re-execute the program on a fresh trap, validating every command.
 
-    A program begins with START and holds no other.  Lenient mode records
-    one violation per failing command and skips that command (a missing
-    START is reported against command 1, which still runs; an RC outside
-    the LIZ still reverses its crystal, see :func:`apply`).  Strict mode
-    raises ReplayError at the first violation.
+    :func:`_execute` applies the rules and counts the splits and merges.
+    Lenient mode records one violation per failing command and skips that
+    command (a missing START is reported against command 1, which still
+    runs; an RC outside the LIZ still reverses its crystal, see
+    :func:`apply`).  Strict mode raises ReplayError at the first violation.
     """
     state = TrapState(config or sequence.config())
     violations: list[tuple[int, str]] = []
-    _execute(sequence, state, _reject if strict else
-             lambda seq, message: violations.append((seq, message)))
-    return ReplayReport(state, state.s_count, state.m_count, violations)
+    splits, merges = _execute(sequence, state, _reject if strict else
+                              lambda seq, message: violations.append((seq, message)))
+    return ReplayReport(state, splits, merges, violations)
 
 
 # -- trace rendering ---------------------------------------------------------

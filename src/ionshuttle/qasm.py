@@ -6,7 +6,9 @@ declarations (multiple registers are flattened in declaration order) and
 gate statements with indexed qubit arguments.  ``creg``, ``measure`` and
 ``barrier`` parse but are dropped with a warning since they never move an
 ion.  Angle parameters are evaluated (numbers, ``pi``, ``+ - * /``,
-parentheses) and carried opaquely; gate semantics are never interpreted.
+parentheses nested at most ``MAX_PAREN_DEPTH`` deep) and carried opaquely;
+a value that is not finite is a syntax error.  Register sizes and qubit
+indices are integers.  Gate semantics are never interpreted.
 """
 from __future__ import annotations
 
@@ -16,6 +18,10 @@ import re
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
+
+# parenthesis nesting in an angle expression; each level costs the parser a
+# few stack frames, so this keeps deep input well inside the recursion limit
+MAX_PAREN_DEPTH = 100
 
 
 class QasmError(Exception):
@@ -129,6 +135,7 @@ class _Parser:
         self.registers: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: set[str] = set()
         self.n_qubits = 0
+        self.depth = 0  # open parentheses in the current expression
         self.specs: list[tuple[str, tuple[int, ...], tuple[float, ...]]] = []
 
     def _peek(self) -> _Token | None:
@@ -145,6 +152,21 @@ class _Parser:
             raise QasmSyntaxError(f"expected {value!r}, got {tok.value!r}", tok.line, tok.col)
         self.pos += 1
         return tok
+
+    def _integer(self) -> int:
+        """Read a NUMBER token that must be a plain integer."""
+        tok = self._next("NUMBER")
+        if not tok.value.isdecimal():
+            raise QasmSyntaxError(f"expected an integer, got {tok.value!r}",
+                                  tok.line, tok.col)
+        return int(tok.value)
+
+    def _optional_index(self) -> None:
+        """Skip an ``[n]`` index if one follows."""
+        if self._peek() and self._peek().value == "[":
+            self._next("SYM", "[")
+            self._integer()
+            self._next("SYM", "]")
 
     def parse(self) -> Circuit:
         self._header()
@@ -173,7 +195,7 @@ class _Parser:
         elif tok.value in ("qreg", "creg"):
             name = self._next("ID")
             self._next("SYM", "[")
-            size = int(self._next("NUMBER").value)
+            size = self._integer()
             self._next("SYM", "]")
             self._next("SYM", ";")
             if name.value in self.registers or name.value in self.cregs:
@@ -188,16 +210,10 @@ class _Parser:
                             tok.line, tok.col, name.value)
         elif tok.value == "measure":
             self._next("ID")
-            if self._peek() and self._peek().value == "[":
-                self._next("SYM", "[")
-                self._next("NUMBER")
-                self._next("SYM", "]")
+            self._optional_index()
             self._next("ARROW")
             self._next("ID")
-            if self._peek() and self._peek().value == "[":
-                self._next("SYM", "[")
-                self._next("NUMBER")
-                self._next("SYM", "]")
+            self._optional_index()
             self._next("SYM", ";")
             log.warning("%d:%d: measure ignored (no effect on shuttling)",
                         tok.line, tok.col)
@@ -247,8 +263,8 @@ class _Parser:
             raise QasmSyntaxError("whole-register arguments are not supported",
                                   name.line, name.col)
         self._next("SYM", "[")
-        idx_tok = self._next("NUMBER")
-        idx = int(idx_tok.value)
+        idx_tok = self._peek()
+        idx = self._integer()
         self._next("SYM", "]")
         offset, size = self.registers[name.value]
         if idx >= size:
@@ -258,13 +274,23 @@ class _Parser:
 
     # expression grammar: expr := term (('+'|'-') term)*
     #                     term := factor (('*'|'/') factor)*
-    #                     factor := NUMBER | 'pi' | '-' factor | '(' expr ')'
+    #                     factor := '-'* (NUMBER | 'pi' | '(' expr ')')
     def _expr_list(self) -> tuple[float, ...]:
-        values = [self._expr()]
+        values = [self._finite_expr()]
         while self._peek() and self._peek().value == ",":
             self._next("SYM", ",")
-            values.append(self._expr())
+            values.append(self._finite_expr())
         return tuple(values)
+
+    def _finite_expr(self) -> float:
+        """An expression whose value must be finite (``to_qasm`` could not
+        print an infinity or NaN back as QASM)."""
+        tok = self._peek()
+        value = self._expr()
+        if not math.isfinite(value):
+            raise QasmSyntaxError(f"expression value {value} is not finite",
+                                  tok.line, tok.col)
+        return value
 
     def _expr(self) -> float:
         value = self._term()
@@ -290,25 +316,31 @@ class _Parser:
         return value
 
     def _factor(self) -> float:
-        tok = self._peek()
+        negate = False
+        while (tok := self._peek()) is not None and tok.value == "-":
+            self._next()
+            negate = not negate
         if tok is None:
             last = self.tokens[-1]
             raise QasmSyntaxError("unexpected end of expression", last.line, last.col)
-        if tok.value == "-":
-            self._next()
-            return -self._factor()
         if tok.value == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise QasmSyntaxError(
+                    f"parentheses nested deeper than {MAX_PAREN_DEPTH}", tok.line, tok.col)
             self._next()
+            self.depth += 1
             value = self._expr()
+            self.depth -= 1
             self._next("SYM", ")")
-            return value
-        if tok.kind == "NUMBER":
+        elif tok.kind == "NUMBER":
             self._next()
-            return float(tok.value)
-        if tok.kind == "ID" and tok.value == "pi":
+            value = float(tok.value)
+        elif tok.kind == "ID" and tok.value == "pi":
             self._next()
-            return math.pi
-        raise QasmSyntaxError(f"bad expression token {tok.value!r}", tok.line, tok.col)
+            value = math.pi
+        else:
+            raise QasmSyntaxError(f"bad expression token {tok.value!r}", tok.line, tok.col)
+        return -value if negate else value
 
 
 def parse_qasm(text: str, decompose: bool = False) -> Circuit:

@@ -323,15 +323,14 @@ def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
     ``TrapOverflow`` names the gate and the occupied span of the trap when
     it happened.
     """
-    expected = set(range(1, circuit.n_qubits + 1))
-    if set(state.ion_crystal) != expected:
+    chain = crystal_chain(state)
+    if sorted(ion for ions in chain for ion in ions) != list(range(1, circuit.n_qubits + 1)):
         raise ValueError("trap does not hold exactly the circuit's ions")
     if state.check_spacing():
         raise ValueError("initial state violates crystal spacing")
     low = _Lowering(state)
     low.out.append(("START", ()))
     low.out.extend(("AIC", (ion, c.segment)) for c in low.chain for ion in c.ions)
-    chain = crystal_chain(state)
     where = {ion: i for i, ions in enumerate(chain) for ion in ions}
     per_gate: list[int] = []
     for gate in circuit.gates:

@@ -12,10 +12,11 @@ A ``Crystal`` object is its own handle: placement, split and merge return
 the crystals they create, and a crystal that splits or merges is replaced
 by new ones.
 
-This is the executor's model: ``commands.apply`` maps each opcode onto one
-primitive here, and placement builds the initial trap with ``place_crystal``.
-Every primitive validates its constraints before touching state and then
-mutates it; none records commands (the lowering emits its own).
+This is the executor's model and holds the trap alone; program order and
+the split/merge tally belong to ``commands._execute``.  ``commands.apply``
+maps each opcode onto one primitive here, and placement builds the initial
+trap with ``place_crystal``.  Every primitive validates before it mutates;
+a transport step takes its direction as ``d`` (+1 down, -1 up).
 """
 from __future__ import annotations
 
@@ -112,9 +113,9 @@ class TrapState:
     """Mutable single-owner trap state.
 
     ``seg_crystal`` maps occupied segment -> crystal and is the one
-    registry of crystals; ``ion_crystal`` maps ion id -> owning crystal;
-    ``wells`` holds the segments with an (ion-free) potential well.  Each
-    crystal's ``segment`` is its key in ``seg_crystal``.
+    registry of crystals and ions; ``wells`` holds the segments with an
+    (ion-free) potential well.  Each crystal's ``segment`` is its key in
+    ``seg_crystal``.
     """
 
     def __init__(self, config: TrapConfig | None = None):
@@ -123,10 +124,6 @@ class TrapState:
         self.config = config
         self.seg_crystal: dict[int, Crystal] = {}
         self.wells: set[int] = set()
-        self.ion_crystal: dict[int, Crystal] = {}
-        self.scheduling_started = False
-        self.s_count = 0
-        self.m_count = 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -134,23 +131,13 @@ class TrapState:
         return self.seg_crystal.get(segment)
 
     def crystal_of(self, ion: int) -> Crystal:
-        try:
-            return self.ion_crystal[ion]
-        except KeyError:
-            raise EmptySegment(f"ion {ion} is not in the trap") from None
+        for crystal in self.seg_crystal.values():
+            if ion in crystal.ions:
+                return crystal
+        raise EmptySegment(f"ion {ion} is not in the trap")
 
     def occupied_segments(self) -> list[int]:
         return sorted(self.seg_crystal)
-
-    def _conflict(self, dest: int, exclude: int | None = None) -> int | None:
-        """Return an occupied segment that would violate spacing for a
-        crystal resting at ``dest`` (including ``dest`` itself), or None."""
-        for s in (dest - 1, dest, dest + 1):
-            if s == exclude:
-                continue
-            if s in self.seg_crystal:
-                return s
-        return None
 
     def check_spacing(self) -> list[tuple[int, int]]:
         """All pairs of occupied segments closer than the minimum spacing."""
@@ -161,12 +148,10 @@ class TrapState:
 
     def place_ion(self, ion: int, segment: int) -> Crystal:
         """Add one ion at ``segment``, extending a 1-ion crystal already
-        there.  Only legal before shuttling starts."""
-        if self.scheduling_started:
-            raise Blocked("initial placement after shuttling started")
+        there."""
         if ion < 1:
             raise InvalidId(f"ion id {ion} is below 1")
-        if ion in self.ion_crystal:
+        if any(ion in c.ions for c in self.seg_crystal.values()):
             raise DuplicateIon(f"ion {ion} already placed")
         if not 1 <= segment <= self.config.n_segments:
             raise OutOfBounds(f"segment {segment} outside trap")
@@ -176,12 +161,11 @@ class TrapState:
                 raise CapacityExceeded(f"crystal at segment {segment} is full")
             crystal.ions.append(ion)
         else:
-            bad = self._conflict(segment, exclude=segment)
-            if bad is not None:
-                raise SpacingViolation(
-                    f"segment {segment} too close to occupied segment {bad}")
+            for s in (segment - 1, segment + 1):
+                if s in self.seg_crystal:
+                    raise SpacingViolation(
+                        f"segment {segment} too close to occupied segment {s}")
             crystal = self.seg_crystal[segment] = Crystal([ion], segment)
-        self.ion_crystal[ion] = crystal
         return crystal
 
     def place_crystal(self, ions: list[int], segment: int) -> Crystal:
@@ -198,14 +182,10 @@ class TrapState:
 
     # -- transport ----------------------------------------------------------
 
-    def move_crystal_step(self, segment: int, direction: str) -> int:
-        """Move the crystal at ``segment`` one segment up or down."""
-        if direction == "up":
-            dest = segment - 1
-        elif direction == "down":
-            dest = segment + 1
-        else:
-            raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    def move_crystal_step(self, segment: int, d: int) -> int:
+        """Move the crystal at ``segment`` one segment in direction ``d``
+        (+1 down, -1 up); return its new segment."""
+        dest = segment + d
         seg_map = self.seg_crystal
         crystal = seg_map.get(segment)
         if crystal is None:
@@ -214,13 +194,12 @@ class TrapState:
             raise OutOfBounds(f"move from segment {segment} leaves the trap")
         if dest in self.wells:
             raise Blocked(f"segment {dest} holds an empty well")
-        if dest in seg_map or dest + dest - segment in seg_map:
+        if dest in seg_map or dest + d in seg_map:
             raise SpacingViolation(
                 f"moving to segment {dest} violates spacing near it")
         del seg_map[segment]
         seg_map[dest] = crystal
         crystal.segment = dest
-        self.scheduling_started = True
         return dest
 
     # -- LIZ operations ------------------------------------------------------
@@ -244,12 +223,8 @@ class TrapState:
                         f"split product at {stage} would violate spacing with {s}")
         top, bottom = crystal.ions
         del seg_map[liz]
-        above = Crystal([top], liz - 1)
-        below = Crystal([bottom], liz + 1)
-        seg_map[liz - 1] = self.ion_crystal[top] = above
-        seg_map[liz + 1] = self.ion_crystal[bottom] = below
-        self.scheduling_started = True
-        self.s_count += 1
+        above = seg_map[liz - 1] = Crystal([top], liz - 1)
+        below = seg_map[liz + 1] = Crystal([bottom], liz + 1)
         return above, below
 
     def merge_at_liz(self) -> Crystal:
@@ -271,10 +246,6 @@ class TrapState:
         del self.seg_crystal[liz - 1]
         del self.seg_crystal[liz + 1]
         merged = self.seg_crystal[liz] = Crystal(ions, liz)
-        for ion in ions:
-            self.ion_crystal[ion] = merged
-        self.scheduling_started = True
-        self.m_count += 1
         return merged
 
     def rotate_at_liz(self) -> None:
@@ -284,7 +255,6 @@ class TrapState:
         if crystal is None:
             raise EmptySegment("no crystal in the LIZ to rotate")
         crystal.ions.reverse()
-        self.scheduling_started = True
 
     # -- empty wells and gate markers ---------------------------------------
 
@@ -296,7 +266,6 @@ class TrapState:
         if segment in self.wells:
             raise Blocked(f"segment {segment} already holds a well")
         self.wells.add(segment)
-        self.scheduling_started = True
 
     def remove_well(self, segment: int) -> None:
         if segment not in self.wells:
@@ -309,7 +278,6 @@ class TrapState:
             raise InvalidId(f"gate index {gate_index} is negative")
         if self.config.liz not in self.seg_crystal:
             raise NotInLiz("gate executed with no crystal in the LIZ")
-        self.scheduling_started = True
 
 
 def new_state(config: TrapConfig | None = None) -> TrapState:

@@ -135,6 +135,48 @@ def test_compile_bad_expression_exit_code(tmp_path, capsys):
         assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    "rz(1e999) q[0];\n", "rz(1e308*10) q[0];\n", "rz(1e999-1e999) q[0];\n",
+    "cz q[1e0],q[1];\n", "rz(" + "(" * 600 + "1" + ")" * 600 + ") q[0];\n"],
+    ids=["inf", "overflow", "nan", "float-index", "deep-parens"])
+def test_compile_bad_number_exit_code(tmp_path, capsys, body):
+    # each ends in a positioned syntax error, not a traceback or exit 0
+    src = tmp_path / "num.qasm"
+    src.write_text(HEADER + "qreg q[2];\n" + body)
+    assert main(["compile", "-i", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("error: 4:")
+
+
+def test_compile_long_minus_chain(tmp_path):
+    src = tmp_path / "minus.qasm"
+    src.write_text(HEADER + "qreg q[2];\nrz(" + "-" * 3000 + "1) q[0];\n")
+    assert main(["compile", "-i", str(src)]) == 0
+
+
+def test_compile_fractional_register_size_exit_code(tmp_path, capsys):
+    src = tmp_path / "size.qasm"
+    src.write_text(HEADER + "qreg q[2.5];\n")
+    assert main(["compile", "-i", str(src)]) == 2
+    assert "3:8: expected an integer" in capsys.readouterr().err
+
+
+def test_partial_trap_flags_start_from_the_header(tmp_path, qft8_file, capsys):
+    # a flag that restates the header changes nothing; a missing one is
+    # taken from the header, not from the 32/19 default trap
+    out = tmp_path / "wide.seq"
+    assert main(["compile", "-i", str(qft8_file), "-o", str(out),
+                 "--segments", "48", "--liz", "24"]) == 0
+    for flags in (["--liz", "24"], ["--segments", "48"]):
+        capsys.readouterr()
+        assert main(["validate", "-i", str(out)] + flags) == 0
+        assert "violations: 0" in capsys.readouterr().out
+        assert main(["validate", "-i", str(out), "--strict"] + flags) == 0
+        assert main(["trace", "-i", str(out), "-o", str(tmp_path / "g.txt")] + flags) == 0
+    assert (tmp_path / "g.txt").read_text().startswith("# segments=48 liz=24\n")
+    # a flag that differs from the header still applies
+    assert main(["validate", "-i", str(out), "--liz", "20"]) == 1
+
+
 def test_invalid_trap_override_exit_code(tmp_path):
     seq = tmp_path / "ok.seq"
     seq.write_text("1 START 0\n")

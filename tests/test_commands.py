@@ -1,12 +1,17 @@
 """Command ISA: wire format, replay validation, cost and trace rendering."""
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ionshuttle.benchmarks import compile_ordering
 from ionshuttle.commands import (CommandSequence, FormatError, ReplayError,
                                  cost, parse_sequence, render_trace,
                                  render_trace_svg, replay, serialize)
+from ionshuttle.ordering import Ordering
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
-from ionshuttle.trap import TrapConfig, new_state
+from ionshuttle.trap import TrapConfig, TrapOverflow, new_state
 
 
 def exchange_sequence():
@@ -108,6 +113,17 @@ class TestReplay:
         report = replay(parse_sequence(text))
         assert any("placement after shuttling" in msg for _, msg in report.violations)
 
+    def test_placement_after_scheduling_blocked(self):
+        # the rule is one of program order: the AIC would be legal on the
+        # trap the program left, and the shuttling before it ran
+        text = "1 START 0\n2 AIC 2 1 10\n3 SMD 1 10\n4 AIC 2 2 20\n"
+        with pytest.raises(ReplayError) as err:
+            replay(parse_sequence(text), strict=True)
+        assert str(err.value) == "command 4: initial placement after shuttling started"
+        with pytest.raises(ReplayError) as err:
+            render_trace(parse_sequence(text))
+        assert err.value.seq == 4
+
     def test_missing_start_flagged(self):
         report = replay(parse_sequence("1 AIC 2 1 10\n"))
         assert any("begin with START" in msg for _, msg in report.violations)
@@ -165,7 +181,7 @@ class TestReplay:
         assert [seq for seq, _ in report.violations] == [2, 3, 5]
         assert "ion id 0" in report.violations[0][1]
         assert "gate index -7" in report.violations[2][1]
-        assert sorted(report.final_state.ion_crystal) == [1]
+        assert [c.ions for c in report.final_state.seg_crystal.values()] == [[1]]
         with pytest.raises(ReplayError) as err:
             replay(parse_sequence(text), strict=True)
         assert str(err.value) == "command 2: ion id 0 is below 1"
@@ -240,3 +256,119 @@ class TestTrace:
         svg = render_trace_svg(exchange_sequence())
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "circle" in svg
+
+
+# -- the program runner on random programs -------------------------------------
+
+RUNNER_TRAP = TrapConfig(n_segments=12, liz=6)
+RUNNER_EXAMPLES = 300
+RUNNER_OUTCOMES: Counter = Counter()
+MISSING_START = "sequence does not begin with START"
+LATE_PLACEMENT = "initial placement after shuttling started"
+
+
+def random_command(draw):
+    n = RUNNER_TRAP.n_segments
+    op = draw(st.sampled_from(("START", "AIC", "AEC", "REC", "SMU", "SMD",
+                               "RC", "M", "S", "DG")))
+    if op == "AIC":
+        return op, (draw(st.integers(0, 6)), draw(st.integers(1, n)))
+    if op in ("AEC", "REC"):
+        return op, (draw(st.integers(1, n)),)
+    if op in ("SMU", "SMD"):
+        return op, (1, draw(st.integers(1, n)))
+    if op == "RC":
+        return op, (draw(st.integers(RUNNER_TRAP.liz - 1, RUNNER_TRAP.liz + 1)),)
+    if op == "DG":
+        return op, (draw(st.integers(-1, 2)),)
+    return op, ()
+
+
+@st.composite
+def runner_programs(draw):
+    """A compiled program for a small circuit (legal, with splits and
+    merges), then up to four edits: insert a random command or an AIC,
+    delete a command, or move one parameter by one."""
+    n = draw(st.integers(2, 4))
+    specs = [("cz", tuple(draw(st.permutations(range(n)))[:2]), ())
+             for _ in range(draw(st.integers(0, 3)))]
+    ions = draw(st.permutations(range(1, n + 1)))
+    groups, i = [], 0
+    while i < n:
+        size = 1 if i == n - 1 else draw(st.integers(1, 2))
+        groups.append(tuple(ions[i:i + size]))
+        i += size
+    try:
+        raw = list(compile_ordering(build_circuit(n, specs), Ordering(tuple(groups)),
+                                    RUNNER_TRAP).sequence.raw)
+    except TrapOverflow:
+        raw = [("START", ())]
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(raw) - 1)) if raw else 0
+        edit = draw(st.sampled_from(("insert", "place", "delete", "nudge")))
+        if edit == "place":
+            raw.insert(k, ("AIC", (draw(st.integers(1, n + 1)),
+                                   draw(st.integers(1, RUNNER_TRAP.n_segments)))))
+        elif edit == "insert" or not raw:
+            raw.insert(k, random_command(draw))
+        elif edit == "delete":
+            del raw[k]
+        elif raw[k][1]:
+            op, params = raw[k]
+            i = draw(st.integers(op in ("SMU", "SMD"), len(params) - 1))
+            params = params[:i] + (params[i] + draw(st.sampled_from((-1, 1))),) + params[i + 1:]
+            raw[k] = (op, params)
+    return raw
+
+
+@settings(max_examples=RUNNER_EXAMPLES)
+@given(runner_programs())
+def _runner_rules(raw):
+    sequence = CommandSequence(RUNNER_TRAP.n_segments, RUNNER_TRAP.liz, raw)
+    report = replay(sequence)
+    first = report.violations[0] if report.violations else None
+    # strict replay and the trace stop at the first lenient violation
+    try:
+        replay(sequence, strict=True)
+    except ReplayError as e:
+        assert first is not None and str(e) == f"command {first[0]}: {first[1]}"
+    else:
+        assert first is None
+    try:
+        render_trace(sequence)
+    except ReplayError as e:
+        assert first is not None and e.seq == first[0]
+    else:
+        assert first is None
+    # the tally counts the splits and merges that ran
+    ran_sm = report.s_count + report.m_count
+    assert ran_sm <= cost(sequence)
+    if report.ok:
+        assert ran_sm == cost(sequence)
+    # an AIC after any other command that ran is a late placement, and only
+    # such an AIC is one
+    own: dict[int, list[str]] = {}
+    for seq, message in report.violations:
+        if message != MISSING_START:   # command 1 still runs without START
+            own.setdefault(seq, []).append(message)
+    started = False
+    for seq, (op, _) in enumerate(raw, 1):
+        late = LATE_PLACEMENT in own.get(seq, [])
+        assert late == (op == "AIC" and started), (seq, own.get(seq))
+        if late:
+            assert own[seq] == [LATE_PLACEMENT]
+            RUNNER_OUTCOMES["late placement"] += 1
+        started = started or (op not in ("START", "AIC") and seq not in own)
+    RUNNER_OUTCOMES["clean" if report.ok else "violating"] += 1
+    RUNNER_OUTCOMES["split or merge ran"] += ran_sm > 0
+
+
+def test_runner_rules_on_random_programs():
+    RUNNER_OUTCOMES.clear()
+    _runner_rules()
+    # floors keep each rule from holding only vacuously
+    assert RUNNER_OUTCOMES["clean"] + RUNNER_OUTCOMES["violating"] >= RUNNER_EXAMPLES
+    assert RUNNER_OUTCOMES["clean"] >= RUNNER_EXAMPLES // 10, RUNNER_OUTCOMES
+    assert RUNNER_OUTCOMES["violating"] >= RUNNER_EXAMPLES // 4, RUNNER_OUTCOMES
+    assert RUNNER_OUTCOMES["split or merge ran"] >= RUNNER_EXAMPLES // 4, RUNNER_OUTCOMES
+    assert RUNNER_OUTCOMES["late placement"] >= RUNNER_EXAMPLES // 10, RUNNER_OUTCOMES

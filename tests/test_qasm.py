@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ionshuttle.qasm import (Circuit, Gate, QasmSyntaxError, UndeclaredQubit,
-                             UnsupportedGate, build_circuit, decompose_gate,
-                             parse_qasm, to_qasm)
+from ionshuttle.qasm import (MAX_PAREN_DEPTH, Circuit, Gate, QasmSyntaxError,
+                             UndeclaredQubit, UnsupportedGate, build_circuit,
+                             decompose_gate, parse_qasm, to_qasm)
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -114,6 +114,42 @@ def test_expression_cut_short_carries_position():
                        "expression$") as err:
         parse_qasm(HEADER + "qreg q[1];\nrz(pi*")
     assert (err.value.line, err.value.col) == (4, 6)
+
+
+def test_non_finite_angle_is_a_syntax_error():
+    # to_qasm could not print such a value back; the error points at the
+    # expression's first token, also in a later parameter
+    for params, col in (("1e999", 4), ("1e308*10", 4), ("1e999-1e999", 4),
+                        ("0.5, -(1e999)", 9)):
+        with pytest.raises(QasmSyntaxError, match="not finite") as err:
+            parse_qasm(HEADER + f"qreg q[1];\nu2({params}) q[0];\n")
+        assert (err.value.line, err.value.col) == (4, col)
+
+
+def test_sizes_and_indices_must_be_integers():
+    for body, col in (("qreg q[2.5];\n", 8), ("qreg q[2];\ncz q[1e0],q[1];\n", 6),
+                      ("qreg q[2];\ncreg c[1e1];\n", 8),
+                      ("qreg q[2];\ncreg c[2];\nmeasure q[0.5] -> c[0];\n", 11),
+                      ("qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[.0];\n", 19)):
+        with pytest.raises(QasmSyntaxError, match="expected an integer") as err:
+            parse_qasm(HEADER + body)
+        assert (err.value.line, err.value.col) == (HEADER.count("\n") + body.count("\n"), col)
+
+
+def test_long_unary_minus_chain():
+    circ = parse_qasm(HEADER + "qreg q[1];\nrz(" + "-" * 3001 + "pi) q[0];\n")
+    assert circ.gates[0].params == (-math.pi,)
+
+
+def test_paren_nesting_is_capped():
+    nested = "(" * MAX_PAREN_DEPTH + "pi" + ")" * MAX_PAREN_DEPTH
+    assert parse_qasm(HEADER + f"qreg q[1];\nrz({nested}) q[0];\n").gates[0].params == (math.pi,)
+    # the error points at the first parenthesis past the cap
+    for depth in (MAX_PAREN_DEPTH + 1, 600):
+        nested = "(" * depth + "1" + ")" * depth
+        with pytest.raises(QasmSyntaxError, match="nested deeper") as err:
+            parse_qasm(HEADER + f"qreg q[1];\nrz({nested}) q[0];\n")
+        assert (err.value.line, err.value.col) == (4, 4 + MAX_PAREN_DEPTH)
 
 
 def test_comments_and_whitespace():

@@ -72,8 +72,9 @@ class TestIonPermutation:
 
     def test_full_exchange_costs_six(self):
         state = self._two_pairs()
-        ion_permutation(state, 1, 3, do_gate=False)
-        assert state.s_count == 3 and state.m_count == 3
+        commands = ion_permutation(state, 1, 3, do_gate=False)
+        assert len(ops_of(commands, ("S",))) == 3
+        assert len(ops_of(commands, ("M",))) == 3
         assert ion_sets(state) == [(1, 4), (2, 3)]
         # upper home keeps its old partner on top; traveler rests on top of
         # the lower home (normative trace order)
@@ -94,7 +95,6 @@ class TestIonPermutation:
         state.place_crystal([3], 21)
         commands = ion_permutation(state, 1, 3, do_gate=True, gate_index=0)
         assert ops_of(commands, ("S", "M", "RC", "DG")) == ["M", "RC", "DG", "S"]
-        assert state.s_count + state.m_count == 2
         crystals = sorted(state.seg_crystal.values(), key=lambda c: c.segment)
         assert [c.ions for c in crystals] == [[3], [1]]
 
