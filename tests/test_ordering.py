@@ -1,10 +1,12 @@
 """Initial ordering heuristics and trap placement."""
+import hashlib
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from ionshuttle.benchmarks import gen_qft, gen_toffoli
 from ionshuttle.ordering import (increase_pairwise_order, order_as_is,
                                  order_inputs_randomly, place_in_the_model,
                                  reverse_ordering)
@@ -160,3 +162,32 @@ class TestPlacement:
         bad = order_as_is(circuit_on_ions(6, []))
         with pytest.raises(ValueError):
             place_in_the_model(state, bad, circ)
+
+
+def _ipo_corpus():
+    """QFT and Toffoli at every size up to 40, plus seeded random circuits
+    of 0-3n gates that mix one- and two-qubit gates, for n = 0..40."""
+    for n in range(2, 41):
+        yield f"qft{n}", gen_qft(n)
+    for n in range(4, 41, 2):
+        yield f"toffoli{n}", gen_toffoli(n)
+    for n in range(41):
+        for seed in range(3):
+            rng = random.Random(1000 * n + seed)
+            specs = []
+            for _ in range(rng.randrange(3 * n + 1)):
+                if n >= 2 and rng.random() < 2 / 3:
+                    specs.append(("cz", tuple(rng.sample(range(n), 2)), ()))
+                else:
+                    specs.append(("h", (rng.randrange(n),), ()))
+            yield f"random{n}_{seed}", build_circuit(n, specs)
+
+
+def test_ipo_layout_pin():
+    # the sha256 of every IPO layout of the corpus; a change to it changes
+    # the layouts IPO picks, not just the code that picks them
+    corpus = list(_ipo_corpus())
+    assert len(corpus) == 181
+    text = "\n".join(f"{name} {increase_pairwise_order(c).crystal_list}"
+                     for name, c in corpus)
+    assert hashlib.sha256(text.encode()).hexdigest() == "d217080bb5ca8b86f0f0eb6f47a0284772b2c08fb228b6d0aa019b73c8734156"
