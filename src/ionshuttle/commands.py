@@ -289,34 +289,31 @@ def _trace_rows(sequence: CommandSequence,
                 config: TrapConfig | None = None) -> tuple[TrapConfig, list[_TraceRow]]:
     """Replay yielding one snapshot per state-changing command.
 
-    Non-visible commands (START, AEC, REC, DG) fold into the sequence-number
-    range of the next visible row; gate indices carried by folded DGs are
-    attached to that row.  Trailing non-visible commands extend the last row.
-    Raises ReplayError at the first command strict replay would reject.
+    A row spans the commands from the one after the previous row's (the
+    first row: from command 1) to its own state-changing command; the
+    non-visible commands (START, AEC, REC, DG) in between fold into it, and
+    so do the gate indices their DGs carry.  Trailing non-visible commands
+    extend the last row.  Raises ReplayError at the first command strict
+    replay would reject.
     """
     cfg = config or sequence.config()
     state = TrapState(cfg)
     rows: list[_TraceRow] = []
-    pending_first: int | None = None
-    pending_gates: list[int] = []
+    gates: list[int] = []
 
     def snapshot(seq: int, op: str, params: tuple[int, ...]) -> None:
-        nonlocal pending_first, pending_gates
         if op == "DG":
-            pending_gates.append(params[0])
-        if op in STATE_CHANGING:
+            gates.append(params[0])
+        elif op in STATE_CHANGING:
             occupants = {s: tuple(c.ions) for s, c in state.seg_crystal.items()}
-            rows.append(_TraceRow(
-                pending_first if pending_first is not None else seq,
-                seq, occupants, frozenset(state.wells), pending_gates))
-            pending_first, pending_gates = None, []
-        elif pending_first is None:
-            pending_first = seq
+            rows.append(_TraceRow(rows[-1].last_seq + 1 if rows else 1, seq,
+                                  occupants, frozenset(state.wells), gates[:]))
+            gates.clear()
 
     _execute(sequence, state, _reject, snapshot)
-    if rows and (pending_first is not None or pending_gates):
+    if rows:
         rows[-1].last_seq = len(sequence.raw)
-        rows[-1].gates.extend(pending_gates)
+        rows[-1].gates.extend(gates)
     return cfg, rows
 
 

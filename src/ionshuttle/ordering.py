@@ -55,64 +55,45 @@ def increase_pairwise_order(circuit: Circuit) -> Ordering:
 
     Pass 1 scans the gate list and pairs two-qubit-gate partners that are
     both still unplaced into a crystal; leftovers are paired in ascending
-    ion order.  Pass 2 scans the gates again and drains crystals into the
+    ion order.  Pass 2 scans the gates again and chains crystals into the
     final list: when a gate spans two crystals and at least one is still
-    undrained, the pair is appended adjacently (both undrained) or the
-    undrained one is placed at the end of the list nearest its partner.
-    Remaining crystals are appended at the bottom, preserving pass-1 order.
+    unchained, the pair is appended adjacently (both unchained) or the
+    unchained one is placed at the end of the chain nearer its partner,
+    ties going to the top.  Crystals still unchained are appended at the
+    bottom, preserving pass-1 order.
     """
-    n = circuit.n_qubits
     gates = _gate_ions(circuit)
 
     # pass 1: group co-gated ions into crystals
-    unplaced = set(range(1, n + 1))
     crystals: list[tuple[int, ...]] = []
-    ion_home: dict[int, int] = {}
+    home: dict[int, int] = {}
     for u, v in gates:
-        if u in unplaced and v in unplaced:
-            ion_home[u] = ion_home[v] = len(crystals)
+        if u not in home and v not in home:
+            home[u] = home[v] = len(crystals)
             crystals.append((u, v))
-            unplaced.discard(u)
-            unplaced.discard(v)
-    leftovers = sorted(unplaced)
+    leftovers = [ion for ion in range(1, circuit.n_qubits + 1) if ion not in home]
     for i in range(0, len(leftovers), 2):
         group = tuple(leftovers[i:i + 2])
         for ion in group:
-            ion_home[ion] = len(crystals)
+            home[ion] = len(crystals)
         crystals.append(group)
 
     # pass 2: chain crystals so gate partners end up adjacent
-    in_v = [True] * len(crystals)
     chained: list[int] = []
-
-    def place_closest(ref: int, new: int) -> None:
-        # put `new` at whichever end of the chain is nearer to `ref`;
-        # ties (and an empty chain) go to the top end
-        if not chained:
-            chained.insert(0, new)
-            return
+    for u, v in gates:
+        cu, cv = home[u], home[v]
+        if cu == cv or (cu in chained and cv in chained):
+            continue
+        if cu not in chained and cv not in chained:
+            chained.extend((cu, cv))
+            continue
+        new, ref = (cu, cv) if cv in chained else (cv, cu)
         i = chained.index(ref)
         if i <= len(chained) - 1 - i:
             chained.insert(0, new)
         else:
             chained.append(new)
-
-    for u, v in gates:
-        cu, cv = ion_home[u], ion_home[v]
-        if cu == cv or not (in_v[cu] or in_v[cv]):
-            continue
-        if in_v[cu] and in_v[cv]:
-            chained.extend((cu, cv))
-            in_v[cu] = in_v[cv] = False
-        elif in_v[cu]:
-            place_closest(cv, cu)
-            in_v[cu] = False
-        else:
-            place_closest(cu, cv)
-            in_v[cv] = False
-    for idx, still in enumerate(in_v):
-        if still:
-            chained.append(idx)
+    chained += [c for c in range(len(crystals)) if c not in chained]
     return Ordering(tuple(crystals[i] for i in chained))
 
 
