@@ -4,11 +4,12 @@ Hand-written tokenizer and recursive-descent parser covering the subset the
 scheduler needs: the version header, ``include "qelib1.inc";``, ``qreg``
 declarations (multiple registers are flattened in declaration order) and
 gate statements with indexed qubit arguments.  ``creg``, ``measure`` and
-``barrier`` parse but are dropped with a warning since they never move an
-ion.  Angle parameters are evaluated (numbers, ``pi``, ``+ - * /``,
-parentheses nested at most ``MAX_PAREN_DEPTH`` deep) and carried opaquely;
-a value that is not finite is a syntax error.  Register sizes and qubit
-indices are integers.  Gate semantics are never interpreted.
+``barrier`` parse, with their arguments checked against the declared
+registers, but are dropped with a warning since they never move an ion.
+Angle parameters are evaluated (numbers, ``pi``, ``+ - * /``, parentheses
+nested at most ``MAX_PAREN_DEPTH`` deep) and carried opaquely; a value that
+is not finite is a syntax error.  Register sizes and qubit indices are
+integers.  Gate semantics are never interpreted.
 """
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ class UnsupportedGate(QasmError):
 
 
 class UndeclaredQubit(QasmError):
-    pass
+    """An argument names an undeclared register (quantum or classical) or
+    an index outside its register."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.decompose = decompose
-        self.registers: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
-        self.cregs: set[str] = set()
+        # register name -> the flat indices of its qubits (bits for a creg)
+        self.registers: dict[str, range] = {}
+        self.cregs: dict[str, range] = {}
         self.n_qubits = 0
         self.depth = 0  # open parentheses in the current expression
         self.specs: list[tuple[str, tuple[int, ...], tuple[float, ...]]] = []
@@ -161,12 +164,34 @@ class _Parser:
                                   tok.line, tok.col)
         return int(tok.value)
 
-    def _optional_index(self) -> None:
-        """Skip an ``[n]`` index if one follows."""
-        if self._peek() and self._peek().value == "[":
-            self._next("SYM", "[")
-            self._integer()
-            self._next("SYM", "]")
+    def _argument(self, table: dict[str, range], kind: str) -> tuple[_Token, int | None]:
+        """Read ``name`` or ``name[i]`` naming a ``kind`` register of
+        ``table``; return the name token and the flat index, None for a
+        whole register."""
+        name = self._next("ID")
+        if name.value not in table:
+            raise UndeclaredQubit(f"unknown {kind} register {name.value!r}",
+                                  name.line, name.col)
+        if not (self._peek() and self._peek().value == "["):
+            return name, None
+        self._next("SYM", "[")
+        idx_tok = self._peek()
+        idx = self._integer()
+        self._next("SYM", "]")
+        register = table[name.value]
+        if idx >= len(register):
+            raise UndeclaredQubit(
+                f"{name.value}[{idx}] out of range (size {len(register)})",
+                idx_tok.line, idx_tok.col)
+        return name, register[idx]
+
+    def _qubit_arguments(self) -> list[tuple[_Token, int | None]]:
+        """A comma-separated list of quantum register arguments."""
+        args = [self._argument(self.registers, "quantum")]
+        while self._peek() and self._peek().value == ",":
+            self._next("SYM", ",")
+            args.append(self._argument(self.registers, "quantum"))
+        return args
 
     def parse(self) -> Circuit:
         self._header()
@@ -202,24 +227,21 @@ class _Parser:
                 raise QasmSyntaxError(f"register {name.value!r} redeclared",
                                       name.line, name.col)
             if tok.value == "qreg":
-                self.registers[name.value] = (self.n_qubits, size)
+                self.registers[name.value] = range(self.n_qubits, self.n_qubits + size)
                 self.n_qubits += size
             else:
-                self.cregs.add(name.value)
+                self.cregs[name.value] = range(size)
                 log.warning("%d:%d: creg %s ignored (no effect on shuttling)",
                             tok.line, tok.col, name.value)
         elif tok.value == "measure":
-            self._next("ID")
-            self._optional_index()
+            self._argument(self.registers, "quantum")
             self._next("ARROW")
-            self._next("ID")
-            self._optional_index()
+            self._argument(self.cregs, "classical")
             self._next("SYM", ";")
             log.warning("%d:%d: measure ignored (no effect on shuttling)",
                         tok.line, tok.col)
         elif tok.value == "barrier":
-            while self._peek() is not None and self._peek().value != ";":
-                self.pos += 1
+            self._qubit_arguments()
             self._next("SYM", ";")
             log.warning("%d:%d: barrier ignored (no effect on shuttling)",
                         tok.line, tok.col)
@@ -235,10 +257,12 @@ class _Parser:
             self._next("SYM", "(")
             params = self._expr_list()
             self._next("SYM", ")")
-        operands = [self._qubit_ref()]
-        while self._peek() and self._peek().value == ",":
-            self._next("SYM", ",")
-            operands.append(self._qubit_ref())
+        operands = []
+        for arg, q in self._qubit_arguments():
+            if q is None:
+                raise QasmSyntaxError("whole-register arguments are not supported",
+                                      arg.line, arg.col)
+            operands.append(q)
         self._next("SYM", ";")
         if len(set(operands)) != len(operands):
             raise QasmSyntaxError(f"gate {name.value} repeats an operand",
@@ -253,24 +277,6 @@ class _Parser:
                 f"{name.value} acts on {len(operands)} qubits (max 2; "
                 "ccx is supported with decomposition enabled)",
                 name.line, name.col)
-
-    def _qubit_ref(self) -> int:
-        name = self._next("ID")
-        if name.value not in self.registers:
-            raise UndeclaredQubit(f"unknown quantum register {name.value!r}",
-                                  name.line, name.col)
-        if not (self._peek() and self._peek().value == "["):
-            raise QasmSyntaxError("whole-register arguments are not supported",
-                                  name.line, name.col)
-        self._next("SYM", "[")
-        idx_tok = self._peek()
-        idx = self._integer()
-        self._next("SYM", "]")
-        offset, size = self.registers[name.value]
-        if idx >= size:
-            raise UndeclaredQubit(f"{name.value}[{idx}] out of range (size {size})",
-                                  idx_tok.line, idx_tok.col)
-        return offset + idx
 
     # expression grammar: expr := term (('+'|'-') term)*
     #                     term := factor (('*'|'/') factor)*

@@ -91,6 +91,49 @@ def test_measure_barrier_creg_ignored_with_warning(caplog):
     assert sum("creg" in r.message for r in caplog.records) == 1
 
 
+def test_measure_and_barrier_arguments_are_checked():
+    # each names an undeclared register or an index outside one
+    for stmt, col, message in (
+            ("measure zz[99] -> nope[7];", 9, "unknown quantum register 'zz'"),
+            ("measure q[0] -> nope[7];", 17, "unknown classical register 'nope'"),
+            ("measure c[0] -> c[1];", 9, "unknown quantum register 'c'"),
+            ("measure q[0] -> q[1];", 17, "unknown classical register 'q'"),
+            ("measure q[2] -> c[0];", 11, r"q\[2\] out of range \(size 2\)"),
+            ("measure q[1] -> c[2];", 19, r"c\[2\] out of range \(size 2\)"),
+            ("measure q -> nope;", 14, "unknown classical register 'nope'"),
+            ("barrier foo[3], bar;", 9, "unknown quantum register 'foo'"),
+            ("barrier q[0], bar;", 15, "unknown quantum register 'bar'"),
+            ("barrier q, c;", 12, "unknown quantum register 'c'"),
+            ("barrier q[5];", 11, r"q\[5\] out of range")):
+        with pytest.raises(UndeclaredQubit, match=message) as err:
+            parse_qasm(HEADER + "qreg q[2];\ncreg c[2];\n" + stmt + "\n")
+        assert (err.value.line, err.value.col) == (5, col)
+
+
+def test_whole_register_measure_and_barrier_parse(caplog):
+    src = HEADER + "qreg q[2];\ncreg c[2];\nbarrier q;\nmeasure q -> c;\n"
+    with caplog.at_level(logging.WARNING, logger="ionshuttle.qasm"):
+        assert parse_qasm(src).gates == ()
+    assert sum("measure" in r.message for r in caplog.records) == 1
+    assert sum("barrier" in r.message for r in caplog.records) == 1
+
+
+@pytest.mark.parametrize("src,where,message", [
+    ("OPENQASM 3.0;\n", (1, 10), "unsupported version 3.0"),
+    ('OPENQASM 2.0;\ninclude "other.inc";\n', (2, 9), "unsupported include"),
+    (HEADER + "qreg q[2];\ncreg q[1];\n", (4, 6), "register 'q' redeclared"),
+    (HEADER + "qreg q[2];\ncz q,q[1];\n", (4, 4), "whole-register arguments"),
+    (HEADER + "qreg q[2];\nrz(q) q[0];\n", (4, 4), "bad expression token 'q'"),
+    (HEADER + "qreg q[2];\ncx q[0],", (4, 8), "unexpected end of input"),
+    (HEADER + "qreg q[2);\n", (3, 9), "expected ']', got '\\)'"),
+], ids=["version", "include", "redeclared", "whole-register-gate",
+        "expression-token", "end-of-input", "bracket"])
+def test_syntax_errors_carry_their_position(src, where, message):
+    with pytest.raises(QasmSyntaxError, match=message) as err:
+        parse_qasm(src)
+    assert (err.value.line, err.value.col) == where
+
+
 def test_angle_expressions():
     circ = parse_qasm(HEADER + "qreg q[2];\nrz(pi/2) q[0];\ncp(-pi/4) q[0],q[1];\n"
                       "rx(0.5e-1) q[1];\nrz(2*(pi+1)) q[0];\n")
