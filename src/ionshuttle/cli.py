@@ -14,10 +14,11 @@ import argparse
 import dataclasses
 import sys
 
-from .benchmarks import (circuit_fit, compile_ordering, make_ordering,
-                         run_sweep, InvalidShape)
+from .benchmarks import (SweepReport, bench_config, circuit_fit,
+                         compile_ordering, make_ordering, run_sweep, InvalidShape)
 from .commands import (FormatError, ReplayError, cost, parse_sequence,
                        render_trace, render_trace_svg, replay, serialize)
+from .ordering import check_capacity
 from .qasm import QasmError, parse_qasm
 from .trap import (CapacityExceeded, InvalidConfig, TrapConfig, TrapError,
                    TrapOverflow)
@@ -50,20 +51,19 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _trap_config(args, base: TrapConfig | None) -> TrapConfig | None:
-    """``base`` with each given trap flag applied.  Flags without a base
-    start from the default trap; with neither, the result is None."""
-    overrides = {name: value for name, value in
-                 (("n_segments", args.segments), ("liz", args.liz))
-                 if value is not None}
-    if not overrides:
-        return base
-    return dataclasses.replace(base or TrapConfig(), **overrides)
+def _trap_config(args, base: TrapConfig) -> TrapConfig:
+    """``base`` with each given trap flag applied."""
+    return dataclasses.replace(base, **{
+        name: value for name, value in
+        (("n_segments", args.segments), ("liz", args.liz)) if value is not None})
 
 
 def cmd_compile(args) -> int:
     circuit = parse_qasm(_read(args.input), decompose=args.decompose)
     config = _trap_config(args, TrapConfig())
+    # every heuristic makes one crystal per two ions: check that before
+    # building a layout whose size grows with the declared register
+    check_capacity((circuit.n_qubits + 1) // 2, config)
     ordering = make_ordering(circuit, args.ordering,
                              args.seed if args.ordering == "oir" else None)
     result = compile_ordering(circuit, ordering, config)
@@ -117,9 +117,14 @@ def cmd_trace(args) -> int:
 
 def cmd_bench(args) -> int:
     n_list = [int(x) for x in args.qubits.split(",") if x]
-    report = run_sweep(args.suite, n_list, method_list=tuple(args.methods.split(",")),
-                       trials=args.trials, seed=args.seed, n_gates=args.gates,
-                       config=_trap_config(args, None), workers=args.workers)
+    report = SweepReport()
+    for n in n_list:  # each size on its own trap, as run_sweep picks it
+        part = run_sweep(args.suite, [n], method_list=tuple(args.methods.split(",")),
+                         trials=args.trials, seed=args.seed, n_gates=args.gates,
+                         config=_trap_config(args, bench_config(n)),
+                         workers=args.workers)
+        report.rows += part.rows
+        report.records += part.records
     for row in report.rows:
         print(f"{row.suite} n={row.n} {row.method}: trials={row.trials} "
               f"min={row.min_cost} mean={row.mean_cost:.1f} max={row.max_cost}")
@@ -137,11 +142,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def trap_flags(p):
         p.add_argument("--segments", type=int, default=None,
-                       help="trap segment count (default 32; validate and "
-                            "trace: the sequence header's)")
+                       help="trap segment count (default: compile 32; validate "
+                            "and trace the sequence header's; bench each size's "
+                            "own trap, 32 up to 8 qubits and 4n above)")
         p.add_argument("--liz", type=int, default=None,
-                       help="laser interaction zone segment (default 19; "
-                            "validate and trace: the sequence header's)")
+                       help="laser interaction zone segment (default: compile "
+                            "19; validate and trace the sequence header's; bench "
+                            "each size's own trap, 19 up to 8 qubits and 2n above)")
 
     p = sub.add_parser("compile", help="compile OpenQASM 2.0 to a shuttling sequence")
     p.add_argument("-i", "--input", required=True, help="OpenQASM 2.0 file")

@@ -14,7 +14,9 @@ import random
 from dataclasses import dataclass
 
 from .qasm import Circuit
-from .trap import CapacityExceeded, TrapState
+from .trap import CapacityExceeded, TrapConfig, TrapState
+
+STRIDE = 2  # segments from one placed crystal to the next
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,15 @@ def reverse_ordering(ordering: Ordering) -> Ordering:
     return Ordering(groups)
 
 
+def check_capacity(n_crystals: int, config: TrapConfig) -> None:
+    """Raise CapacityExceeded unless ``n_crystals`` placed at ``STRIDE``
+    fit the trap.  Every heuristic makes one crystal per two ions, rounded
+    up, so a register can be checked before its layout is built."""
+    if (n_crystals - 1) * STRIDE + 1 > config.n_segments:
+        raise CapacityExceeded(f"{n_crystals} crystals at stride {STRIDE} "
+                               f"exceed {config.n_segments} segments")
+
+
 def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -> None:
     """Realize an ordering as initial crystals in an empty trap.
 
@@ -119,18 +130,15 @@ def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -
 
     cfg = state.config
     groups = ordering.crystal_list
-    stride = 2
-    span = (len(groups) - 1) * stride
-    if span + 1 > cfg.n_segments:
-        raise CapacityExceeded(
-            f"{len(groups)} crystals at stride {stride} exceed {cfg.n_segments} segments")
+    check_capacity(len(groups), cfg)
+    span = (len(groups) - 1) * STRIDE
 
     anchor = 0
     if circuit.gates:
         first_ion = circuit.gates[0].operands[0] + 1
         anchor = next(i for i, g in enumerate(groups) if first_ion in g)
-    base = cfg.liz - anchor * stride
+    base = cfg.liz - anchor * STRIDE
     base = max(base, 1)
     base = min(base, cfg.n_segments - span)
     for i, group in enumerate(groups):
-        state.place_crystal(list(group), base + i * stride)
+        state.place_crystal(list(group), base + i * STRIDE)

@@ -177,6 +177,36 @@ def test_partial_trap_flags_start_from_the_header(tmp_path, qft8_file, capsys):
     assert main(["validate", "-i", str(out), "--liz", "20"]) == 1
 
 
+def test_compile_measure_and_barrier_arguments_exit_code(tmp_path, capsys):
+    for stmt, where in (("measure zz[99] -> nope[7];", "4:9: unknown quantum register 'zz'"),
+                        ("barrier foo[3], bar;", "4:9: unknown quantum register 'foo'")):
+        src = tmp_path / "args.qasm"
+        src.write_text(HEADER + "qreg q[2];\n" + stmt + "\n")
+        assert main(["compile", "-i", str(src)]) == 2
+        assert where in capsys.readouterr().err
+
+
+def test_compile_checks_capacity_before_the_layout(tmp_path, monkeypatch, capsys):
+    # 40 qubits make 20 crystals, 39 segments at stride 2: more than 32
+    def no_layout(*args):
+        raise AssertionError("layout built before the capacity check")
+
+    monkeypatch.setattr("ionshuttle.cli.make_ordering", no_layout)
+    src = tmp_path / "wide.qasm"
+    src.write_text(HEADER + "qreg q[40];\ncz q[0],q[39];\n")
+    assert main(["compile", "-i", str(src)]) == 3
+    assert "20 crystals at stride 2 exceed 32 segments" in capsys.readouterr().err
+
+
+def test_compile_trace_matches_the_trace_command(tmp_path, qft8_file, capsys):
+    out, grid = tmp_path / "out.seq", tmp_path / "grid.txt"
+    assert main(["compile", "-i", str(qft8_file), "-o", str(out),
+                 "--trace", str(grid)]) == 0
+    assert f"wrote {grid}" in capsys.readouterr().out
+    assert main(["trace", "-i", str(out)]) == 0
+    assert capsys.readouterr().out == grid.read_text()
+
+
 def test_invalid_trap_override_exit_code(tmp_path):
     seq = tmp_path / "ok.seq"
     seq.write_text("1 START 0\n")
@@ -252,6 +282,33 @@ def test_bench_invalid_trap_override_exit_code():
 def test_bench_capacity_exit_code():
     assert main(["bench", "--suite", "qft", "--qubits", "40",
                  "--segments", "32"]) == 3
+
+
+def test_bench_capacity_exit_code_on_the_paper_trap(capsys):
+    assert main(["bench", "--suite", "qft", "--qubits", "40",
+                 "--segments", "32", "--liz", "19"]) == 3
+    assert "20 crystals at stride 2 exceed 32 segments" in capsys.readouterr().err
+
+
+def test_bench_partial_trap_flags_start_from_the_size_trap(capsys):
+    # at 16 qubits the bench trap is 64/32: a missing flag comes from it,
+    # not from the 32/19 default trap
+    for partial, full in ((["--liz", "30"], ["--segments", "64", "--liz", "30"]),
+                          (["--segments", "70"], ["--segments", "70", "--liz", "32"])):
+        rows = []
+        for flags in (partial, full):
+            assert main(["bench", "--suite", "qft", "--qubits", "16"] + flags) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
+
+def test_bench_toffoli_suite(capsys):
+    assert main(["bench", "--suite", "toffoli", "--qubits", "4,6",
+                 "--methods", "oai,ipo"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "toffoli n=4 oai", "toffoli n=4 ipo", "toffoli n=6 oai", "toffoli n=6 ipo"]
+    assert main(["bench", "--suite", "toffoli", "--qubits", "5"]) == 1
+    assert "do not split into" in capsys.readouterr().err
 
 
 def test_bench_bad_qubit_list_exit_code():
