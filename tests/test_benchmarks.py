@@ -238,3 +238,11 @@ def test_oracle_overflow_on_small_trap():
     with pytest.raises(TrapOverflow):
         brute_force_best_ordering(gen_random_circuit(6, 20, 0),
                                   TrapConfig(n_segments=12, liz=6))
+
+
+def test_make_ordering_rejects_unknown_method_and_unseeded_oir():
+    circuit = gen_qft(4)
+    with pytest.raises(ValueError, match="unknown ordering method 'xyz'"):
+        make_ordering(circuit, "xyz")
+    with pytest.raises(ValueError, match="oir needs a seed"):
+        make_ordering(circuit, "oir")

@@ -67,6 +67,16 @@ class TestParse:
             parse_sequence("1 START 0\n2 AIC 2 4\n")
         assert err.value.line == 2
 
+    def test_line_with_fewer_than_three_tokens_rejected(self):
+        with pytest.raises(FormatError, match="expected '<seq> <OPCODE> <nparams>") as err:
+            parse_sequence("1 START 0\n2 S\n")
+        assert err.value.line == 2
+
+    def test_non_integer_sequence_number_rejected(self):
+        with pytest.raises(FormatError, match="bad sequence number 'x'") as err:
+            parse_sequence("# segments=32 liz=19\nx START 0\n")
+        assert err.value.line == 2
+
     def test_unknown_opcode_rejected(self):
         with pytest.raises(FormatError):
             parse_sequence("1 FROB 0\n")
@@ -138,6 +148,22 @@ class TestReplay:
         report = replay(parse_sequence(text))
         assert report.ok
         assert report.s_count == 1 and report.m_count == 1
+
+    def test_merge_into_a_well_in_the_liz_flagged(self):
+        text = "1 START 0\n2 AIC 2 1 18\n3 AIC 2 2 20\n4 AEC 1 19\n5 M 0\n"
+        report = replay(parse_sequence(text))
+        assert report.violations == [(5, "LIZ holds an empty well")]
+        assert report.m_count == 0
+        assert sorted(report.final_state.seg_crystal) == [18, 20]
+
+    def test_placement_and_well_outside_the_trap_flagged(self):
+        text = "1 START 0\n2 AIC 2 1 0\n3 AIC 2 2 33\n4 AEC 1 0\n5 AEC 1 33\n"
+        report = replay(parse_sequence(text))
+        assert report.violations == [(2, "segment 0 outside trap"),
+                                     (3, "segment 33 outside trap"),
+                                     (4, "segment 0 outside trap"),
+                                     (5, "segment 33 outside trap")]
+        assert not report.final_state.seg_crystal and not report.final_state.wells
 
     def test_parallel_move_form(self):
         text = ("1 START 0\n2 AIC 2 1 10\n3 AIC 2 2 12\n4 SMU 2 10 12\n")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ionshuttle.trap import (Blocked, CapacityExceeded, DuplicateIon,
+from ionshuttle.trap import (Blocked, CapacityExceeded, Crystal, DuplicateIon,
                              EmptySegment, InvalidConfig, MissingOperand,
                              NotInLiz, OutOfBounds, ResultTooLarge,
                              SpacingViolation, TrapConfig, TrapState,
@@ -167,6 +167,17 @@ class TestSplitMerge:
         state.place_crystal([4], 18)
         with pytest.raises(MissingOperand):
             state.merge_at_liz()
+
+    def test_merge_into_occupied_liz(self):
+        # no program reaches this (the spacing rule never lets the LIZ and
+        # both its neighbours be occupied at once), so poke it in directly
+        state = new_state()
+        state.place_crystal([4], 18)
+        state.place_crystal([7], 20)
+        state.seg_crystal[19] = Crystal([5], 19)
+        with pytest.raises(Blocked, match="LIZ occupied"):
+            state.merge_at_liz()
+        assert [c.ions for _, c in sorted(state.seg_crystal.items())] == [[4], [5], [7]]
 
     def test_merge_result_too_large(self):
         state = new_state()
