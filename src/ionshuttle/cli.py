@@ -61,8 +61,7 @@ def _trap_config(args, base: TrapConfig) -> TrapConfig:
 def cmd_compile(args) -> int:
     circuit = parse_qasm(_read(args.input), decompose=args.decompose)
     config = _trap_config(args, TrapConfig())
-    # every heuristic makes one crystal per two ions: check that before
-    # building a layout whose size grows with the declared register
+    # before the layout, whose size grows with the declared register
     check_capacity((circuit.n_qubits + 1) // 2, config)
     ordering = make_ordering(circuit, args.ordering,
                              args.seed if args.ordering == "oir" else None)

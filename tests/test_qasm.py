@@ -82,12 +82,12 @@ def test_multiple_qregs_flatten_in_order():
 
 def test_measure_barrier_creg_ignored_with_warning(caplog):
     src = (HEADER + "qreg q[2];\ncreg c[2];\nh q[0];\nbarrier q[0],q[1];\n"
-           "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n")
+           "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\nbarrier q;\nmeasure q -> c;\n")
     with caplog.at_level(logging.WARNING, logger="ionshuttle.qasm"):
         circ = parse_qasm(src)
     assert [(g.kind, g.operands) for g in circ.gates] == [("h", (0,))]
-    assert sum("measure" in r.message for r in caplog.records) == 2
-    assert sum("barrier" in r.message for r in caplog.records) == 1
+    assert sum("measure" in r.message for r in caplog.records) == 3
+    assert sum("barrier" in r.message for r in caplog.records) == 2
     assert sum("creg" in r.message for r in caplog.records) == 1
 
 
@@ -108,14 +108,6 @@ def test_measure_and_barrier_arguments_are_checked():
         with pytest.raises(UndeclaredQubit, match=message) as err:
             parse_qasm(HEADER + "qreg q[2];\ncreg c[2];\n" + stmt + "\n")
         assert (err.value.line, err.value.col) == (5, col)
-
-
-def test_whole_register_measure_and_barrier_parse(caplog):
-    src = HEADER + "qreg q[2];\ncreg c[2];\nbarrier q;\nmeasure q -> c;\n"
-    with caplog.at_level(logging.WARNING, logger="ionshuttle.qasm"):
-        assert parse_qasm(src).gates == ()
-    assert sum("measure" in r.message for r in caplog.records) == 1
-    assert sum("barrier" in r.message for r in caplog.records) == 1
 
 
 @pytest.mark.parametrize("src,where,message", [
