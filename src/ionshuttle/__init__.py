@@ -18,7 +18,7 @@ from .ordering import (Ordering, increase_pairwise_order, order_as_is,
 from .qasm import (Circuit, Gate, QasmError, QasmSyntaxError, UndeclaredQubit,
                    UnsupportedGate, build_circuit, decompose_gate, parse_qasm,
                    to_qasm)
-from .scheduler import ScheduleResult, ion_permutation, schedule, send_to_segment
+from .scheduler import ScheduleResult, schedule
 from .trap import (Blocked, CapacityExceeded, Crystal, DuplicateIon,
                    EmptySegment, InvalidConfig, InvalidId, MissingOperand,
                    NotInLiz, OutOfBounds, ResultTooLarge, SpacingViolation,

@@ -29,14 +29,14 @@ the mover's chain neighbour ahead; it is pushed recursively one spacing
 beyond the mover's destination and not restored afterwards.  Split, merge,
 rotation and gate execution are bracketed by add/remove-empty-well commands
 at the two segments beyond the staging sites whenever those hold no
-crystal.  ``send_to_segment`` and ``ion_permutation`` lower one transport
-or exchange and run it on the given trap through ``commands.apply``.
+crystal.  ``schedule`` is the one entry point into the lowering, and
+nothing here runs the executor: ``commands.replay`` checks what it emits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commands import CommandSequence, RawCommand, apply
+from .commands import CommandSequence, RawCommand
 from .qasm import Circuit, Gate
 from .trap import Crystal, TrapOverflow, TrapState
 
@@ -141,8 +141,6 @@ class _Lowering:
         spacing (2 segments) beyond the target, in the direction of travel.
         The one possible blocker, the chain neighbour ahead, stops the mover
         one spacing short of it."""
-        if not 1 <= target <= self.n_segments:
-            raise TrapOverflow(f"transport target {target} outside trap")
         chain = self.chain
         # explicit push stack of (chain index, target): resolving a blocker
         # suspends the mover's frame
@@ -281,40 +279,9 @@ class _Lowering:
             self._exchange(ion, partner, d, gate.index if runs_gate else None)
 
 
-def send_to_segment(state: TrapState, crystal: Crystal, target: int) -> list[RawCommand]:
-    """Transport one crystal to ``target``, pushing blockers out of the way;
-    apply the moves (one command per single-segment step) to ``state`` and
-    return them."""
-    if state.seg_crystal.get(crystal.segment) is not crystal:
-        raise ValueError("crystal is not in the trap (split or merged away?)")
-    low = _Lowering(state)
-    low._send(low.chain[sorted(state.seg_crystal).index(crystal.segment)], target)
-    for op, params in low.out:
-        apply(state, op, params)
-    return low.out
-
-
-def ion_permutation(state: TrapState, ion_a: int, ion_b: int, do_gate: bool,
-                    gate_index: int = 0) -> list[RawCommand]:
-    """Exchange two ions between adjacent crystals (ion_a's crystal above);
-    apply the commands to ``state`` and return them."""
-    ca = state.crystal_of(ion_a)
-    cb = state.crystal_of(ion_b)
-    if ca is cb:
-        raise ValueError("ions already share a crystal")
-    if ca.segment > cb.segment:
-        raise ValueError("ion_a must sit in the upper crystal")
-    if any(ca.segment < s < cb.segment for s in state.seg_crystal):
-        raise ValueError("crystals are not adjacent in the trap order")
-    low = _Lowering(state)
-    low._exchange(ion_a, ion_b, 1, gate_index if do_gate else None)
-    for op, params in low.out:
-        apply(state, op, params)
-    return low.out
-
-
 def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
-    """Generate the full shuttling program for ``circuit`` from a placed trap.
+    """Generate the full shuttling program for ``circuit`` from a placed trap;
+    the one entry point into the lowering.
 
     ``state`` is only read: the program opens with START and one AIC per
     ion in segment order, then lowers every gate at the LIZ exactly once,

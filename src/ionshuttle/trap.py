@@ -130,12 +130,6 @@ class TrapState:
     def crystal_at(self, segment: int) -> Crystal | None:
         return self.seg_crystal.get(segment)
 
-    def crystal_of(self, ion: int) -> Crystal:
-        for crystal in self.seg_crystal.values():
-            if ion in crystal.ions:
-                return crystal
-        raise EmptySegment(f"ion {ion} is not in the trap")
-
     def occupied_segments(self) -> list[int]:
         return sorted(self.seg_crystal)
 
