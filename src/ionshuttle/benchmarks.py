@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 from .commands import cost as sequence_cost
 from .commands import replay
-from .ordering import (Ordering, _chunk_pairs, increase_pairwise_order,
-                       order_as_is, order_inputs_randomly, place_in_the_model)
+from .ordering import (Ordering, _chunk_pairs, check_capacity,
+                       increase_pairwise_order, order_as_is,
+                       order_inputs_randomly, place_in_the_model)
 from .qasm import Circuit, build_circuit, decompose_gate, Gate
 from .scheduler import ScheduleResult, plan_cost, schedule
 from .trap import TrapConfig, TrapState
@@ -254,8 +255,9 @@ def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
         raise ValueError(f"trials must be at least 1, got {trials}")
     report = SweepReport()
     for n in n_list:
-        circuit = _suite_circuit(suite, n, n_gates, seed)
         cfg = config or bench_config(n)
+        check_capacity((n + 1) // 2, cfg)  # before building the suite circuit
+        circuit = _suite_circuit(suite, n, n_gates, seed)
         n2q = len(circuit.two_qubit_gates())
         for method in method_list:
             if method == "oir":

@@ -234,9 +234,16 @@ class _Parser:
                 log.warning("%d:%d: creg %s ignored (no effect on shuttling)",
                             tok.line, tok.col, name.value)
         elif tok.value == "measure":
-            self._argument(self.registers, "quantum")
+            qreg, q = self._argument(self.registers, "quantum")
             self._next("ARROW")
-            self._argument(self.cregs, "classical")
+            creg, c = self._argument(self.cregs, "classical")
+            if (q is None) != (c is None):
+                raise QasmSyntaxError("measure needs both arguments indexed or "
+                                      "both whole registers", creg.line, creg.col)
+            if q is None and len(self.registers[qreg.value]) != len(self.cregs[creg.value]):
+                raise QasmSyntaxError(f"measure of register {qreg.value!r} into "
+                                      f"{creg.value!r} of another size",
+                                      creg.line, creg.col)
             self._next("SYM", ";")
             log.warning("%d:%d: measure ignored (no effect on shuttling)",
                         tok.line, tok.col)

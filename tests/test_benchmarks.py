@@ -21,6 +21,10 @@ class TestRandomCircuits:
         circ = gen_random_circuit(2, 5, seed=0)
         assert all(set(g.operands) == {0, 1} for g in circ.gates)
 
+    def test_one_qubit_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            gen_random_circuit(1, 5, seed=0)
+
     def test_deterministic_per_seed(self):
         a = gen_random_circuit(7, 50, seed=3)
         b = gen_random_circuit(7, 50, seed=3)
@@ -51,6 +55,10 @@ class TestQftCircuits:
 
     def test_gate_count(self):
         assert len(gen_qft(8).gates) == 28
+
+    def test_one_qubit_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            gen_qft(1)
 
 
 class TestToffoliCircuits:
@@ -131,6 +139,10 @@ class TestSweep:
         assert lines[0] == "suite,n,method,trial,seed,cost,gates,fit"
         assert len(lines) == 1 + 2 * (1 + 2)
         assert lines[1].startswith("qft,4,oai,0,,")
+
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ValueError, match="unknown suite 'ghz'"):
+            run_sweep("ghz", [4])
 
     def test_fixed_seed_reproducible(self):
         a = run_sweep("random", [6], trials=3, seed=9, n_gates=25)

@@ -186,6 +186,15 @@ def test_compile_measure_and_barrier_arguments_exit_code(tmp_path, capsys):
         assert where in capsys.readouterr().err
 
 
+def test_compile_measure_shape_mismatch_exit_code(tmp_path, capsys):
+    for stmt, where in (("measure q -> c;", "5:14: measure of register 'q' into 'c'"),
+                        ("measure q[0] -> c;", "5:17: measure needs both")):
+        src = tmp_path / "measure.qasm"
+        src.write_text(HEADER + "qreg q[2];\ncreg c[3];\n" + stmt + "\n")
+        assert main(["compile", "-i", str(src)]) == 2
+        assert where in capsys.readouterr().err
+
+
 def test_compile_checks_capacity_before_the_layout(tmp_path, monkeypatch, capsys):
     # 40 qubits make 20 crystals, 39 segments at stride 2: more than 32
     def no_layout(*args):
@@ -288,6 +297,22 @@ def test_bench_capacity_exit_code_on_the_paper_trap(capsys):
     assert main(["bench", "--suite", "qft", "--qubits", "40",
                  "--segments", "32", "--liz", "19"]) == 3
     assert "20 crystals at stride 2 exceed 32 segments" in capsys.readouterr().err
+
+
+def test_bench_checks_capacity_before_the_circuit(monkeypatch, capsys):
+    # a QFT has n(n-1)/2 gates: building one that cannot fit wastes n^2 work
+    def no_circuit(*args):
+        raise AssertionError("suite circuit built before the capacity check")
+
+    monkeypatch.setattr("ionshuttle.benchmarks._suite_circuit", no_circuit)
+    assert main(["bench", "--suite", "qft", "--qubits", "1000",
+                 "--segments", "32", "--liz", "19"]) == 3
+    assert "500 crystals at stride 2 exceed 32 segments" in capsys.readouterr().err
+
+
+def test_bench_one_qubit_exit_code(capsys):
+    assert main(["bench", "--suite", "qft", "--qubits", "1"]) == 1
+    assert "at least 2 qubits" in capsys.readouterr().err
 
 
 def test_bench_partial_trap_flags_start_from_the_size_trap(capsys):

@@ -156,6 +156,13 @@ class TestPlacement:
         assert [p[0] for _, p in aics] == [1, 2, 3, 4, 5]
         assert raw[0] == ("START", ())
 
+    def test_rejects_non_empty_trap(self):
+        circ = circuit_on_ions(4, [])
+        state = TrapState(TrapConfig())
+        state.place_crystal([1], 5)
+        with pytest.raises(ValueError, match="needs an empty trap"):
+            place_in_the_model(state, order_as_is(circ), circ)
+
     def test_rejects_non_partition(self):
         circ = circuit_on_ions(4, [])
         state = TrapState(TrapConfig())

@@ -118,8 +118,15 @@ def test_measure_and_barrier_arguments_are_checked():
     (HEADER + "qreg q[2];\nrz(q) q[0];\n", (4, 4), "bad expression token 'q'"),
     (HEADER + "qreg q[2];\ncx q[0],", (4, 8), "unexpected end of input"),
     (HEADER + "qreg q[2);\n", (3, 9), "expected ']', got '\\)'"),
+    (HEADER + "qreg q[2];\ncreg c[3];\nmeasure q -> c;\n", (5, 14),
+     "measure of register 'q' into 'c' of another size"),
+    (HEADER + "qreg q[2];\ncreg c[3];\nmeasure q[0] -> c;\n", (5, 17),
+     "measure needs both arguments indexed or both whole registers"),
+    (HEADER + "qreg q[2];\ncreg c[2];\nmeasure q -> c[0];\n", (5, 14),
+     "measure needs both arguments indexed"),
 ], ids=["version", "include", "redeclared", "whole-register-gate",
-        "expression-token", "end-of-input", "bracket"])
+        "expression-token", "end-of-input", "bracket", "measure-sizes",
+        "measure-qubit-into-register", "measure-register-into-bit"])
 def test_syntax_errors_carry_their_position(src, where, message):
     with pytest.raises(QasmSyntaxError, match=message) as err:
         parse_qasm(src)

@@ -56,6 +56,12 @@ class TestPlacement:
         with pytest.raises(SpacingViolation):
             state.place_crystal([3], 20)
 
+    def test_occupied_segment_rejected(self):
+        state = new_state()
+        state.place_crystal([1], 19)
+        with pytest.raises(SpacingViolation, match="segment 19 already occupied"):
+            state.place_crystal([2], 19)
+
     def test_duplicate_ion_rejected(self):
         state = new_state()
         state.place_crystal([1], 10)
