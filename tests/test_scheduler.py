@@ -35,7 +35,14 @@ def moves_of(commands):
     return [cmd for cmd in commands if cmd[0] in ("SMU", "SMD")]
 
 
-class TestTransport:
+class TestSendToSegment:
+    """Transport of a crystal to a segment, run through schedule."""
+
+    def test_clear_path_step_count(self):
+        commands, final = lowered(1, ("h", (0,), ()), [([1], 10)])
+        assert moves_of(commands) == [("SMD", (1, s)) for s in range(10, 19)]
+        assert final.crystal_at(19).ions == [1]
+
     def test_blocker_pushed_one_spacing_beyond_target(self):
         commands, final = lowered(2, ("h", (0,), ()), [([1], 17), ([2], 19)])
         assert moves_of(commands) == [("SMD", (1, 19)), ("SMD", (1, 20)),
@@ -57,7 +64,26 @@ class TestTransport:
                     TrapConfig(n_segments=32, liz=30))
 
 
-class TestExchange:
+class TestIonPermutation:
+    """Ion exchange between adjacent crystals, run through schedule."""
+
+    def test_full_exchange_costs_six(self):
+        commands, final = lowered(4, ("cz", (0, 2), ()),
+                                  [([1, 2], 19), ([3, 4], 21)])
+        assert len(ops_of(commands, ("S",))) == 3
+        assert len(ops_of(commands, ("M",))) == 3
+        assert ion_sets(final) == [(1, 4), (2, 3)]
+        # upper home keeps its old partner on top; traveler rests on top of
+        # the lower home (normative trace order)
+        assert crystal_chain(final) == [[2, 3], [1, 4]]
+
+    def test_top_ion_triggers_orientation_rotation(self):
+        commands, _ = lowered(4, ("cz", (0, 2), ()),
+                              [([1, 2], 19), ([3, 4], 21)])
+        # ion 1 was on top of [1,2] and ion 3 on top of [3,4]: one initial
+        # orientation rotation plus the mid-exchange rotation
+        assert ops_of(commands, ("RC",)) == ["RC", "RC"]
+
     def test_two_singletons(self):
         commands, final = lowered(2, ("cz", (0, 1), ()), [([1], 19), ([2], 21)])
         assert ops_of(commands, ("S", "M", "RC", "DG")) == ["M", "RC", "DG", "S"]
@@ -105,14 +131,8 @@ class TestSchedule:
         result = schedule(circ, state)
         assert result.cost == 6
         assert ops_of(result.sequence.raw, ("S", "M", "DG")) == ["S", "S", "M", "DG", "S", "M", "M"]
-        # ion 1 on top of [1,2] and ion 3 on top of [3,4]: one orientation
-        # rotation plus the mid-exchange one
-        assert ops_of(result.sequence.raw, ("RC",)) == ["RC", "RC"]
         report = replay(result.sequence)
         assert report.ok and report.s_count == 3 and report.m_count == 3
-        # the upper home keeps its old partner on top; the traveler rests on
-        # top of the lower home
-        assert crystal_chain(report.final_state) == [[2, 3], [1, 4]]
 
     def test_one_qubit_gate(self):
         circ = build_circuit(3, [("h", (2,), ())])
