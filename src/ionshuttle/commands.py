@@ -10,7 +10,15 @@ with a ``# segments=<S> liz=<L>`` header echoing the trap shape.  For SMU
 and SMD the count field doubles as the number of moved segments; for every
 other opcode it is the plain parameter count.  DG carries the circuit gate
 index as a traceability extension of the otherwise parameterless gate
-placeholder.
+placeholder.  Every integer (sequence number and parameter) is plain ASCII,
+``-?[0-9]+``.  There is at most one header, before the first command;
+other ``#`` lines are comments and may stand anywhere.
+
+A long program repeats a few distinct commands, so the text codec works
+per distinct command: ``serialize`` formats each one's text once per call,
+and ``parse_sequence`` checks every line's sequence number but validates
+each distinct line tail (the text after the number) once per call, so
+equal commands in a parsed program are one shared tuple.
 
 ``apply`` is the one executor: it is the only code that maps an opcode
 to the ``TrapState`` primitives, and it raises a ``TrapError`` for any
@@ -44,6 +52,7 @@ OPCODE_ARITY: dict[str, int | None] = {
 STATE_CHANGING = ("AIC", "SMU", "SMD", "RC", "M", "S")
 
 _HEADER_RE = re.compile(r"#\s*segments=(\d+)\s+liz=(\d+)")
+_INT_RE = re.compile(r"-?[0-9]+")  # every integer in sequence text
 
 
 class FormatError(Exception):
@@ -90,59 +99,97 @@ def cost(sequence: CommandSequence) -> int:
 
 def serialize(sequence: CommandSequence) -> str:
     out = [f"# segments={sequence.n_segments} liz={sequence.liz}"]
-    for i, (op, params) in enumerate(sequence.raw):
-        if op in ("SMU", "SMD"):
-            tail = params  # params[0] is already the segment count
-        else:
-            tail = (len(params), *params)
-        out.append(" ".join(str(x) for x in (i + 1, op, *tail)))
+    tails: dict[RawCommand, str] = {}  # each distinct command's text after its number
+    for i, command in enumerate(sequence.raw, 1):
+        tail = tails.get(command)
+        if tail is None:
+            op, params = command
+            # for SMU/SMD params[0] is already the segment count
+            count = () if op in ("SMU", "SMD") else (len(params),)
+            tail = tails[command] = " ".join(map(str, (op, *count, *params)))
+        out.append(f"{i} {tail}")
     return "\n".join(out) + "\n"
 
 
+def _integer(token: str) -> int:
+    """``token``'s value; ValueError unless it is written ``-?[0-9]+`` (or
+    has more digits than ``int`` converts)."""
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
+def _command(tokens: list[str], lineno: int) -> RawCommand:
+    """Validate the opcode and parameter tokens of one command line."""
+    op = tokens[0]
+    if op not in OPCODE_ARITY:
+        raise FormatError(f"unknown opcode {op!r}", lineno)
+    arity = OPCODE_ARITY[op]
+    try:
+        count, *rest = map(_integer, tokens[1:])
+    except ValueError:
+        raise FormatError("parameters must be integers", lineno) from None
+    if len(rest) != count:
+        raise FormatError(
+            f"{op} declares {count} parameters but carries {len(rest)}", lineno)
+    if arity is None:  # SMU / SMD
+        if count < 1:
+            raise FormatError(f"{op} needs at least one segment", lineno)
+        return op, (count, *rest)
+    if count != arity:
+        raise FormatError(f"{op} takes {arity} parameters, got {count}", lineno)
+    return op, tuple(rest)
+
+
 def parse_sequence(text: str) -> CommandSequence:
-    """Inverse of :func:`serialize`; raises FormatError with line numbers."""
+    """Inverse of :func:`serialize`; raises FormatError with line numbers.
+
+    Every line's sequence number is checked.  A line whose number is written
+    exactly as :func:`serialize` writes it is ``<seq> <tail>``, so once the
+    number is right its outcome depends on the tail alone: the tail is
+    validated by :func:`_command` the first time it is seen, and later lines
+    with the same tail reuse that command.  Equal commands are one tuple.
+    """
     n_segments, liz = TrapConfig.n_segments, TrapConfig.liz
+    header = 0  # the header's line, once read
     raw: list[RawCommand] = []
+    tails: dict[str, RawCommand] = {}
+    interned: dict[RawCommand, RawCommand] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
+        seq_text, _, tail = line.partition(" ")
+        canonical = seq_text == str(len(raw) + 1)
+        if canonical:
+            command = tails.get(tail)
+            if command is not None:
+                raw.append(command)
+                continue
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
             m = _HEADER_RE.match(stripped)
             if m:
-                n_segments, liz = int(m.group(1)), int(m.group(2))
+                if raw:
+                    raise FormatError("header after the first command", lineno)
+                if header:
+                    raise FormatError(f"repeated header (first on line {header})", lineno)
+                n_segments, liz, header = int(m.group(1)), int(m.group(2)), lineno
             continue
         tokens = stripped.split()
         if len(tokens) < 3:
             raise FormatError("expected '<seq> <OPCODE> <nparams> ...'", lineno)
         try:
-            seq = int(tokens[0])
+            seq = _integer(tokens[0])
         except ValueError:
             raise FormatError(f"bad sequence number {tokens[0]!r}", lineno) from None
         if seq != len(raw) + 1:
             raise FormatError(
                 f"out-of-order sequence number {seq} (expected {len(raw) + 1})", lineno)
-        op = tokens[1]
-        arity = OPCODE_ARITY.get(op)
-        if op not in OPCODE_ARITY:
-            raise FormatError(f"unknown opcode {op!r}", lineno)
-        try:
-            nums = [int(t) for t in tokens[2:]]
-        except ValueError:
-            raise FormatError("parameters must be integers", lineno) from None
-        count, rest = nums[0], nums[1:]
-        if len(rest) != count:
-            raise FormatError(
-                f"{op} declares {count} parameters but carries {len(rest)}", lineno)
-        if arity is None:  # SMU / SMD
-            if count < 1:
-                raise FormatError(f"{op} needs at least one segment", lineno)
-            params = tuple(nums)
-        else:
-            if count != arity:
-                raise FormatError(f"{op} takes {arity} parameters, got {count}", lineno)
-            params = tuple(rest)
-        raw.append((op, params))
+        command = _command(tokens[1:], lineno)
+        command = interned.setdefault(command, command)
+        if canonical:
+            tails[tail] = command
+        raw.append(command)
     return CommandSequence(n_segments, liz, raw)
 
 

@@ -135,6 +135,8 @@ class _Lowering:
         # the well-bracket commands for the fixed sites beside the LIZ
         self.well_cmds = tuple((s, ("AEC", (s,)), ("REC", (s,)))
                                for s in (liz - 2, liz + 2) if 1 <= s <= n)
+        # the one rotation, always at the LIZ
+        self.rotate = ("RC", (liz,))
 
     def _send(self, crystal: Crystal, target: int) -> None:
         """Move a crystal to ``target``, recursively pushing blockers one
@@ -232,8 +234,7 @@ class _Lowering:
         merged crystal unless it is None.  ion_a ends in ion_b's crystal and
         ion_b in ion_a's; the choreography (and so the cost) is the same
         either way, with every direction and intra-crystal end flipped."""
-        liz, chain = self.liz, self.chain
-        rotate = ("RC", (liz,))
+        liz, chain, rotate = self.liz, self.chain, self.rotate
         c1 = next(c for c in chain if ion_a in c.ions)
         c4 = chain[chain.index(c1) + d]
         # orient so the travelers face each other (no-ops for singletons)

@@ -78,6 +78,21 @@ def test_validate_format_error_exit_code(tmp_path):
     assert main(["validate", "-i", str(trunc)]) == 2
 
 
+@pytest.mark.parametrize("text, where", [
+    ("1 START 0\n2 AIC 2 \uff11 1_0\n+3 DG 1 0\n", "line 2: parameters must be integers"),
+    ("1 START 0\n+2 DG 1 0\n", "line 2: bad sequence number '+2'"),
+    ("1 START 0\n# segments=64 liz=32\n", "line 2: header after the first command"),
+    ("# segments=32 liz=19\n# segments=64 liz=32\n1 START 0\n",
+     "line 2: repeated header (first on line 1)"),
+], ids=["odd-integers", "plus-sequence", "late-header", "second-header"])
+def test_validate_and_trace_reject_text_serialize_never_writes(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.seq"
+    bad.write_text(text)
+    for command in ("validate", "trace"):
+        assert main([command, "-i", str(bad)]) == 2
+        assert where in capsys.readouterr().err
+
+
 def test_trace_grid_shape(tmp_path, qft8_file, capsys):
     out = tmp_path / "out.seq"
     main(["compile", "-i", str(qft8_file), "-o", str(out)])

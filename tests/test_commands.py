@@ -1,14 +1,15 @@
 """Command ISA: wire format, replay validation, cost and trace rendering."""
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionshuttle.benchmarks import compile_ordering
+from ionshuttle.benchmarks import bench_config, compile_ordering, gen_random_circuit
 from ionshuttle.commands import (CommandSequence, FormatError, ReplayError,
                                  cost, parse_sequence, render_trace,
                                  render_trace_svg, replay, serialize)
-from ionshuttle.ordering import Ordering
+from ionshuttle.ordering import Ordering, increase_pairwise_order
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
 from ionshuttle.trap import TrapConfig, TrapOverflow, new_state
@@ -96,6 +97,58 @@ class TestParse:
     def test_comments_and_blanks_skipped(self):
         seq = parse_sequence("# a note\n\n1 START 0\n# mid comment\n2 S 0\n")
         assert [op for op, _ in seq.raw] == ["START", "S"]
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 START 0\n2 AIC 2 \uff11 1_0\n+3 DG 1 0\n", 2, "parameters must be integers"),
+        ("1 START 0\n2 AIC 2 1 10\n+3 DG 1 0\n", 3, "bad sequence number '+3'"),
+        ("1 START 0\n2 AIC 2 1 1_0\n", 2, "parameters must be integers"),
+        ("1 START 0\n2 DG 1 +0\n", 2, "parameters must be integers"),
+        ("1 START 0\n2 DG \u0661 0\n", 2, "parameters must be integers"),
+        ("1 START 0\n\uff12 S 0\n", 2, "bad sequence number '\uff12'"),
+        ("1_0 START 0\n", 1, "bad sequence number '1_0'"),
+        ("1 START 0\n2 DG 1 " + "9" * 5000 + "\n", 2, "parameters must be integers"),
+        ("9" * 5000 + " START 0\n", 1, "bad sequence number '999"),
+    ], ids=["fullwidth-and-underscore", "plus-sequence", "underscore", "plus",
+            "arabic-indic", "fullwidth-sequence", "underscore-sequence", "too-long",
+            "too-long-sequence"])
+    def test_integers_are_plain_ascii(self, text, line, message):
+        with pytest.raises(FormatError, match=re.escape(message)) as err:
+            parse_sequence(text)
+        assert err.value.line == line
+
+    def test_header_after_the_first_command_rejected(self):
+        with pytest.raises(FormatError, match="header after the first command") as err:
+            parse_sequence("1 START 0\n# segments=64 liz=32\n2 S 0\n")
+        assert err.value.line == 2
+
+    def test_repeated_header_rejected(self):
+        with pytest.raises(FormatError, match=r"repeated header \(first on line 2\)") as err:
+            parse_sequence("# a note\n# segments=64 liz=32\n#segments=48 liz=24\n1 START 0\n")
+        assert err.value.line == 3
+
+
+class TestInterning:
+    """Equal commands are one shared tuple, so a long program holds only
+    its few distinct commands."""
+
+    @staticmethod
+    def program():
+        circ = gen_random_circuit(6, 60, 1)
+        return compile_ordering(circ, increase_pairwise_order(circ),
+                                bench_config(6)).sequence
+
+    def test_lowering_shares_equal_commands(self):
+        raw = self.program().raw
+        assert len({id(c) for c in raw}) == len(set(raw))
+        rotations = [c for c in raw if c[0] == "RC"]
+        assert len(rotations) > 1 and len({id(c) for c in rotations}) == 1
+
+    def test_parsed_program_shares_equal_commands(self):
+        raw = parse_sequence(serialize(self.program())).raw
+        assert len({id(c) for c in raw}) == len(set(raw)) < len(raw) // 10
+        # equal commands written with different spacing are shared too
+        raw = parse_sequence("1 START 0\n2 S 0\n3 S  0\n4 S\t0\n5 S 0 \n").raw
+        assert len({id(c) for c in raw[1:]}) == 1
 
 
 class TestReplay:
@@ -398,3 +451,200 @@ def test_runner_rules_on_random_programs():
     assert RUNNER_OUTCOMES["violating"] >= RUNNER_EXAMPLES // 4, RUNNER_OUTCOMES
     assert RUNNER_OUTCOMES["split or merge ran"] >= RUNNER_EXAMPLES // 4, RUNNER_OUTCOMES
     assert RUNNER_OUTCOMES["late placement"] >= RUNNER_EXAMPLES // 10, RUNNER_OUTCOMES
+
+
+# -- the text codec against a plain line-at-a-time reference -------------------
+
+REF_INT = re.compile(r"-?[0-9]+")
+REF_HEADER = re.compile(r"#\s*segments=(\d+)\s+liz=(\d+)")
+REF_ARITY = {"START": 0, "AIC": 2, "AEC": 1, "REC": 1, "SMU": None, "SMD": None,
+             "RC": 1, "M": 0, "S": 0, "DG": 1}
+
+
+def reference_serialize(sequence):
+    """Each line formatted on its own."""
+    out = [f"# segments={sequence.n_segments} liz={sequence.liz}"]
+    for i, (op, params) in enumerate(sequence.raw):
+        tail = params if op in ("SMU", "SMD") else (len(params), *params)
+        out.append(" ".join(str(x) for x in (i + 1, op, *tail)))
+    return "\n".join(out) + "\n"
+
+
+def reference_integer(token):
+    if not REF_INT.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
+
+
+def reference_parse(text):
+    """Each line tokenised and validated on its own: ASCII integers, and at
+    most one header, before the first command."""
+    n_segments, liz = TrapConfig.n_segments, TrapConfig.liz
+    header = 0
+    raw = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            m = REF_HEADER.match(stripped)
+            if m:
+                if raw:
+                    raise FormatError("header after the first command", lineno)
+                if header:
+                    raise FormatError(f"repeated header (first on line {header})", lineno)
+                n_segments, liz, header = int(m.group(1)), int(m.group(2)), lineno
+            continue
+        tokens = stripped.split()
+        if len(tokens) < 3:
+            raise FormatError("expected '<seq> <OPCODE> <nparams> ...'", lineno)
+        try:
+            seq = reference_integer(tokens[0])
+        except ValueError:
+            raise FormatError(f"bad sequence number {tokens[0]!r}", lineno) from None
+        if seq != len(raw) + 1:
+            raise FormatError(
+                f"out-of-order sequence number {seq} (expected {len(raw) + 1})", lineno)
+        op = tokens[1]
+        if op not in REF_ARITY:
+            raise FormatError(f"unknown opcode {op!r}", lineno)
+        try:
+            nums = [reference_integer(t) for t in tokens[2:]]
+        except ValueError:
+            raise FormatError("parameters must be integers", lineno) from None
+        count, rest = nums[0], nums[1:]
+        if len(rest) != count:
+            raise FormatError(
+                f"{op} declares {count} parameters but carries {len(rest)}", lineno)
+        if REF_ARITY[op] is None:
+            if count < 1:
+                raise FormatError(f"{op} needs at least one segment", lineno)
+            raw.append((op, tuple(nums)))
+        else:
+            if count != REF_ARITY[op]:
+                raise FormatError(f"{op} takes {REF_ARITY[op]} parameters, got {count}",
+                                  lineno)
+            raw.append((op, tuple(rest)))
+    return CommandSequence(n_segments, liz, raw)
+
+
+CODEC_EXAMPLES = 400
+CODEC_OUTCOMES: Counter = Counter()
+FORMAT_ERRORS = ("expected '<seq>", "bad sequence number", "out-of-order",
+                 "unknown opcode", "parameters must be integers", "declares",
+                 "takes", "needs at least one segment", "repeated header",
+                 "header after the first command")
+ODD_DIGITS = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def odd_integer(draw, token):
+    """``token`` rewritten as something ``int`` may or may not accept."""
+    kind = draw(st.sampled_from(("plus", "underscore", "wide", "minus", "zero",
+                                 "letter", "long", "number")))
+    if kind == "plus":
+        return "+" + token
+    if kind == "underscore":
+        return token[:1] + "_" + (token[1:] or "0")
+    if kind == "wide":
+        return token.translate(ODD_DIGITS)
+    if kind == "minus":
+        return "-" + token
+    if kind == "zero":
+        return "0" + token
+    if kind == "letter":
+        return token + "x"
+    if kind == "long":   # past the interpreter's digit limit for int()
+        return token * 5000
+    return str(draw(st.integers(-3, 40)))
+
+
+@st.composite
+def codec_texts(draw):
+    """A serialized compile, with or without its header, then up to six line
+    edits, and CRLF or LF ends."""
+    lines = reference_serialize(CommandSequence(RUNNER_TRAP.n_segments, RUNNER_TRAP.liz,
+                                                draw(runner_programs()))).splitlines()
+    if draw(st.booleans()):
+        del lines[0]
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split(" ")
+        edit = draw(st.sampled_from(("space", "integer", "repeat", "retail", "truncate",
+                                     "arity", "count", "opcode", "header", "comment",
+                                     "indent", "delete")))
+        if edit == "space":
+            i = draw(st.integers(0, len(tokens) - 1))
+            sep = draw(st.sampled_from(("\t", "  ", " \t", " ")))
+            lines[k] = " ".join(tokens[:i]) + sep + " ".join(tokens[i:])
+        elif edit == "integer":
+            i = draw(st.sampled_from([i for i in range(len(tokens)) if i != 1] or [0]))
+            tokens[i] = odd_integer(draw, tokens[i])
+            lines[k] = " ".join(tokens)
+        elif edit == "repeat":    # a line again, under a wrong sequence number
+            lines.insert(k, lines[draw(st.integers(0, len(lines) - 1))])
+        elif edit == "retail":    # another line's tail under this line's number
+            other = lines[draw(st.integers(0, len(lines) - 1))].partition(" ")[2]
+            lines[k] = tokens[0] + " " + other
+        elif edit == "truncate":
+            lines[k] = lines[k][:draw(st.integers(0, len(lines[k])))]
+        elif edit == "arity":
+            lines[k] = " ".join(tokens[:-1] if draw(st.booleans()) else tokens + ["7"])
+        elif edit == "count":   # an opcode and a count its parameters match
+            op = draw(st.sampled_from(("SMU", "SMD", "AIC", "DG", "S")))
+            c = draw(st.integers(0, 3))
+            lines[k] = " ".join(tokens[:1] + [op, str(c)] + (tokens[3:] + ["1"] * 3)[:c])
+        elif edit == "opcode" and len(tokens) > 1:
+            tokens[1] = draw(st.sampled_from(("FROB", "smd", "S1", "DG", "SMU", "RC",
+                                              "START", "")))
+            lines[k] = " ".join(tokens)
+        elif edit == "header":
+            seg = draw(st.integers(8, 40))
+            lines.insert(k, draw(st.sampled_from(("# segments={} liz={}",
+                                                  "#segments={}\tliz={}",
+                                                  "  # segments={}  liz={} tail")))
+                         .format(seg, draw(st.integers(2, seg - 1))))
+        elif edit == "comment":
+            lines.insert(k, draw(st.sampled_from(("# note", "#", "", "   ", "\t#x"))))
+        elif edit == "indent":
+            lines[k] = draw(st.sampled_from((" ", "\t", "  "))) + lines[k]
+        elif edit == "delete":
+            del lines[k]
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + end * draw(st.booleans())
+
+
+def codec_outcome(parse, text):
+    try:
+        sequence = parse(text)
+    except Exception as e:  # any outcome, a crash too, must match the reference
+        return ("raised", type(e), str(e), getattr(e, "line", None)), None
+    return ("parsed", sequence.n_segments, sequence.liz, sequence.raw), sequence
+
+
+@settings(max_examples=CODEC_EXAMPLES)
+@given(codec_texts())
+def _codec_matches_reference(text):
+    expected, _ = codec_outcome(reference_parse, text)
+    got, sequence = codec_outcome(parse_sequence, text)
+    assert got == expected, text
+    if sequence is None:
+        CODEC_OUTCOMES["rejected"] += 1
+        CODEC_OUTCOMES[next((k for k in FORMAT_ERRORS if k in got[2]), got[2])] += 1
+        return
+    CODEC_OUTCOMES["parsed"] += 1
+    CODEC_OUTCOMES["parsed with odd spacing"] += any(
+        "\t" in ln or "  " in ln or ln.startswith(" ") for ln in text.splitlines())
+    assert serialize(sequence) == reference_serialize(sequence)
+    raw = sequence.raw
+    assert len({id(c) for c in raw}) == len(set(raw))
+
+
+def test_codec_matches_line_at_a_time_reference():
+    CODEC_OUTCOMES.clear()
+    _codec_matches_reference()
+    # floors keep the comparison from holding only vacuously
+    assert CODEC_OUTCOMES["parsed"] >= CODEC_EXAMPLES // 5, CODEC_OUTCOMES
+    assert CODEC_OUTCOMES["rejected"] >= CODEC_EXAMPLES // 4, CODEC_OUTCOMES
+    assert CODEC_OUTCOMES["parsed with odd spacing"] >= CODEC_EXAMPLES // 20, CODEC_OUTCOMES
+    for kind in FORMAT_ERRORS:
+        assert CODEC_OUTCOMES[kind] >= 3, (kind, CODEC_OUTCOMES)
