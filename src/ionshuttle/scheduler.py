@@ -4,15 +4,15 @@ The planner sees only the crystal chain: the crystals from the top of the
 trap to the bottom, each an ordered list of its one or two ions.  Gates are
 planned in circuit order.  A gate whose ions share a crystal (or a one-qubit
 gate) needs no exchange.  Otherwise the gate's first-listed operand travels
-toward its partner one crystal at a time: each step ``(ion, partner, d,
-runs_gate)`` exchanges ``ion`` with ``partner`` in the next crystal in
-direction ``d`` (+1 down, -1 up).  The partner is the ion facing the
+toward its partner one crystal at a time: each step ``(i, ion, partner, d,
+runs_gate)`` exchanges ``ion`` in chain crystal ``i`` with ``partner`` in
+crystal ``i + d`` (+1 down, -1 up).  The partner is the ion facing the
 traveler, or the gate's other operand in the last step, which runs the
 gate.  ``partner`` ends at the ``+d`` end of the traveler's old crystal,
-and the traveler at the ``-d`` end of the partner's.  Crystals
-never pass each other or change size, so a step costs 2 split+merge plus 2
-for each two-ion crystal among the two (3 splits and 3 merges between two
-pairs), and ``plan_cost`` gives a layout's cost without touching a trap.
+and the traveler at the ``-d`` end of the partner's.  Crystals never pass
+each other or change size, so a step costs 2 split+merge plus 2 for each
+two-ion crystal among the two (3 splits and 3 merges between two pairs);
+the planner prices each step, and ``plan_cost`` a layout, without a trap.
 
 The lowering (``schedule``) copies the placed trap's chain once, with each
 crystal's segment, and never writes the trap: it keeps its own chain (a
@@ -29,8 +29,9 @@ the mover's chain neighbour ahead; it is pushed recursively one spacing
 beyond the mover's destination and not restored afterwards.  Split, merge,
 rotation and gate execution are bracketed by add/remove-empty-well commands
 at the two segments beyond the staging sites whenever those hold no
-crystal.  ``schedule`` is the one entry point into the lowering, and
-nothing here runs the executor: ``commands.replay`` checks what it emits.
+crystal.  ``schedule`` is the one entry point into the lowering and checks
+each gate's split+merge count against the plan; nothing here runs the
+executor: ``commands.replay`` checks what it emits.
 """
 from __future__ import annotations
 
@@ -51,25 +52,27 @@ class ScheduleResult:
 # -- planner -------------------------------------------------------------------
 
 
-def _plan_gate(chain: list[list[int]], where: dict[int, int],
-               gate: Gate) -> list[tuple[int, int, int, bool]]:
-    """The exchange steps of one gate, applied to ``chain`` and to
-    ``where`` (ion -> chain index) as they are planned.
+def _plan_gate(chain: list[list[int]], where: dict[int, int], gate: Gate
+               ) -> tuple[list[tuple[int, int, int, int, bool]], int]:
+    """The exchange steps ``(i, ion, partner, d, runs_gate)`` of one gate,
+    ``i`` indexing the crystal the traveler leaves, and their split+merge
+    cost; applied to ``chain`` and ``where`` (ion -> chain index) as planned.
 
     The traveler is the gate's first-listed operand, not the upper one:
     that keeps the whole schedule mirror-covariant, so a layout and its
     end-to-end reversal always cost the same."""
     if len(gate.operands) == 1:
-        return []
+        return [], 0
     a, b = gate.operands[0] + 1, gate.operands[1] + 1
     i, j = where[a], where[b]
     d = 1 if i < j else -1
-    steps = []
+    steps, cost = [], 0
     while i != j:
         k = i + d
         home, dest = chain[i], chain[k]
         partner = b if k == j else dest[0 if d > 0 else -1]
-        steps.append((a, partner, d, k == j))
+        steps.append((i, a, partner, d, k == j))
+        cost += 2 + 2 * ((len(home) == 2) + (len(dest) == 2))  # sizes never change
         home.remove(a)
         dest.remove(partner)
         if d > 0:
@@ -80,7 +83,7 @@ def _plan_gate(chain: list[list[int]], where: dict[int, int],
             dest.append(a)
         where[a], where[partner] = k, i
         i = k
-    return steps
+    return steps, cost
 
 
 def plan(circuit: Circuit, crystal_list) -> tuple[int, list[list[int]]]:
@@ -93,13 +96,9 @@ def plan(circuit: Circuit, crystal_list) -> tuple[int, list[list[int]]]:
         raise ValueError("layout must split the circuit's ions into crystals "
                          "of one or two")
     where = {ion: i for i, ions in enumerate(chain) for ion in ions}
-    pair = [len(ions) == 2 for ions in chain]   # fixed: exchanges keep sizes
     cost = 0
     for gate in circuit.gates:
-        # a step's partner moves once, into the slot the traveler left
-        for _, partner, d, _ in _plan_gate(chain, where, gate):
-            home = where[partner]
-            cost += 2 + 2 * (pair[home] + pair[home + d])
+        cost += _plan_gate(chain, where, gate)[1]
     return cost, chain
 
 
@@ -228,15 +227,14 @@ class _Lowering:
 
     # -- exchange ------------------------------------------------------------
 
-    def _exchange(self, ion_a: int, ion_b: int, d: int, gate: int | None) -> None:
-        """Exchange ion_a with ion_b from the adjacent crystal in direction
-        ``d`` (+1: below, -1: above), running gate ``gate`` on the temporary
+    def _exchange(self, i: int, ion_a: int, ion_b: int, d: int, gate: int | None) -> None:
+        """Exchange ion_a of chain crystal ``i`` with ion_b of crystal ``i + d``
+        (+1: below, -1: above), running gate ``gate`` on the temporary
         merged crystal unless it is None.  ion_a ends in ion_b's crystal and
         ion_b in ion_a's; the choreography (and so the cost) is the same
         either way, with every direction and intra-crystal end flipped."""
         liz, chain, rotate = self.liz, self.chain, self.rotate
-        c1 = next(c for c in chain if ion_a in c.ions)
-        c4 = chain[chain.index(c1) + d]
+        c1, c4 = chain[i], chain[i + d]
         # orient so the travelers face each other (no-ops for singletons)
         back = 0 if d > 0 else -1
         if len(c1.ions) == 2 and c1.ions[back] == ion_a:
@@ -276,8 +274,8 @@ class _Lowering:
             ion = gate.operands[0] + 1
             self._run(next(c for c in self.chain if ion in c.ions),
                       ("DG", (gate.index,)))
-        for ion, partner, d, runs_gate in steps:
-            self._exchange(ion, partner, d, gate.index if runs_gate else None)
+        for i, ion, partner, d, runs_gate in steps:
+            self._exchange(i, ion, partner, d, gate.index if runs_gate else None)
 
 
 def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
@@ -287,7 +285,8 @@ def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
     ``state`` is only read: the program opens with START and one AIC per
     ion in segment order, then lowers every gate at the LIZ exactly once,
     in circuit order.  The reported cost is the number of split and merge
-    commands emitted, which equals ``plan_cost`` of the placed chain.  A
+    commands emitted; a gate that emits other than its planned count raises
+    ``RuntimeError``, so it equals ``plan_cost`` of the placed chain.  A
     ``TrapOverflow`` names the gate and the occupied span of the trap when
     it happened.
     """
@@ -303,12 +302,16 @@ def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
     per_gate: list[int] = []
     for gate in circuit.gates:
         before = low.cost
+        steps, planned = _plan_gate(chain, where, gate)
         try:
-            low.run_gate(gate, _plan_gate(chain, where, gate))
+            low.run_gate(gate, steps)
         except TrapOverflow as e:
             raise TrapOverflow(
                 f"gate {gate.index}: {e} (occupied segments {low.chain[0].segment}-"
                 f"{low.chain[-1].segment} of {low.n_segments})") from e
-        per_gate.append(low.cost - before)
+        lowered = low.cost - before
+        if lowered != planned:
+            raise RuntimeError(f"gate {gate.index}: lowered cost {lowered}, planned {planned}")
+        per_gate.append(lowered)
     sequence = CommandSequence(low.n_segments, low.liz, low.out)
     return ScheduleResult(sequence, low.cost, per_gate)

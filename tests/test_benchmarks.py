@@ -9,8 +9,8 @@ from ionshuttle.benchmarks import (InvalidShape, TooLarge, bench_config,
                                    brute_force_best_ordering, circuit_fit,
                                    compile_ordering, enumerate_orderings,
                                    gen_qft, gen_random_circuit, gen_toffoli,
-                                   make_ordering, oir_costs, ordering_cost,
-                                   qft_fit, run_sweep, theoretical_limit)
+                                   make_ordering, oir_costs, qft_fit,
+                                   run_sweep, theoretical_limit)
 from ionshuttle.ordering import reverse_ordering
 from ionshuttle.qasm import build_circuit
 from ionshuttle.trap import TrapConfig, TrapOverflow
@@ -197,8 +197,8 @@ class TestOracle:
     def test_reversal_pairs_cost_the_same(self):
         circ = gen_random_circuit(4, 12, seed=5)
         for ordering in enumerate_orderings(4):
-            assert (ordering_cost(circ, ordering)
-                    == ordering_cost(circ, reverse_ordering(ordering)))
+            assert (compile_ordering(circ, ordering).cost
+                    == compile_ordering(circ, reverse_ordering(ordering)).cost)
 
     def test_heuristics_never_beat_oracle(self):
         for seed in (0, 1):

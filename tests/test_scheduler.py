@@ -1,10 +1,12 @@
 """Scheduler: transport, ion exchange and the gate loop."""
+import itertools
 import random
 
 import pytest
 
 import ionshuttle.commands
 import ionshuttle.scheduler
+from ionshuttle.benchmarks import brute_force_best_ordering, compile_ordering
 from ionshuttle.commands import replay, serialize
 from ionshuttle.ordering import (order_as_is, order_inputs_randomly,
                                  place_in_the_model)
@@ -239,3 +241,32 @@ def test_lowering_never_runs_the_executor():
     held = list(vars(ionshuttle.scheduler).values())
     for runner in (executor, executor.apply, executor._execute):
         assert not any(value is runner for value in held)
+
+
+def test_lowering_that_miscounts_a_gate_is_refused(monkeypatch):
+    # every compile checks each gate's split+merge count against the plan,
+    # so one merge too many fails on its gate, in a plain compile and in
+    # the oracle, which lowers only its winner
+    circ = build_circuit(4, [("h", (0,), ())] + [
+        ("cz", pair, ()) for pair in itertools.combinations(range(4), 2)])
+    winner, _ = brute_force_best_ordering(circ)
+    costs = compile_ordering(circ, winner).per_gate_costs
+    first = next(g for g, c in enumerate(costs) if c)
+    merge = ionshuttle.scheduler._Lowering._merge
+
+    def merge_once_too_often(self, crystal):
+        merged = merge(self, crystal)
+        if not hasattr(self, "miscounted"):  # the first merge of a compile
+            self.miscounted = True
+            self.out.append(("M", ()))
+            self.cost += 1
+        return merged
+
+    monkeypatch.setattr(ionshuttle.scheduler._Lowering, "_merge", merge_once_too_often)
+    # layout [1 2] [3 4]: the h and cz(0, 1) cost nothing, and gate 2,
+    # cz(0, 2), exchanges between the two pairs
+    with pytest.raises(RuntimeError, match=r"^gate 2: lowered cost 7, planned 6$"):
+        compile_ordering(circ, order_as_is(circ))
+    with pytest.raises(RuntimeError, match=rf"^gate {first}: lowered cost "
+                       rf"{costs[first] + 1}, planned {costs[first]}$"):
+        brute_force_best_ordering(circ)
