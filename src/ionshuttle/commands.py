@@ -10,9 +10,10 @@ with a ``# segments=<S> liz=<L>`` header echoing the trap shape.  For SMU
 and SMD the count field doubles as the number of moved segments; for every
 other opcode it is the plain parameter count.  DG carries the circuit gate
 index as a traceability extension of the otherwise parameterless gate
-placeholder.  Every integer (sequence number and parameter) is plain ASCII,
-``-?[0-9]+``.  There is at most one header, before the first command;
-other ``#`` lines are comments and may stand anywhere.
+placeholder.  Every integer (sequence number, parameter and header value)
+is plain ASCII, ``-?[0-9]+``.  There is at most one header, before the
+first command, and a line starting ``# segments=`` must be exactly that
+header; other ``#`` lines are comments and may stand anywhere.
 
 A long program repeats a few distinct commands, so the text codec works
 per distinct command: ``serialize`` formats each one's text once per call,
@@ -51,7 +52,8 @@ OPCODE_ARITY: dict[str, int | None] = {
 
 STATE_CHANGING = ("AIC", "SMU", "SMD", "RC", "M", "S")
 
-_HEADER_RE = re.compile(r"#\s*segments=(\d+)\s+liz=(\d+)")
+_HEADER_START_RE = re.compile(r"#\s*segments=")  # a line that must be a header
+_HEADER_RE = re.compile(r"#\s*segments=(\S+)\s+liz=(\S+)")
 _INT_RE = re.compile(r"-?[0-9]+")  # every integer in sequence text
 
 
@@ -119,6 +121,17 @@ def _integer(token: str) -> int:
     return int(token)
 
 
+def _header(line: str, lineno: int) -> tuple[int, int]:
+    """The segment count and LIZ of a ``# segments=<S> liz=<L>`` line."""
+    m = _HEADER_RE.fullmatch(line)
+    if m is not None:
+        try:
+            return _integer(m[1]), _integer(m[2])
+        except ValueError:
+            pass
+    raise FormatError("bad header, expected '# segments=<S> liz=<L>'", lineno)
+
+
 def _command(tokens: list[str], lineno: int) -> RawCommand:
     """Validate the opcode and parameter tokens of one command line."""
     op = tokens[0]
@@ -167,13 +180,13 @@ def parse_sequence(text: str) -> CommandSequence:
         if not stripped:
             continue
         if stripped.startswith("#"):
-            m = _HEADER_RE.match(stripped)
-            if m:
+            if _HEADER_START_RE.match(stripped):
                 if raw:
                     raise FormatError("header after the first command", lineno)
                 if header:
                     raise FormatError(f"repeated header (first on line {header})", lineno)
-                n_segments, liz, header = int(m.group(1)), int(m.group(2)), lineno
+                n_segments, liz = _header(stripped, lineno)
+                header = lineno
             continue
         tokens = stripped.split()
         if len(tokens) < 3:

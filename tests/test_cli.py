@@ -93,6 +93,17 @@ def test_validate_and_trace_reject_text_serialize_never_writes(tmp_path, capsys,
         assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [
+    "# segments=\uff13\uff12 liz=19", "# segments=" + "9" * 5000 + " liz=19",
+    "# segments=32 liz=19 junk"], ids=["wide-digits", "long-count", "trailing-text"])
+def test_validate_and_trace_reject_a_bad_header(tmp_path, capsys, header):
+    bad = tmp_path / "bad.seq"
+    bad.write_text(header + "\n1 START 0\n")
+    for command in ("validate", "trace"):
+        assert main([command, "-i", str(bad)]) == 2
+        assert "line 1: bad header" in capsys.readouterr().err
+
+
 def test_trace_grid_shape(tmp_path, qft8_file, capsys):
     out = tmp_path / "out.seq"
     main(["compile", "-i", str(qft8_file), "-o", str(out)])

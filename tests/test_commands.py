@@ -126,6 +126,23 @@ class TestParse:
             parse_sequence("# a note\n# segments=64 liz=32\n#segments=48 liz=24\n1 START 0\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("header", [
+        "# segments=３２ liz=19", "# segments=32 liz=１９", "# segments=32 liz=19x",
+        "# segments=32 liz=19 junk", "# segments=32 liz=", "# segments= 32 liz=19",
+        "#segments=32", "# segments=+32 liz=19", "# segments=3_2 liz=19",
+        "# segments=" + "9" * 5000 + " liz=19", "# segments=32 liz=" + "1" * 5000],
+        ids=["wide-segments", "wide-liz", "letter", "trailing-text", "empty-liz",
+             "spaced-count", "no-liz", "plus", "underscore", "long-segments",
+             "long-liz"])
+    def test_header_must_be_exactly_a_header(self, header):
+        with pytest.raises(FormatError, match="bad header") as err:
+            parse_sequence(f"# a note\n{header}\n1 START 0\n")
+        assert err.value.line == 2
+
+    def test_header_spacing_is_free(self):
+        seq = parse_sequence("  #segments=48\tliz=24  \n1 START 0\n")
+        assert (seq.n_segments, seq.liz) == (48, 24)
+
 
 class TestInterning:
     """Equal commands are one shared tuple, so a long program holds only
@@ -456,7 +473,8 @@ def test_runner_rules_on_random_programs():
 # -- the text codec against a plain line-at-a-time reference -------------------
 
 REF_INT = re.compile(r"-?[0-9]+")
-REF_HEADER = re.compile(r"#\s*segments=(\d+)\s+liz=(\d+)")
+REF_HEADER_START = re.compile(r"#\s*segments=")
+REF_HEADER = re.compile(r"#\s*segments=(-?[0-9]+)\s+liz=(-?[0-9]+)")
 REF_ARITY = {"START": 0, "AIC": 2, "AEC": 1, "REC": 1, "SMU": None, "SMD": None,
              "RC": 1, "M": 0, "S": 0, "DG": 1}
 
@@ -478,7 +496,7 @@ def reference_integer(token):
 
 def reference_parse(text):
     """Each line tokenised and validated on its own: ASCII integers, and at
-    most one header, before the first command."""
+    most one header, before the first command, which is the whole line."""
     n_segments, liz = TrapConfig.n_segments, TrapConfig.liz
     header = 0
     raw = []
@@ -487,13 +505,18 @@ def reference_parse(text):
         if not stripped:
             continue
         if stripped.startswith("#"):
-            m = REF_HEADER.match(stripped)
-            if m:
+            if REF_HEADER_START.match(stripped):
                 if raw:
                     raise FormatError("header after the first command", lineno)
                 if header:
                     raise FormatError(f"repeated header (first on line {header})", lineno)
-                n_segments, liz, header = int(m.group(1)), int(m.group(2)), lineno
+                m = REF_HEADER.fullmatch(stripped)
+                try:
+                    n_segments, liz = reference_integer(m[1]), reference_integer(m[2])
+                except (TypeError, ValueError):  # no match, or past int's digit limit
+                    raise FormatError("bad header, expected '# segments=<S> liz=<L>'",
+                                      lineno) from None
+                header = lineno
             continue
         tokens = stripped.split()
         if len(tokens) < 3:
@@ -533,7 +556,7 @@ CODEC_OUTCOMES: Counter = Counter()
 FORMAT_ERRORS = ("expected '<seq>", "bad sequence number", "out-of-order",
                  "unknown opcode", "parameters must be integers", "declares",
                  "takes", "needs at least one segment", "repeated header",
-                 "header after the first command")
+                 "header after the first command", "bad header")
 ODD_DIGITS = str.maketrans("0123456789", "０１２３４５６７８９")
 
 
