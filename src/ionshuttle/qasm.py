@@ -8,14 +8,17 @@ gate statements with indexed qubit arguments.  ``creg``, ``measure`` and
 registers, but are dropped with a warning since they never move an ion.
 Angle parameters are evaluated (numbers, ``pi``, ``+ - * /``, parentheses
 nested at most ``MAX_PAREN_DEPTH`` deep) and carried opaquely; a value that
-is not finite is a syntax error.  Register sizes and qubit indices are
-integers.  Gate semantics are never interpreted.
+is not finite is a syntax error.  Numbers are written in ASCII digits, and
+register sizes and qubit indices are integers that ``int`` converts; a
+register holds at most ``sys.maxsize`` qubits.  Gate semantics are never
+interpreted.
 """
 from __future__ import annotations
 
 import logging
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -87,7 +90,7 @@ def build_circuit(n_qubits: int, specs) -> Circuit:
 
 _TOKEN_RE = re.compile(
     r"""(?P<ID>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<NUMBER>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+      | (?P<NUMBER>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
       | (?P<STRING>"[^"\n]*")
       | (?P<ARROW>->)
       | (?P<SYM>[;,()\[\]+\-*/])
@@ -157,12 +160,16 @@ class _Parser:
         return tok
 
     def _integer(self) -> int:
-        """Read a NUMBER token that must be a plain integer."""
+        """Read a NUMBER token that must be a plain integer ``int`` converts."""
         tok = self._next("NUMBER")
         if not tok.value.isdecimal():
             raise QasmSyntaxError(f"expected an integer, got {tok.value!r}",
                                   tok.line, tok.col)
-        return int(tok.value)
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than int converts
+            raise QasmSyntaxError(f"integer of {len(tok.value)} digits is too long",
+                                  tok.line, tok.col) from None
 
     def _argument(self, table: dict[str, range], kind: str) -> tuple[_Token, int | None]:
         """Read ``name`` or ``name[i]`` naming a ``kind`` register of
@@ -220,7 +227,11 @@ class _Parser:
         elif tok.value in ("qreg", "creg"):
             name = self._next("ID")
             self._next("SYM", "[")
+            size_tok = self._peek()
             size = self._integer()
+            if size > sys.maxsize:  # a longer range has no len()
+                raise QasmSyntaxError(f"register size over {sys.maxsize}",
+                                      size_tok.line, size_tok.col)
             self._next("SYM", "]")
             self._next("SYM", ";")
             if name.value in self.registers or name.value in self.cregs:

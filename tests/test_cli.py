@@ -1,4 +1,6 @@
 """CLI subcommands: thin adapters with stable exit codes and outputs."""
+import sys
+
 import pytest
 
 from ionshuttle.cli import main
@@ -47,6 +49,14 @@ def test_compile_capacity_exit_code(tmp_path):
     big = tmp_path / "big.qasm"
     big.write_text(HEADER + "qreg q[40];\ncx q[0],q[1];\n")
     assert main(["compile", "-i", str(big)]) == 3
+
+
+def test_compile_register_size_beyond_len_exit_code(tmp_path):
+    src = tmp_path / "huge.qasm"
+    src.write_text(HEADER + f"qreg q[{sys.maxsize}];\ncz q[0],q[1];\n")
+    assert main(["compile", "-i", str(src)]) == 3
+    src.write_text(HEADER + f"qreg q[{sys.maxsize + 1}];\ncz q[0],q[1];\n")
+    assert main(["compile", "-i", str(src)]) == 2
 
 
 def test_compile_missing_file_exit_code():

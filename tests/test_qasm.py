@@ -1,6 +1,7 @@
 """QASM frontend: parsing, validation, round-trip and ccx decomposition."""
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +179,22 @@ def test_sizes_and_indices_must_be_integers():
         assert (err.value.line, err.value.col) == (HEADER.count("\n") + body.count("\n"), col)
 
 
+@pytest.mark.parametrize("body, where, message", [
+    ("qreg q[\uff13];\n", (3, 8), "unexpected character '\uff13'"),
+    ("qreg q[3];\ncz q[0],q[\u0661];\n", (4, 11), "unexpected character '\u0661'"),
+    ("qreg q[1];\nrz(\uff11) q[0];\n", (4, 4), "unexpected character '\uff11'"),
+    ("qreg q[2];\ncz q[0],q[" + "1" * 5000 + "];\n", (4, 11),
+     "integer of 5000 digits is too long"),
+    ("qreg q[" + "9" * 5000 + "];\n", (3, 8), "integer of 5000 digits is too long"),
+    (f"qreg q[{sys.maxsize + 1}];\n", (3, 8), f"register size over {sys.maxsize}"),
+], ids=["wide-size", "arabic-indic-index", "wide-angle", "long-index", "long-size",
+        "size-without-len"])
+def test_numbers_are_ascii_and_bounded(body, where, message):
+    with pytest.raises(QasmSyntaxError, match=message) as err:
+        parse_qasm(HEADER + body)
+    assert (err.value.line, err.value.col) == where
+
+
 def test_long_unary_minus_chain():
     circ = parse_qasm(HEADER + "qreg q[1];\nrz(" + "-" * 3001 + "pi) q[0];\n")
     assert circ.gates[0].params == (-math.pi,)
@@ -297,3 +314,4 @@ def test_decomposition_rejects_repeated_qubits():
 def test_decomposition_rejects_other_kinds():
     with pytest.raises(ValueError):
         decompose_gate(Gate(0, "cswap", (0, 1, 2)))
+
