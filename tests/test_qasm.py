@@ -1,14 +1,21 @@
 """QASM frontend: parsing, validation, round-trip and ccx decomposition."""
+import contextlib
+import io
 import logging
 import math
+import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ionshuttle.qasm import (MAX_PAREN_DEPTH, Circuit, Gate, QasmSyntaxError,
-                             UndeclaredQubit, UnsupportedGate, build_circuit,
-                             decompose_gate, parse_qasm, to_qasm)
+from ionshuttle.cli import main
+from ionshuttle.qasm import (MAX_PAREN_DEPTH, Circuit, Gate, QasmError,
+                             QasmSyntaxError, UndeclaredQubit, UnsupportedGate,
+                             build_circuit, decompose_gate, parse_qasm, to_qasm)
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -315,3 +322,98 @@ def test_decomposition_rejects_other_kinds():
     with pytest.raises(ValueError):
         decompose_gate(Gate(0, "cswap", (0, 1, 2)))
 
+
+# -- the front end on edited programs -------------------------------------------
+
+FUZZ_EXAMPLES = 300
+FUZZ_OUTCOMES: Counter = Counter()
+FUZZ_ERRORS = ("unexpected character", "digits is too long", "nested deeper",
+               "measure", "register")
+PIECE_RE = re.compile(r'"[^"]*"|[A-Za-z_]\w*|[0-9.]+(?:e[-+]?[0-9]+)?|->|\s+|.')
+ODD_DIGITS = (str.maketrans("0123456789", "０１２３４５６７８９"),
+              str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+INSERTS = (";", ",", "[", "]", "(", ")", "->", "q", "pi", "-", "/", "0", "7", "2.5",
+           "cz", "measure", "barrier", "creg", "qreg", '"qelib1.inc"', "\n")
+STATEMENTS = ("creg c[2];", "creg c[3];", "measure q[0] -> c[1];", "measure q -> c;",
+              "measure q[0] -> c;", "measure q -> c[0];", "measure zz[0] -> c[0];",
+              "measure q[99] -> c[0];", "measure q[0] c[0];", "barrier q;",
+              "barrier q[0],q[1];", "barrier q[99];", "barrier c[0];", "barrier;",
+              "ccx q[0],q[1],q[2];")
+
+
+@st.composite
+def edited_programs(draw):
+    """``to_qasm`` of a small circuit, then up to four edits of its pieces
+    (tokens and the white space between them)."""
+    n = draw(st.integers(1, 6))
+    specs = []
+    for _ in range(draw(st.integers(0, 8))):
+        if n > 1 and draw(st.booleans()):
+            specs.append((draw(st.sampled_from(("cz", "cx", "cp"))),
+                          draw(st.permutations(range(n)))[:2], ()))
+        else:
+            specs.append(("rz", (draw(st.integers(0, n - 1)),),
+                          (draw(st.floats(-10, 10)),)))
+    pieces = PIECE_RE.findall(to_qasm(build_circuit(n, specs)))
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(("delete", "duplicate", "insert", "statement",
+                                     "digits", "long", "deep")))
+        numbers = [i for i, piece in enumerate(pieces) if piece[:1].isdigit()] or [0]
+        angles = [i for i in numbers if pieces[i - 1] in ("(", ",", "-")]
+        if edit in ("digits", "long"):  # these rewrite a number, if one is left
+            k = draw(st.sampled_from(numbers))
+        elif edit == "deep":
+            k = draw(st.sampled_from(angles or numbers))
+        else:
+            k = draw(st.integers(0, len(pieces) - 1))
+        if edit == "delete":
+            del pieces[k]
+        elif edit == "duplicate":
+            pieces.insert(k, pieces[k])
+        elif edit == "insert":
+            pieces.insert(k, draw(st.sampled_from(INSERTS)))
+        elif edit == "statement":
+            pieces.insert(k, "\n" + draw(st.sampled_from(STATEMENTS)) + "\n")
+        elif edit == "digits":
+            pieces[k] = pieces[k].translate(draw(st.sampled_from(ODD_DIGITS)))
+        elif edit == "long":
+            pieces[k] = draw(st.sampled_from(("1" * 5000, "9" * 4000, "0" * 5000 + "1")))
+        else:
+            depth = draw(st.integers(MAX_PAREN_DEPTH - 2, MAX_PAREN_DEPTH + 2))
+            pieces[k] = "(" * depth + pieces[k] + ")" * depth
+    return "".join(pieces), draw(st.booleans())
+
+
+def test_front_end_on_edited_programs(tmp_path):
+    source = tmp_path / "edited.qasm"
+    FUZZ_OUTCOMES.clear()
+
+    @settings(max_examples=FUZZ_EXAMPLES)
+    @given(edited_programs())
+    def run(program):
+        text, decompose = program
+        try:
+            parse_qasm(text, decompose=decompose)
+        except QasmError as e:
+            assert 1 <= e.line <= text.count("\n") + 1 and e.col >= 1, (text, e)
+            expected = {2}
+            FUZZ_OUTCOMES["rejected"] += 1
+            FUZZ_OUTCOMES[next((k for k in FUZZ_ERRORS if k in str(e)), "other")] += 1
+        else:
+            expected = {0, 3, 4}  # ok, capacity or overflow
+            FUZZ_OUTCOMES["parsed"] += 1
+        source.write_text(text, encoding="utf-8")
+        argv = ["compile", "-i", str(source)] + ["--decompose"] * decompose
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in expected, (text, code)
+        FUZZ_OUTCOMES[f"exit {code}"] += 1
+
+    run()
+    # floors keep both outcomes from holding only vacuously
+    assert FUZZ_OUTCOMES["parsed"] >= FUZZ_EXAMPLES // 5, FUZZ_OUTCOMES
+    assert FUZZ_OUTCOMES["rejected"] >= FUZZ_EXAMPLES // 4, FUZZ_OUTCOMES
+    assert FUZZ_OUTCOMES["exit 0"] >= FUZZ_EXAMPLES // 5, FUZZ_OUTCOMES
+    for kind in FUZZ_ERRORS:
+        assert FUZZ_OUTCOMES[kind] >= 3, (kind, FUZZ_OUTCOMES)
