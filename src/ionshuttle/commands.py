@@ -384,16 +384,13 @@ def render_trace(sequence: CommandSequence, config: TrapConfig | None = None) ->
     width = max((len(r.label) for r in rows), default=1)
     lines = [f"# segments={cfg.n_segments} liz={cfg.liz}"]
     lines.append(" " * (width + 2 + 3 * (cfg.liz - 1)) + "vv")
+    empty = [".."] * cfg.n_segments
     for row in rows:
-        cells = []
-        for seg in range(1, cfg.n_segments + 1):
-            ions = row.occupants.get(seg)
-            if ions is not None:
-                cells.append(_ion_char(ions[0]) + (_ion_char(ions[1]) if len(ions) > 1 else "."))
-            elif seg in row.wells:
-                cells.append("--")
-            else:
-                cells.append("..")
+        cells = empty[:]
+        for seg in row.wells:
+            cells[seg - 1] = "--"
+        for seg, ions in row.occupants.items():  # an occupant hides a well
+            cells[seg - 1] = _ion_char(ions[0]) + (_ion_char(ions[1]) if len(ions) > 1 else ".")
         note = "  DG " + ",".join(f"g{g}" for g in row.gates) if row.gates else ""
         lines.append(f"{row.label:>{width}}  " + " ".join(cells) + note)
     return "\n".join(lines) + "\n"
