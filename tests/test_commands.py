@@ -139,10 +139,6 @@ class TestParse:
             parse_sequence(f"# a note\n{header}\n1 START 0\n")
         assert err.value.line == 2
 
-    def test_header_spacing_is_free(self):
-        seq = parse_sequence("  #segments=48\tliz=24  \n1 START 0\n")
-        assert (seq.n_segments, seq.liz) == (48, 24)
-
 
 class TestInterning:
     """Equal commands are one shared tuple, so a long program holds only
