@@ -11,7 +11,8 @@ import pytest
 
 from ionshuttle.benchmarks import (bench_config, compile_ordering, gen_qft,
                                    gen_random_circuit, gen_toffoli)
-from ionshuttle.commands import parse_sequence, render_trace, serialize
+from ionshuttle.commands import (CommandSequence, parse_sequence, render_trace,
+                                 render_trace_svg, serialize)
 from ionshuttle.ordering import (increase_pairwise_order, order_as_is,
                                  order_inputs_randomly)
 from ionshuttle.qasm import build_circuit
@@ -78,6 +79,25 @@ def test_trace_hash_toffoli16():
     result = compile_ordering(circuit, order_as_is(circuit), bench_config(16))
     assert (sha256(render_trace(result.sequence))
             == "f5707e011d1b3a672b6025eb491ace4decb143e3d88a02c79f7d4c596a4bff3a")
+
+
+def test_trace_svg_hash_toffoli16():
+    # by its sorted lines: the order of a row's elements is free, the elements are not
+    circuit = gen_toffoli(16)
+    result = compile_ordering(circuit, order_as_is(circuit), bench_config(16))
+    lines = sorted(render_trace_svg(result.sequence).splitlines())
+    assert (sha256("\n".join(lines))
+            == "931a4d4f127ee9ceaaba87511a187c7533e150734065bdef6c2507d1eb965464")
+
+
+def test_trace_hash_qft32_ipo_wide_trap():
+    # the first 10,000 commands on 128 segments, as the benchmark traces them
+    circuit = gen_qft(32)
+    config = bench_config(32)
+    result = compile_ordering(circuit, increase_pairwise_order(circuit), config)
+    head = CommandSequence(config.n_segments, config.liz, result.sequence.raw[:10_000])
+    assert (sha256(render_trace(head))
+            == "86d31b0a486c5805505e8f699e8b7521e586ac9cb6d8a2fb9e4ce16f45409606")
 
 
 def test_trace_hash_qft4_golden():
