@@ -17,7 +17,7 @@ import sys
 from .benchmarks import (SweepReport, bench_config, circuit_fit,
                          compile_ordering, make_ordering, run_sweep, InvalidShape)
 from .commands import (FormatError, ReplayError, cost, parse_sequence,
-                       render_trace, render_trace_svg, replay, serialize)
+                       render_trace, render_traces, replay, serialize)
 from .ordering import check_capacity
 from .qasm import QasmError, parse_qasm
 from .trap import (CapacityExceeded, InvalidConfig, TrapConfig, TrapError,
@@ -104,13 +104,16 @@ def cmd_validate(args) -> int:
 def cmd_trace(args) -> int:
     sequence = parse_sequence(_read(args.input))
     config = _trap_config(args, sequence.config())
-    grid = render_trace(sequence, config)
+    if args.svg:  # both from one replay
+        grid, svg = render_traces(sequence, config)
+    else:
+        grid, svg = render_trace(sequence, config), None
     if args.output:
         _write(args.output, grid)
     else:
         print(grid, end="")
-    if args.svg:
-        _write(args.svg, render_trace_svg(sequence, config))
+    if svg is not None:
+        _write(args.svg, svg)
     return EXIT_OK
 
 

@@ -26,6 +26,15 @@ to the ``TrapState`` primitives, and it raises a ``TrapError`` for any
 command the constraint set forbids.  ``_execute`` runs a program through
 it, owns the rules of program order and tallies splits and merges; replay
 and the trace renderers share it, each on a fresh trap.
+
+The trace keeps the grid state once and updates it by the touched-segment
+rule: through ``_execute``'s ``after`` hook it reads back, after each
+command that ran, only the segments that command can change (a move's
+origin and destination, ``liz-1..liz+1`` for S, M and RC, the segment of
+AIC, AEC and REC), and each row holds only the cells changed since the
+previous row.  ``render_trace`` splices them into one row string,
+``render_trace_svg`` into an occupant dict and a well set that it draws in
+segment order; ``render_traces`` gives both from one replay.
 """
 from __future__ import annotations
 
@@ -329,12 +338,16 @@ def _ion_char(ion: int) -> str:
     return _ION_CHARS[ion] if 0 < ion < len(_ION_CHARS) else "+"
 
 
-@dataclass
+# a segment as the trace sees it: its crystal's ions (() if none) and
+# whether it holds a well
+_Segment = tuple[tuple[int, ...], bool]
+
+
+@dataclass(slots=True)
 class _TraceRow:
     first_seq: int
     last_seq: int
-    occupants: dict[int, tuple[int, ...]]
-    wells: frozenset[int]
+    changes: dict[int, _Segment]  # each segment changed since the previous row
     gates: list[int]
 
     @property
@@ -347,58 +360,98 @@ class _TraceRow:
 
 def _trace_rows(sequence: CommandSequence,
                 config: TrapConfig | None = None) -> tuple[TrapConfig, list[_TraceRow]]:
-    """Replay yielding one snapshot per state-changing command.
+    """Replay yielding one row per state-changing command, holding only the
+    segments that changed since the previous row.
 
-    A row spans the commands from the one after the previous row's (the
-    first row: from command 1) to its own state-changing command; the
-    non-visible commands (START, AEC, REC, DG) in between fold into it, and
-    so do the gate indices their DGs carry.  Trailing non-visible commands
-    extend the last row.  Raises ReplayError at the first command strict
-    replay would reject.
+    After each command that ran, only the segments it can change are read
+    back from the trap: a move's origin ``s`` and destination ``s + d``,
+    for each segment of the parallel form; ``liz-1..liz+1`` for S, M and
+    RC; the segment of AIC, AEC and REC.  A row spans the commands from
+    the one after the previous row's (the first row: from command 1) to
+    its own state-changing command; the non-visible commands (START, AEC,
+    REC, DG) in between fold into it, and so do the wells their AEC and REC
+    changed and the gate indices their DGs carry.  Trailing non-visible
+    commands extend the last row's range and gates, not its cells.  A
+    renderer keeps one grid and applies each row's changes to it.  Raises
+    ReplayError at the first command strict replay would reject.
     """
     cfg = config or sequence.config()
     state = TrapState(cfg)
+    seg_crystal, wells = state.seg_crystal, state.wells
+    around_liz = (cfg.liz - 1, cfg.liz, cfg.liz + 1)
     rows: list[_TraceRow] = []
+    first = 1  # the next row's first command
+    changes: dict[int, _Segment] = {}
     gates: list[int] = []
+    # each distinct segment value once: the rows share them, which spares
+    # the garbage collector a walk over a tuple per change
+    values: dict[_Segment, _Segment] = {}
 
-    def snapshot(seq: int, op: str, params: tuple[int, ...]) -> None:
-        if op == "DG":
+    def record(seq: int, op: str, params: tuple[int, ...]) -> None:
+        nonlocal first, changes, gates
+        if op == "SMU" or op == "SMD":
+            d = -1 if op == "SMU" else 1
+            if params[0] == 1:  # the single-crystal step, by far the commonest
+                touched = (params[1], params[1] + d)
+            else:
+                touched = [t for s in params[1:] for t in (s, s + d)]
+        elif op == "S" or op == "M" or op == "RC":
+            touched = around_liz
+        elif op == "DG":
             gates.append(params[0])
-        elif op in STATE_CHANGING:
-            occupants = {s: tuple(c.ions) for s, c in state.seg_crystal.items()}
-            rows.append(_TraceRow(rows[-1].last_seq + 1 if rows else 1, seq,
-                                  occupants, frozenset(state.wells), gates[:]))
-            gates.clear()
+            return
+        elif op == "START":
+            return
+        else:  # AIC (ion, segment), AEC and REC (segment): the last parameter
+            touched = params[-1:]
+        for s in touched:
+            crystal = seg_crystal.get(s)
+            value = (tuple(crystal.ions) if crystal else (), s in wells)
+            changes[s] = values.setdefault(value, value)
+        if op in STATE_CHANGING:
+            rows.append(_TraceRow(first, seq, changes, gates))
+            first, changes, gates = seq + 1, {}, []
 
-    _execute(sequence, state, _reject, snapshot)
+    _execute(sequence, state, _reject, record)
     if rows:
         rows[-1].last_seq = len(sequence.raw)
         rows[-1].gates.extend(gates)
     return cfg, rows
 
 
-def render_trace(sequence: CommandSequence, config: TrapConfig | None = None) -> str:
-    """Text grid of the replayed program: one row per state-changing command,
-    one two-character cell per segment (top/bottom ion, ``--`` empty well)."""
-    cfg, rows = _trace_rows(sequence, config)
-    width = max((len(r.label) for r in rows), default=1)
+def _cell(ions: tuple[int, ...], well: bool) -> str:
+    """A segment's two text characters: top and bottom ion, ``--`` an empty
+    well (an occupant hides a well), ``..`` nothing."""
+    if ions:
+        return _ion_char(ions[0]) + (_ion_char(ions[1]) if len(ions) > 1 else ".")
+    return "--" if well else ".."
+
+
+def _text_grid(cfg: TrapConfig, rows: list[_TraceRow]) -> str:
+    labels = [row.label for row in rows]
+    width = max(map(len, labels), default=1)
     lines = [f"# segments={cfg.n_segments} liz={cfg.liz}"]
     lines.append(" " * (width + 2 + 3 * (cfg.liz - 1)) + "vv")
-    empty = [".."] * cfg.n_segments
-    for row in rows:
-        cells = empty[:]
-        for seg in row.wells:
-            cells[seg - 1] = "--"
-        for seg, ions in row.occupants.items():  # an occupant hides a well
-            cells[seg - 1] = _ion_char(ions[0]) + (_ion_char(ions[1]) if len(ions) > 1 else ".")
+    body = bytearray(b" ".join([b".."] * cfg.n_segments))  # segment s at 3s - 3
+    cells: dict[_Segment, bytes] = {}  # per distinct segment value
+    for row, label in zip(rows, labels):
+        for seg, key in row.changes.items():
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = _cell(*key).encode()
+            body[3 * seg - 3:3 * seg - 1] = cell
         note = "  DG " + ",".join(f"g{g}" for g in row.gates) if row.gates else ""
-        lines.append(f"{row.label:>{width}}  " + " ".join(cells) + note)
+        lines.append(f"{label:>{width}}  {body.decode()}{note}")
     return "\n".join(lines) + "\n"
 
 
-def render_trace_svg(sequence: CommandSequence, config: TrapConfig | None = None) -> str:
-    """Self-contained SVG version of the trace grid (ions as colored dots)."""
-    cfg, rows = _trace_rows(sequence, config)
+def render_trace(sequence: CommandSequence, config: TrapConfig | None = None) -> str:
+    """Text grid of the replayed program: one row per state-changing command,
+    one two-character cell per segment (top/bottom ion, ``--`` empty well)."""
+    return _text_grid(*_trace_rows(sequence, config))
+
+
+def _svg_grid(cfg: TrapConfig, rows: list[_TraceRow]) -> str:
     cell, margin_x, margin_y = 16, 56, 28
     width = margin_x + cfg.n_segments * cell + 8
     height = margin_y + max(len(rows), 1) * cell + 8
@@ -416,14 +469,25 @@ def render_trace_svg(sequence: CommandSequence, config: TrapConfig | None = None
     for seg in range(1, cfg.n_segments + 1, max(1, cfg.n_segments // 8)):
         parts.append(f'<text x="{x_of(seg)}" y="{margin_y - 2}" '
                      f'text-anchor="middle" fill="#888">{seg}</text>')
+    occupants: dict[int, tuple[int, ...]] = {}
+    wells: set[int] = set()
     for r, row in enumerate(rows):
+        for seg, (ions, well) in row.changes.items():
+            if ions:
+                occupants[seg] = ions
+            else:
+                occupants.pop(seg, None)
+            if well:
+                wells.add(seg)
+            else:
+                wells.discard(seg)
         y = margin_y + (r + 0.5) * cell
         label = row.label + " DG" if row.gates else row.label
         parts.append(f'<text x="4" y="{y + 3}" fill="#444">{label}</text>')
-        for seg in row.wells:
+        for seg in sorted(wells):
             parts.append(f'<rect x="{x_of(seg) - 5}" y="{y - 5}" width="10" height="10" '
                          f'fill="none" stroke="#aaa"/>')
-        for seg, ions in sorted(row.occupants.items()):
+        for seg, ions in sorted(occupants.items()):
             offsets = (0.0,) if len(ions) == 1 else (-3.0, 3.0)
             for ion, dy in zip(ions, offsets):
                 hue = (ion * 47) % 360
@@ -431,3 +495,15 @@ def render_trace_svg(sequence: CommandSequence, config: TrapConfig | None = None
                              f'fill="hsl({hue},70%,45%)"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def render_trace_svg(sequence: CommandSequence, config: TrapConfig | None = None) -> str:
+    """Self-contained SVG version of the trace grid (ions as colored dots)."""
+    return _svg_grid(*_trace_rows(sequence, config))
+
+
+def render_traces(sequence: CommandSequence,
+                  config: TrapConfig | None = None) -> tuple[str, str]:
+    """:func:`render_trace` and :func:`render_trace_svg` from one replay."""
+    cfg, rows = _trace_rows(sequence, config)
+    return _text_grid(cfg, rows), _svg_grid(cfg, rows)

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
+from ionshuttle import commands
 from ionshuttle.cli import main
-from ionshuttle.commands import parse_sequence, replay
+from ionshuttle.commands import parse_sequence, render_trace, render_trace_svg, replay
 from ionshuttle.qasm import to_qasm
 from ionshuttle.benchmarks import gen_qft
 
@@ -134,6 +135,24 @@ def test_trace_svg_written(tmp_path, qft8_file):
     assert main(["trace", "-i", str(out), "-o", str(tmp_path / "grid.txt"),
                  "--svg", str(svg)]) == 0
     assert svg.read_text().startswith("<svg")
+
+
+def test_trace_with_svg_replays_once(tmp_path, qft8_file, monkeypatch):
+    out, grid, svg = tmp_path / "out.seq", tmp_path / "grid.txt", tmp_path / "out.svg"
+    main(["compile", "-i", str(qft8_file), "--ordering", "oai", "-o", str(out)])
+    sequence = parse_sequence(out.read_text())
+    runs = []
+    execute = commands._execute
+
+    def counted(*args):
+        runs.append(args)
+        return execute(*args)
+
+    monkeypatch.setattr(commands, "_execute", counted)
+    assert main(["trace", "-i", str(out), "-o", str(grid), "--svg", str(svg)]) == 0
+    assert len(runs) == 1
+    assert grid.read_text() == render_trace(sequence)
+    assert svg.read_text() == render_trace_svg(sequence)
 
 
 def test_trace_violating_program_names_command(tmp_path, capsys):
