@@ -19,10 +19,9 @@ from .qasm import (Circuit, Gate, QasmError, QasmSyntaxError, UndeclaredQubit,
                    UnsupportedGate, build_circuit, decompose_gate, parse_qasm,
                    to_qasm)
 from .scheduler import ScheduleResult, schedule
-from .trap import (Blocked, CapacityExceeded, Crystal, DuplicateIon,
-                   EmptySegment, InvalidConfig, InvalidId, MissingOperand,
-                   NotInLiz, OutOfBounds, ResultTooLarge, SpacingViolation,
-                   TrapConfig, TrapError, TrapOverflow, TrapState, WrongSize,
-                   new_state)
+from .trap import (Blocked, CapacityExceeded, DuplicateIon, EmptySegment,
+                   InvalidConfig, InvalidId, MissingOperand, NotInLiz,
+                   OutOfBounds, ResultTooLarge, SpacingViolation, TrapConfig,
+                   TrapError, TrapOverflow, TrapState, WrongSize, new_state)
 
 __version__ = "0.1.0"

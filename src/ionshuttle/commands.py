@@ -261,9 +261,9 @@ def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
     elif op == "RC":
         seg = params[0]
         if seg != state.config.liz:
-            crystal = state.crystal_at(seg)
-            if crystal is not None:
-                crystal.ions.reverse()
+            ions = state.seg_crystal.get(seg)
+            if ions is not None:
+                ions.reverse()
             raise NotInLiz(f"rotation outside LIZ (segment {seg})")
         state.rotate_at_liz()
     elif op == "DG":
@@ -405,8 +405,8 @@ def _trace_rows(sequence: CommandSequence,
         else:  # AIC (ion, segment), AEC and REC (segment): the last parameter
             touched = params[-1:]
         for s in touched:
-            crystal = seg_crystal.get(s)
-            value = (tuple(crystal.ions) if crystal else (), s in wells)
+            ions = seg_crystal.get(s)
+            value = (tuple(ions) if ions else (), s in wells)
             changes[s] = values.setdefault(value, value)
         if op in STATE_CHANGING:
             rows.append(_TraceRow(first, seq, changes, gates))

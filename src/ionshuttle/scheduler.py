@@ -14,14 +14,15 @@ each other or change size, so a step costs 2 split+merge plus 2 for each
 two-ion crystal among the two (3 splits and 3 merges between two pairs);
 the planner prices each step, and ``plan_cost`` a layout, without a trap.
 
-The lowering (``schedule``) copies the placed trap's chain once, with each
-crystal's segment, and never writes the trap: it keeps its own chain (a
-split replaces one entry with two, a merge two with one), its own command
-list and its own split+merge count.  Every planned step becomes the fixed
-choreography: orient both crystals so the two ions face each other, split
-each two-ion crystal, stage the two travelers beside the LIZ, merge, rotate
-(so the ions part in exchanged directions), run the gate when the step asks
-for it, split, and re-merge the leftover partners into their home crystals.
+The lowering (``schedule``) copies each of the placed trap's ion lists
+once into its own ``Crystal`` record, with the segment, and never writes
+the trap: it keeps its own chain of records (a split replaces one entry
+with two, a merge two with one), its own command list and its own
+split+merge count.  Every planned step becomes the fixed choreography:
+orient both crystals so the two ions face each other, split each two-ion
+crystal, stage the two travelers beside the LIZ, merge, rotate (so the ions
+part in exchanged directions), run the gate when the step asks for it,
+split, and re-merge the leftover partners into their home crystals.
 A gate without steps brings its crystal to the LIZ and runs there.
 
 Crystals never pass each other, so a transport's only possible blocker is
@@ -29,17 +30,19 @@ the mover's chain neighbour ahead; it is pushed recursively one spacing
 beyond the mover's destination and not restored afterwards.  Split, merge,
 rotation and gate execution are bracketed by add/remove-empty-well commands
 at the two segments beyond the staging sites whenever those hold no
-crystal.  ``schedule`` is the one entry point into the lowering and checks
-each gate's split+merge count against the plan; nothing here runs the
-executor: ``commands.replay`` checks what it emits.
+crystal.  ``schedule`` is the one entry point into the lowering; it plans
+the gates with ``_planned``, as ``plan`` does, and checks each gate's
+split+merge count against its plan.  Nothing here runs the executor:
+``commands.replay`` checks what it emits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .commands import CommandSequence, RawCommand
 from .qasm import Circuit, Gate
-from .trap import Crystal, TrapOverflow, TrapState
+from .trap import TrapOverflow, TrapState
 
 
 @dataclass
@@ -86,20 +89,24 @@ def _plan_gate(chain: list[list[int]], where: dict[int, int], gate: Gate
     return steps, cost
 
 
-def plan(circuit: Circuit, crystal_list) -> tuple[int, list[list[int]]]:
-    """Plan ``circuit`` on the top-to-bottom layout ``crystal_list``; return
-    the split+merge cost and the final chain."""
-    chain = [list(ions) for ions in crystal_list]
+def _planned(circuit: Circuit, chain: list[list[int]]) -> list[tuple[list, int]]:
+    """Check that ``chain`` splits exactly the circuit's ions into crystals
+    of one or two, then plan every gate on it in circuit order; return each
+    gate's ``(steps, cost)``.  ``chain`` ends as the final chain."""
     flat = sorted(ion for ions in chain for ion in ions)
     if (flat != list(range(1, circuit.n_qubits + 1))
             or any(not 1 <= len(ions) <= 2 for ions in chain)):
         raise ValueError("layout must split the circuit's ions into crystals "
                          "of one or two")
     where = {ion: i for i, ions in enumerate(chain) for ion in ions}
-    cost = 0
-    for gate in circuit.gates:
-        cost += _plan_gate(chain, where, gate)[1]
-    return cost, chain
+    return [_plan_gate(chain, where, gate) for gate in circuit.gates]
+
+
+def plan(circuit: Circuit, crystal_list) -> tuple[int, list[list[int]]]:
+    """Plan ``circuit`` on the top-to-bottom layout ``crystal_list``; return
+    the split+merge cost and the final chain."""
+    chain = [list(ions) for ions in crystal_list]
+    return sum(map(itemgetter(1), _planned(circuit, chain))), chain
 
 
 def plan_cost(circuit: Circuit, crystal_list) -> int:
@@ -110,10 +117,21 @@ def plan_cost(circuit: Circuit, crystal_list) -> int:
 def crystal_chain(state: TrapState) -> list[list[int]]:
     """The trap's crystals in segment order, each as its ion order."""
     seg_map = state.seg_crystal
-    return [list(seg_map[s].ions) for s in sorted(seg_map)]
+    return [list(seg_map[s]) for s in sorted(seg_map)]
 
 
 # -- lowering --------------------------------------------------------------------
+
+
+class Crystal:
+    """The lowering's record of one crystal: its ions, top first, and the
+    segment it has reached."""
+
+    __slots__ = ("ions", "segment")
+
+    def __init__(self, ions: list[int], segment: int):
+        self.ions = ions
+        self.segment = segment
 
 
 class _Lowering:
@@ -125,7 +143,7 @@ class _Lowering:
         self.liz = liz = cfg.liz
         self.n_segments = n = cfg.n_segments
         seg_map = state.seg_crystal
-        self.chain = [Crystal(list(seg_map[s].ions), s) for s in sorted(seg_map)]
+        self.chain = [Crystal(list(seg_map[s]), s) for s in sorted(seg_map)]
         self.out: list[RawCommand] = []
         self.cost = 0
         # one command per origin segment for each single-step move
@@ -290,19 +308,15 @@ def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
     ``TrapOverflow`` names the gate and the occupied span of the trap when
     it happened.
     """
-    chain = crystal_chain(state)
-    if sorted(ion for ions in chain for ion in ions) != list(range(1, circuit.n_qubits + 1)):
-        raise ValueError("trap does not hold exactly the circuit's ions")
+    plans = _planned(circuit, crystal_chain(state))
     if state.check_spacing():
         raise ValueError("initial state violates crystal spacing")
     low = _Lowering(state)
     low.out.append(("START", ()))
     low.out.extend(("AIC", (ion, c.segment)) for c in low.chain for ion in c.ions)
-    where = {ion: i for i, ions in enumerate(chain) for ion in ions}
     per_gate: list[int] = []
-    for gate in circuit.gates:
+    for gate, (steps, planned) in zip(circuit.gates, plans):
         before = low.cost
-        steps, planned = _plan_gate(chain, where, gate)
         try:
             low.run_gate(gate, steps)
         except TrapOverflow as e:

@@ -8,9 +8,11 @@ there, so it needs a segment on each side.  Crystals must stay at least 2
 segments apart at all times; the spacing is fixed at 2, so every spacing
 check looks only at the segments next to a crystal.
 
-A ``Crystal`` object is its own handle: placement, split and merge return
-the crystals they create, and a crystal that splits or merges is replaced
-by new ones.
+The state is plain data: each occupied segment maps to its crystal's ion
+list, top first, and no two segments share a list.  A split or merge puts
+new lists in place of the old ones; a rotation reverses its list in place.
+The primitives return nothing, except that a transport step returns the
+segment it reached.
 
 This is the executor's model and holds the trap alone; program order and
 the split/merge tally belong to ``commands._execute``.  ``commands.apply``
@@ -96,39 +98,22 @@ class TrapConfig:
                 f"LIZ segment {self.liz} outside 2..{self.n_segments - 1}")
 
 
-class Crystal:
-    """An ordered group of ions in one potential well; ions[0] is the top."""
-
-    __slots__ = ("ions", "segment")
-
-    def __init__(self, ions: list[int], segment: int):
-        self.ions = ions
-        self.segment = segment
-
-    def __repr__(self) -> str:
-        return f"Crystal(ions={self.ions}, segment={self.segment})"
-
-
 class TrapState:
     """Mutable single-owner trap state.
 
-    ``seg_crystal`` maps occupied segment -> crystal and is the one
-    registry of crystals and ions; ``wells`` holds the segments with an
-    (ion-free) potential well.  Each crystal's ``segment`` is its key in
-    ``seg_crystal``.
+    ``seg_crystal`` maps each occupied segment to its crystal's ions, top
+    first, and is the one registry of crystals and ions; ``wells`` holds
+    the segments with an (ion-free) potential well.
     """
 
     def __init__(self, config: TrapConfig | None = None):
         config = config or TrapConfig()
         config.validate()
         self.config = config
-        self.seg_crystal: dict[int, Crystal] = {}
+        self.seg_crystal: dict[int, list[int]] = {}
         self.wells: set[int] = set()
 
     # -- helpers -----------------------------------------------------------
-
-    def crystal_at(self, segment: int) -> Crystal | None:
-        return self.seg_crystal.get(segment)
 
     def occupied_segments(self) -> list[int]:
         return sorted(self.seg_crystal)
@@ -140,29 +125,28 @@ class TrapState:
 
     # -- initial placement (AIC) -------------------------------------------
 
-    def place_ion(self, ion: int, segment: int) -> Crystal:
+    def place_ion(self, ion: int, segment: int) -> None:
         """Add one ion at ``segment``, extending a 1-ion crystal already
         there."""
         if ion < 1:
             raise InvalidId(f"ion id {ion} is below 1")
-        if any(ion in c.ions for c in self.seg_crystal.values()):
+        if any(ion in ions for ions in self.seg_crystal.values()):
             raise DuplicateIon(f"ion {ion} already placed")
         if not 1 <= segment <= self.config.n_segments:
             raise OutOfBounds(f"segment {segment} outside trap")
-        crystal = self.crystal_at(segment)
-        if crystal is not None:
-            if len(crystal.ions) >= 2:
+        ions = self.seg_crystal.get(segment)
+        if ions is not None:
+            if len(ions) >= 2:
                 raise CapacityExceeded(f"crystal at segment {segment} is full")
-            crystal.ions.append(ion)
+            ions.append(ion)
         else:
             for s in (segment - 1, segment + 1):
                 if s in self.seg_crystal:
                     raise SpacingViolation(
                         f"segment {segment} too close to occupied segment {s}")
-            crystal = self.seg_crystal[segment] = Crystal([ion], segment)
-        return crystal
+            self.seg_crystal[segment] = [ion]
 
-    def place_crystal(self, ions: list[int], segment: int) -> Crystal:
+    def place_crystal(self, ions: list[int], segment: int) -> None:
         """Place a whole crystal (validated as a unit) before scheduling."""
         if not ions or len(ions) > 2:
             raise CapacityExceeded(f"crystal of {len(ions)} ions not supported")
@@ -171,8 +155,7 @@ class TrapState:
         if segment in self.seg_crystal:
             raise SpacingViolation(f"segment {segment} already occupied")
         for ion in ions:
-            crystal = self.place_ion(ion, segment)
-        return crystal
+            self.place_ion(ion, segment)
 
     # -- transport ----------------------------------------------------------
 
@@ -181,8 +164,8 @@ class TrapState:
         (+1 down, -1 up); return its new segment."""
         dest = segment + d
         seg_map = self.seg_crystal
-        crystal = seg_map.get(segment)
-        if crystal is None:
+        ions = seg_map.get(segment)
+        if ions is None:
             raise EmptySegment(f"no crystal at segment {segment}")
         if not 1 <= dest <= self.config.n_segments:
             raise OutOfBounds(f"move from segment {segment} leaves the trap")
@@ -192,22 +175,21 @@ class TrapState:
             raise SpacingViolation(
                 f"moving to segment {dest} violates spacing near it")
         del seg_map[segment]
-        seg_map[dest] = crystal
-        crystal.segment = dest
+        seg_map[dest] = ions
         return dest
 
     # -- LIZ operations ------------------------------------------------------
 
-    def split_at_liz(self) -> tuple[Crystal, Crystal]:
+    def split_at_liz(self) -> None:
         """Split the 2-ion LIZ crystal; top ion lands at liz-1, bottom at
-        liz+1, both as new crystals.  Returns (above, below)."""
+        liz+1, each as a new crystal."""
         liz = self.config.liz
         seg_map = self.seg_crystal
-        crystal = seg_map.get(liz)
-        if crystal is None:
+        ions = seg_map.get(liz)
+        if ions is None:
             raise NotInLiz("no crystal in the LIZ to split")
-        if len(crystal.ions) != 2:
-            raise WrongSize(f"split needs a 2-ion crystal, got {len(crystal.ions)}")
+        if len(ions) != 2:
+            raise WrongSize(f"split needs a 2-ion crystal, got {len(ions)}")
         for stage in (liz - 1, liz + 1):
             if stage in self.wells:
                 raise Blocked(f"segment {stage} holds an empty well")
@@ -215,40 +197,38 @@ class TrapState:
                 if s != liz and s in seg_map:
                     raise Blocked(
                         f"split product at {stage} would violate spacing with {s}")
-        top, bottom = crystal.ions
+        top, bottom = ions
         del seg_map[liz]
-        above = seg_map[liz - 1] = Crystal([top], liz - 1)
-        below = seg_map[liz + 1] = Crystal([bottom], liz + 1)
-        return above, below
+        seg_map[liz - 1] = [top]
+        seg_map[liz + 1] = [bottom]
 
-    def merge_at_liz(self) -> Crystal:
+    def merge_at_liz(self) -> None:
         """Merge the crystals at liz-1 and liz+1 into a new crystal at the
         LIZ, ordered top operand first."""
         liz = self.config.liz
-        above = self.crystal_at(liz - 1)
-        below = self.crystal_at(liz + 1)
+        seg_map = self.seg_crystal
+        above = seg_map.get(liz - 1)
+        below = seg_map.get(liz + 1)
         if above is None or below is None:
             raise MissingOperand("merge needs crystals at both segments beside the LIZ")
-        if liz in self.seg_crystal:
+        if liz in seg_map:
             raise Blocked("LIZ occupied, cannot merge into it")
         if liz in self.wells:
             raise Blocked("LIZ holds an empty well")
-        total = len(above.ions) + len(below.ions)
+        total = len(above) + len(below)
         if total > 2:
             raise ResultTooLarge(f"merge would create a {total}-ion crystal")
-        ions = above.ions + below.ions
-        del self.seg_crystal[liz - 1]
-        del self.seg_crystal[liz + 1]
-        merged = self.seg_crystal[liz] = Crystal(ions, liz)
-        return merged
+        del seg_map[liz - 1]
+        del seg_map[liz + 1]
+        seg_map[liz] = above + below
 
     def rotate_at_liz(self) -> None:
         """Physically reverse the ion order of the LIZ crystal (a no-op for
         a single ion)."""
-        crystal = self.crystal_at(self.config.liz)
-        if crystal is None:
+        ions = self.seg_crystal.get(self.config.liz)
+        if ions is None:
             raise EmptySegment("no crystal in the LIZ to rotate")
-        crystal.ions.reverse()
+        ions.reverse()
 
     # -- empty wells and gate markers ---------------------------------------
 

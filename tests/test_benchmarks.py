@@ -1,17 +1,19 @@
 """Benchmark generators, sweeps, circuit fit and the exhaustive oracle."""
 import math
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from ionshuttle import benchmarks
 from ionshuttle.benchmarks import (InvalidShape, TooLarge, bench_config,
                                    brute_force_best_ordering, circuit_fit,
                                    compile_ordering, enumerate_orderings,
                                    gen_qft, gen_random_circuit, gen_toffoli,
                                    make_ordering, oir_costs, qft_fit,
                                    run_sweep, theoretical_limit)
-from ionshuttle.ordering import reverse_ordering
+from ionshuttle.ordering import order_as_is, reverse_ordering
 from ionshuttle.qasm import build_circuit
 from ionshuttle.trap import TrapConfig, TrapOverflow
 
@@ -258,3 +260,33 @@ def test_make_ordering_rejects_unknown_method_and_unseeded_oir():
         make_ordering(circuit, "xyz")
     with pytest.raises(ValueError, match="oir needs a seed"):
         make_ordering(circuit, "oir")
+
+
+class TestVerifiedCompile:
+    """``compile_ordering(verify=True)`` refuses a schedule that its replay
+    does not confirm; the scheduler is wrapped to produce one."""
+
+    # the last gate leaves the one-ion crystal (3,) in the LIZ, so a split
+    # appended after it is illegal
+    CIRCUIT = build_circuit(3, [("h", (2,), ())])
+
+    def wrap_schedule(self, monkeypatch, change):
+        real = benchmarks.schedule
+        monkeypatch.setattr(benchmarks, "schedule",
+                            lambda circuit, state: change(real(circuit, state)))
+
+    def test_replay_violation_raises(self, monkeypatch):
+        def illegal_split(result):
+            result.sequence.raw.append(("S", ()))
+            return result
+
+        self.wrap_schedule(monkeypatch, illegal_split)
+        with pytest.raises(RuntimeError, match="replay violations.*split needs "
+                           "a 2-ion crystal"):
+            compile_ordering(self.CIRCUIT, order_as_is(self.CIRCUIT), verify=True)
+
+    def test_replay_cost_disagreement_raises(self, monkeypatch):
+        self.wrap_schedule(monkeypatch,
+                           lambda result: replace(result, cost=result.cost + 2))
+        with pytest.raises(RuntimeError, match="replay cost disagrees"):
+            compile_ordering(self.CIRCUIT, order_as_is(self.CIRCUIT), verify=True)

@@ -1,5 +1,8 @@
 """CLI subcommands: thin adapters with stable exit codes and outputs."""
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from ionshuttle.qasm import to_qasm
 from ionshuttle.benchmarks import gen_qft
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+QFT4_SEQ = Path(__file__).parent / "golden" / "qft4_oai.seq"
 
 
 @pytest.fixture
@@ -414,3 +418,23 @@ def test_compile_overflow_names_gate(tmp_path, capsys):
                  "--segments", "12", "--liz", "6"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: gate 1: ") and "occupied segments" in err
+
+
+def test_error_without_exit_code_propagates(monkeypatch):
+    def broken(text):
+        raise KeyError("no such opcode")
+
+    monkeypatch.setattr("ionshuttle.cli.parse_sequence", broken)
+    with pytest.raises(KeyError, match="no such opcode"):
+        main(["validate", "-i", str(QFT4_SEQ)])
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ionshuttle", "validate", "-i", str(QFT4_SEQ)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "violations: 0" in proc.stdout

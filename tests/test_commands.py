@@ -177,7 +177,7 @@ class TestReplay:
         report = replay(parse_sequence(text))
         assert any("rotation outside LIZ" in msg for _, msg in report.violations)
         # lenient replay still applies the physical rotation
-        assert report.final_state.crystal_at(5).ions == [2, 1]
+        assert report.final_state.seg_crystal[5] == [2, 1]
 
     def test_strict_mode_raises_with_seq(self):
         text = "1 START 0\n2 AIC 2 1 5\n3 RC 1 5\n"
@@ -274,7 +274,7 @@ class TestReplay:
         assert [seq for seq, _ in report.violations] == [2, 3, 5]
         assert "ion id 0" in report.violations[0][1]
         assert "gate index -7" in report.violations[2][1]
-        assert [c.ions for c in report.final_state.seg_crystal.values()] == [[1]]
+        assert list(report.final_state.seg_crystal.values()) == [[1]]
         with pytest.raises(ReplayError) as err:
             replay(parse_sequence(text), strict=True)
         assert str(err.value) == "command 2: ion id 0 is below 1"
@@ -685,7 +685,7 @@ def reference_trace(sequence):
         if op == "DG":
             gates.append(params[0])
         elif op in ("AIC", "SMU", "SMD", "RC", "M", "S"):
-            occupants = {s: tuple(c.ions) for s, c in state.seg_crystal.items()}
+            occupants = {s: tuple(ions) for s, ions in state.seg_crystal.items()}
             rows.append([rows[-1][1] + 1 if rows else 1, seq, occupants,
                          set(state.wells), gates[:]])
             gates.clear()

@@ -122,15 +122,15 @@ class TestPlacement:
         circ = circuit_on_ions(4, [(1, 2)])
         state = TrapState(TrapConfig())
         place_in_the_model(state, order_as_is(circ), circ)
-        assert state.crystal_at(19).ions == [1, 2]
-        assert state.crystal_at(21).ions == [3, 4]
+        assert state.seg_crystal[19] == [1, 2]
+        assert state.seg_crystal[21] == [3, 4]
 
     def test_anchor_second_crystal(self):
         circ = circuit_on_ions(4, [(3, 4)])
         state = TrapState(TrapConfig())
         place_in_the_model(state, order_as_is(circ), circ)
-        assert state.crystal_at(17).ions == [1, 2]
-        assert state.crystal_at(19).ions == [3, 4]
+        assert state.seg_crystal[17] == [1, 2]
+        assert state.seg_crystal[19] == [3, 4]
 
     def test_block_shifts_inward_when_pinned_outside(self):
         # anchor on the last of 8 crystals pins the first below segment 1

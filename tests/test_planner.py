@@ -104,8 +104,9 @@ def placed_cases(draw):
 
 
 def snapshot(state):
-    """Everything a TrapState holds, crystals compared by identity."""
-    return ({s: (c, list(c.ions), c.segment) for s, c in state.seg_crystal.items()},
+    """Everything a TrapState holds, each ion list by identity and by its
+    contents (holding the list keeps its id from being reused)."""
+    return ({s: (ions, id(ions), list(ions)) for s, ions in state.seg_crystal.items()},
             set(state.wells))
 
 

@@ -20,7 +20,7 @@ def ops_of(commands, kinds):
 
 
 def ion_sets(state):
-    return sorted(tuple(sorted(c.ions)) for c in state.seg_crystal.values())
+    return sorted(tuple(sorted(ions)) for ions in state.seg_crystal.values())
 
 
 def lowered(n_qubits, gate, crystals, config=None):
@@ -43,21 +43,21 @@ class TestSendToSegment:
     def test_clear_path_step_count(self):
         commands, final = lowered(1, ("h", (0,), ()), [([1], 10)])
         assert moves_of(commands) == [("SMD", (1, s)) for s in range(10, 19)]
-        assert final.crystal_at(19).ions == [1]
+        assert final.seg_crystal[19] == [1]
 
     def test_blocker_pushed_one_spacing_beyond_target(self):
         commands, final = lowered(2, ("h", (0,), ()), [([1], 17), ([2], 19)])
         assert moves_of(commands) == [("SMD", (1, 19)), ("SMD", (1, 20)),
                                       ("SMD", (1, 17)), ("SMD", (1, 18))]
-        assert final.crystal_at(19).ions == [1]
-        assert final.crystal_at(21).ions == [2]
+        assert final.seg_crystal[19] == [1]
+        assert final.seg_crystal[21] == [2]
 
     def test_send_upward_mirrors(self):
         commands, final = lowered(2, ("h", (0,), ()), [([2], 19), ([1], 21)])
         assert moves_of(commands) == [("SMU", (1, 19)), ("SMU", (1, 18)),
                                       ("SMU", (1, 21)), ("SMU", (1, 20))]
-        assert final.crystal_at(19).ions == [1]
-        assert final.crystal_at(17).ions == [2]
+        assert final.seg_crystal[19] == [1]
+        assert final.seg_crystal[17] == [2]
 
     def test_push_chain_overflow(self):
         with pytest.raises(TrapOverflow, match="push chain from segment 32 "
@@ -143,7 +143,7 @@ class TestSchedule:
         state.place_crystal([3], 21)
         result = schedule(circ, state)
         assert result.cost == 0
-        assert replay(result.sequence).final_state.crystal_at(19).ions == [3]
+        assert replay(result.sequence).final_state.seg_crystal[19] == [3]
 
     def test_lower_operand_designated_traveler_when_above(self):
         # gate lists the lower crystal's ion first: designation must flip
@@ -201,10 +201,8 @@ class TestSchedule:
         state = new_state()
         state.place_crystal([1], 18)
         # poke a violation directly: placement never makes one
-        moved = state.place_crystal([2], 20)
-        del state.seg_crystal[20]
-        moved.segment = 19
-        state.seg_crystal[19] = moved
+        state.place_crystal([2], 20)
+        state.seg_crystal[19] = state.seg_crystal.pop(20)
         with pytest.raises(ValueError, match="violates crystal spacing"):
             schedule(circ, state)
 

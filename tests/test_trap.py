@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ionshuttle.trap import (Blocked, CapacityExceeded, Crystal, DuplicateIon,
+from ionshuttle.trap import (Blocked, CapacityExceeded, DuplicateIon,
                              EmptySegment, InvalidConfig, MissingOperand,
                              NotInLiz, OutOfBounds, ResultTooLarge,
                              SpacingViolation, TrapConfig, TrapState,
@@ -46,9 +46,8 @@ def test_config_rejects_unsupported_limits():
 class TestPlacement:
     def test_place_pair_in_empty_trap(self):
         state = new_state()
-        crystal = state.place_crystal([1, 2], 19)
-        assert crystal.ions == [1, 2]
-        assert state.seg_crystal == {19: crystal}
+        state.place_crystal([1, 2], 19)
+        assert state.seg_crystal == {19: [1, 2]}
 
     def test_adjacent_placement_violates_spacing(self):
         state = new_state()
@@ -77,9 +76,9 @@ class TestPlacement:
 
     def test_place_ion_extends_singleton(self):
         state = new_state()
-        crystal = state.place_ion(1, 10)
-        assert state.place_ion(2, 10) is crystal
-        assert crystal.ions == [1, 2]
+        state.place_ion(1, 10)
+        state.place_ion(2, 10)
+        assert state.seg_crystal == {10: [1, 2]}
         with pytest.raises(CapacityExceeded):
             state.place_ion(3, 10)
 
@@ -121,11 +120,8 @@ class TestSplitMerge:
     def test_split_semantics(self):
         state = new_state()
         state.place_crystal([4, 7], 19)
-        above, below = state.split_at_liz()
-        assert above.ions == [4]
-        assert above.segment == 18
-        assert below.ions == [7]
-        assert below.segment == 20
+        state.split_at_liz()
+        assert state.seg_crystal == {18: [4], 20: [7]}
         assert 19 not in state.seg_crystal
 
     def test_split_needs_two_ions(self):
@@ -145,10 +141,7 @@ class TestSplitMerge:
         state = new_state(TrapConfig())
         state.place_crystal([1, 2], 19)
         state.place_crystal([3], 21)
-        c = state.crystal_at(21)
-        del state.seg_crystal[21]
-        c.segment = 20
-        state.seg_crystal[20] = c
+        state.seg_crystal[20] = state.seg_crystal.pop(21)
         with pytest.raises(Blocked):
             state.split_at_liz()
 
@@ -164,9 +157,8 @@ class TestSplitMerge:
         state = new_state()
         state.place_crystal([4], 18)
         state.place_crystal([7], 20)
-        merged = state.merge_at_liz()
-        assert merged.ions == [4, 7]
-        assert merged.segment == 19
+        state.merge_at_liz()
+        assert state.seg_crystal == {19: [4, 7]}
 
     def test_merge_missing_operand(self):
         state = new_state()
@@ -180,10 +172,10 @@ class TestSplitMerge:
         state = new_state()
         state.place_crystal([4], 18)
         state.place_crystal([7], 20)
-        state.seg_crystal[19] = Crystal([5], 19)
+        state.seg_crystal[19] = [5]
         with pytest.raises(Blocked, match="LIZ occupied"):
             state.merge_at_liz()
-        assert [c.ions for _, c in sorted(state.seg_crystal.items())] == [[4], [5], [7]]
+        assert [ions for _, ions in sorted(state.seg_crystal.items())] == [[4], [5], [7]]
 
     def test_merge_result_too_large(self):
         state = new_state()
@@ -196,18 +188,21 @@ class TestSplitMerge:
         state = new_state()
         state.place_crystal([4, 7], 19)
         state.split_at_liz()
-        merged = state.merge_at_liz()
-        assert merged.ions == [4, 7]
+        state.merge_at_liz()
+        assert state.seg_crystal == {19: [4, 7]}
 
-    def test_split_and_merge_return_new_crystals(self):
+    def test_split_and_merge_share_no_list(self):
+        # the trap keeps no list a caller gave it, and no two segments
+        # ever hold the same list object
+        ions = [4, 7]
         state = new_state()
-        first = state.place_crystal([4, 7], 19)
-        seen = [first]
+        state.place_crystal(ions, 19)
+        assert state.seg_crystal[19] is not ions
         for _ in range(4):
-            above, below = state.split_at_liz()
-            merged = state.merge_at_liz()
-            seen.extend([above, below, merged])
-        assert len({id(c) for c in seen}) == len(seen)
+            state.split_at_liz()
+            assert state.seg_crystal[18] is not state.seg_crystal[20]
+            state.merge_at_liz()
+            assert state.seg_crystal == {19: [4, 7]}
 
 
 class TestRotation:
@@ -215,15 +210,15 @@ class TestRotation:
         state = new_state()
         state.place_crystal([4, 7], 19)
         state.rotate_at_liz()
-        assert state.crystal_at(19).ions == [7, 4]
+        assert state.seg_crystal[19] == [7, 4]
         state.rotate_at_liz()
-        assert state.crystal_at(19).ions == [4, 7]
+        assert state.seg_crystal[19] == [4, 7]
 
     def test_rotation_of_singleton_is_noop(self):
         state = new_state()
         state.place_crystal([4], 19)
         state.rotate_at_liz()
-        assert state.crystal_at(19).ions == [4]
+        assert state.seg_crystal[19] == [4]
 
     def test_rotation_of_empty_liz(self):
         state = new_state()
@@ -243,10 +238,7 @@ class TestSpacing:
         state.place_crystal([1], 18)
         state.place_crystal([2], 20)
         # poke a violation directly: the model never creates one itself
-        c = state.crystal_at(20)
-        del state.seg_crystal[20]
-        c.segment = 19
-        state.seg_crystal[19] = c
+        state.seg_crystal[19] = state.seg_crystal.pop(20)
         assert state.check_spacing() == [(18, 19)]
 
     def test_empty_trap_passes(self):
@@ -255,7 +247,8 @@ class TestSpacing:
 
 def test_ion_conservation_and_spacing_under_random_ops():
     """Drive the primitives with a seeded fuzz loop: the ion-id multiset is
-    invariant and every post-state is spacing-clean."""
+    invariant, every post-state is spacing-clean and no two segments share
+    one ion list."""
     rng = random.Random(7)
     state = new_state()
     state.place_crystal([1, 2], 19)
@@ -278,6 +271,5 @@ def test_ion_conservation_and_spacing_under_random_ops():
             pass
         assert state.check_spacing() == []
         crystals = list(state.seg_crystal.values())
-        assert sorted(ion for c in crystals for ion in c.ions) == ions
-        for crystal in crystals:
-            assert state.seg_crystal[crystal.segment] is crystal
+        assert sorted(ion for c in crystals for ion in c) == ions
+        assert len({id(c) for c in crystals}) == len(crystals)
