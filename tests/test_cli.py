@@ -304,6 +304,55 @@ def test_bench_csv_reproducible(tmp_path, capsys):
     assert "min=" in out and "mean=" in out and "max=" in out
 
 
+BENCH_PINS = [
+    (["--suite", "random", "--qubits", "6,8", "--gates", "30", "--trials", "3",
+      "--seed", "3", "--methods", "oai,oir,oir"],
+     "random n=6 oai: trials=1 min=210 mean=210.0 max=210\n"
+     "random n=6 oir: trials=3 min=150 mean=190.0 max=216\n"
+     "random n=6 oir: trials=3 min=150 mean=190.0 max=216\n"
+     "random n=8 oai: trials=1 min=276 mean=276.0 max=276\n"
+     "random n=8 oir: trials=3 min=228 mean=242.0 max=258\n"
+     "random n=8 oir: trials=3 min=228 mean=242.0 max=258\n",
+     "random,6,oai,0,,210,30,7.000000\n"
+     "random,6,oir,0,3,150,30,5.000000\n"
+     "random,6,oir,1,4,204,30,6.800000\n"
+     "random,6,oir,2,5,216,30,7.200000\n"
+     "random,6,oir,0,3,150,30,5.000000\n"
+     "random,6,oir,1,4,204,30,6.800000\n"
+     "random,6,oir,2,5,216,30,7.200000\n"
+     "random,8,oai,0,,276,30,9.200000\n"
+     "random,8,oir,0,3,240,30,8.000000\n"
+     "random,8,oir,1,4,228,30,7.600000\n"
+     "random,8,oir,2,5,258,30,8.600000\n"
+     "random,8,oir,0,3,240,30,8.000000\n"
+     "random,8,oir,1,4,228,30,7.600000\n"
+     "random,8,oir,2,5,258,30,8.600000\n"),
+    (["--suite", "qft", "--qubits", "4,6", "--trials", "1",
+      "--methods", "oai,oir,ipo"],
+     "qft n=4 oai: trials=1 min=12 mean=12.0 max=12\n"
+     "qft n=4 oir: trials=1 min=36 mean=36.0 max=36\n"
+     "qft n=4 ipo: trials=1 min=12 mean=12.0 max=12\n"
+     "qft n=6 oai: trials=1 min=36 mean=36.0 max=36\n"
+     "qft n=6 oir: trials=1 min=120 mean=120.0 max=120\n"
+     "qft n=6 ipo: trials=1 min=60 mean=60.0 max=60\n",
+     "qft,4,oai,0,,12,6,2.000000\n"
+     "qft,4,oir,0,0,36,6,6.000000\n"
+     "qft,4,ipo,0,,12,6,2.000000\n"
+     "qft,6,oai,0,,36,15,2.400000\n"
+     "qft,6,oir,0,0,120,15,8.000000\n"
+     "qft,6,ipo,0,,60,15,4.000000\n"),
+]
+
+
+@pytest.mark.parametrize("flags,rows,records", BENCH_PINS)
+def test_bench_output_pinned(tmp_path, capsys, flags, rows, records):
+    # one printed row per (size, method) pass, even when a method repeats
+    path = tmp_path / "out.csv"
+    assert main(["bench"] + flags + ["--csv", str(path)]) == 0
+    assert capsys.readouterr().out == rows + f"wrote {path}\n"
+    assert path.read_text() == "suite,n,method,trial,seed,cost,gates,fit\n" + records
+
+
 def test_bench_rows_statistics(tmp_path, capsys):
     assert main(["bench", "--suite", "qft", "--qubits", "4,6",
                  "--methods", "oai,ipo"]) == 0
