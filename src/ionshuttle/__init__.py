@@ -5,10 +5,10 @@ parse, choose an initial ion layout, greedily route every gate through the
 laser interaction zone, and emit the command program with replay-based
 validation, cost accounting and trace rendering.
 """
-from .benchmarks import (FitReport, SweepReport, brute_force_best_ordering,
+from .benchmarks import (CompileRecord, brute_force_best_ordering,
                          circuit_fit, compile_ordering, gen_qft,
-                         gen_random_circuit, gen_toffoli, qft_fit, run_sweep,
-                         theoretical_limit)
+                         gen_random_circuit, gen_toffoli, run_sweep,
+                         theoretical_limit, to_csv)
 from .commands import (CommandSequence, FormatError, ReplayReport,
                        cost, parse_sequence, render_trace, render_trace_svg,
                        replay, serialize)
@@ -22,6 +22,6 @@ from .scheduler import ScheduleResult, schedule
 from .trap import (Blocked, CapacityExceeded, DuplicateIon, EmptySegment,
                    InvalidConfig, InvalidId, MissingOperand, NotInLiz,
                    OutOfBounds, ResultTooLarge, SpacingViolation, TrapConfig,
-                   TrapError, TrapOverflow, TrapState, WrongSize, new_state)
+                   TrapError, TrapOverflow, TrapState, WrongSize)
 
 __version__ = "0.1.0"

@@ -12,8 +12,7 @@ import functools
 import itertools
 import math
 import random
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .commands import cost as sequence_cost
 from .commands import replay
@@ -147,26 +146,6 @@ def theoretical_limit(k: int) -> float:
     return 6 / k
 
 
-@dataclass(frozen=True)
-class FitReport:
-    n_qubits: int
-    total_cost: int
-    n_two_qubit_gates: int
-    circuit_fit: float
-    theoretical_limit: float
-
-
-def qft_fit(n: int, method: str = "oai", seed: int | None = None,
-            config: TrapConfig | None = None, verify: bool = True) -> FitReport:
-    """Compile the all-pairs circuit and report its fit."""
-    circuit = gen_qft(n)
-    result = compile_ordering(circuit, make_ordering(circuit, method, seed),
-                              config, verify=verify)
-    n2q = len(circuit.two_qubit_gates())
-    return FitReport(n, result.cost, n2q, circuit_fit(result.cost, n2q),
-                     theoretical_limit(2))
-
-
 # -- sweeps ----------------------------------------------------------------------
 
 
@@ -182,30 +161,14 @@ class CompileRecord:
     fit: float
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    suite: str
-    n: int
-    method: str
-    trials: int
-    seed: int
-    min_cost: int
-    mean_cost: float
-    max_cost: int
-
-
-@dataclass
-class SweepReport:
-    rows: list[SweepRow] = field(default_factory=list)
-    records: list[CompileRecord] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        lines = ["suite,n,method,trial,seed,cost,gates,fit"]
-        for r in self.records:
-            seed = "" if r.seed is None else str(r.seed)
-            lines.append(f"{r.suite},{r.n},{r.method},{r.trial},{seed},"
-                         f"{r.cost},{r.gates},{r.fit:.6f}")
-        return "\n".join(lines) + "\n"
+def to_csv(records) -> str:
+    """One CSV line per compile record, under a header line."""
+    lines = ["suite,n,method,trial,seed,cost,gates,fit"]
+    for r in records:
+        seed = "" if r.seed is None else str(r.seed)
+        lines.append(f"{r.suite},{r.n},{r.method},{r.trial},{seed},"
+                     f"{r.cost},{r.gates},{r.fit:.6f}")
+    return "\n".join(lines) + "\n"
 
 
 def _suite_circuit(suite: str, n: int, n_gates: int, seed: int) -> Circuit:
@@ -242,18 +205,21 @@ def oir_costs(circuit: Circuit, seeds, config: TrapConfig | None = None,
 
 def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
               trials: int = 1, seed: int = 0, n_gates: int = 1000,
-              config: TrapConfig | None = None, workers: int = 1) -> SweepReport:
+              config: TrapConfig | None = None,
+              workers: int = 1) -> list[CompileRecord]:
     """Compile each suite circuit under each ordering method.
 
     Deterministic methods run once; the randomized one runs ``trials`` times
     with seeds derived from the master seed by counter.  Every compile is
-    replayed and verified.  Trials are independent (each compile owns its
-    trap), so ``workers`` > 1 fans them out over processes; records stay
-    keyed by trial index, keeping the report identical to a serial run.
+    replayed and verified.  Records come per size, then per method, then
+    per trial, so each method's pass starts at trial 0.  Trials are
+    independent (each compile owns its trap), so ``workers`` > 1 fans them
+    out over processes; records stay in trial order, identical to a serial
+    run.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    report = SweepReport()
+    records = []
     for n in n_list:
         cfg = config or bench_config(n)
         check_capacity((n + 1) // 2, cfg)  # before building the suite circuit
@@ -268,14 +234,10 @@ def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
                 runs = [(0, None)]
                 costs = [compile_ordering(circuit, make_ordering(circuit, method),
                                           cfg, verify=True).cost]
-            for (trial, trial_seed), c in zip(runs, costs):
-                report.records.append(CompileRecord(
-                    suite, n, method, trial, trial_seed, c, n2q,
-                    circuit_fit(c, n2q)))
-            report.rows.append(SweepRow(
-                suite, n, method, len(costs), seed,
-                min(costs), statistics.fmean(costs), max(costs)))
-    return report
+            records += [CompileRecord(suite, n, method, trial, trial_seed, c,
+                                      n2q, circuit_fit(c, n2q))
+                        for (trial, trial_seed), c in zip(runs, costs)]
+    return records
 
 
 # -- exhaustive placement oracle ----------------------------------------------

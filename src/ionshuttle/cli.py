@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import statistics
 import sys
 
-from .benchmarks import (SweepReport, bench_config, circuit_fit,
-                         compile_ordering, make_ordering, run_sweep, InvalidShape)
+from .benchmarks import (bench_config, circuit_fit, compile_ordering,
+                         make_ordering, run_sweep, to_csv, InvalidShape)
 from .commands import (FormatError, ReplayError, cost, parse_sequence,
                        render_trace, render_traces, replay, serialize)
 from .ordering import check_capacity
@@ -119,19 +120,23 @@ def cmd_trace(args) -> int:
 
 def cmd_bench(args) -> int:
     n_list = [int(x) for x in args.qubits.split(",") if x]
-    report = SweepReport()
+    records = []
     for n in n_list:  # each size on its own trap, as run_sweep picks it
-        part = run_sweep(args.suite, [n], method_list=tuple(args.methods.split(",")),
-                         trials=args.trials, seed=args.seed, n_gates=args.gates,
-                         config=_trap_config(args, bench_config(n)),
-                         workers=args.workers)
-        report.rows += part.rows
-        report.records += part.records
-    for row in report.rows:
-        print(f"{row.suite} n={row.n} {row.method}: trials={row.trials} "
-              f"min={row.min_cost} mean={row.mean_cost:.1f} max={row.max_cost}")
+        records += run_sweep(args.suite, [n], method_list=tuple(args.methods.split(",")),
+                             trials=args.trials, seed=args.seed, n_gates=args.gates,
+                             config=_trap_config(args, bench_config(n)),
+                             workers=args.workers)
+    passes = []  # one per (size, method) pass; each pass starts at trial 0
+    for r in records:
+        if r.trial == 0:
+            passes.append([])
+        passes[-1].append(r)
+    for run in passes:
+        costs = [r.cost for r in run]
+        print(f"{run[0].suite} n={run[0].n} {run[0].method}: trials={len(costs)} "
+              f"min={min(costs)} mean={statistics.fmean(costs):.1f} max={max(costs)}")
     if args.csv:
-        _write(args.csv, report.to_csv())
+        _write(args.csv, to_csv(records))
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -202,7 +207,3 @@ def main(argv=None) -> int:
                 print(f"error: {e}", file=sys.stderr)
                 return code
         raise
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

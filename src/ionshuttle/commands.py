@@ -86,8 +86,8 @@ class ReplayError(Exception):
 class CommandSequence:
     """An ordered command list plus the trap shape it targets."""
 
-    n_segments: int = 32
-    liz: int = 19
+    n_segments: int = TrapConfig.n_segments
+    liz: int = TrapConfig.liz
     raw: list[RawCommand] = field(default_factory=list)
 
     def opcode_counts(self) -> dict[str, int]:

@@ -252,8 +252,3 @@ class TrapState:
             raise InvalidId(f"gate index {gate_index} is negative")
         if self.config.liz not in self.seg_crystal:
             raise NotInLiz("gate executed with no crystal in the LIZ")
-
-
-def new_state(config: TrapConfig | None = None) -> TrapState:
-    """Fresh empty trap for the given (validated) configuration."""
-    return TrapState(config)

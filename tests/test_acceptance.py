@@ -21,7 +21,7 @@ from ionshuttle.commands import FormatError, cost, parse_sequence, replay, seria
 from ionshuttle.ordering import reverse_ordering
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
-from ionshuttle.trap import new_state
+from ionshuttle.trap import TrapState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 WORKERS = 2
@@ -52,7 +52,7 @@ def audit_verified(n_sequences):
 def test_criterion_1_exchange_cost_law():
     started = time.monotonic()
     circuit = build_circuit(4, [("cz", (0, 2), ())])
-    state = new_state()
+    state = TrapState()
     state.place_crystal([1, 2], 19)
     state.place_crystal([3, 4], 21)
     result = schedule(circuit, state)
@@ -122,6 +122,7 @@ def test_criterion_4_oracle_and_reversal():
           f"heuristics >= oracle, reversal costs equal ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_random_circuit_trend():
     started = time.monotonic()
     oir_beats_ipo = 0

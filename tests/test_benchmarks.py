@@ -11,8 +11,9 @@ from ionshuttle.benchmarks import (InvalidShape, TooLarge, bench_config,
                                    brute_force_best_ordering, circuit_fit,
                                    compile_ordering, enumerate_orderings,
                                    gen_qft, gen_random_circuit, gen_toffoli,
-                                   make_ordering, oir_costs, qft_fit,
-                                   run_sweep, theoretical_limit)
+                                   make_ordering, oir_costs, run_sweep,
+                                   theoretical_limit, to_csv)
+from ionshuttle.cli import main
 from ionshuttle.ordering import order_as_is, reverse_ordering
 from ionshuttle.qasm import build_circuit
 from ionshuttle.trap import TrapConfig, TrapOverflow
@@ -114,30 +115,42 @@ class TestFit:
             theoretical_limit(0)
 
     def test_qft_fit_report(self):
-        report = qft_fit(8)
-        assert report.n_qubits == 8
-        assert report.n_two_qubit_gates == 28
-        assert report.total_cost == report.circuit_fit * 28
-        assert report.theoretical_limit == 3.0
+        circuit = gen_qft(8)
+        cost = compile_ordering(circuit, order_as_is(circuit), verify=True).cost
+        n2q = len(circuit.two_qubit_gates())
+        assert circuit.n_qubits == 8
+        assert n2q == 28
+        assert cost == circuit_fit(cost, n2q) * 28
+        assert theoretical_limit(2) == 3.0
+
+
+def bench_rows(capsys, argv):
+    """The (min, mean, max) cost of each printed ``bench`` row."""
+    assert main(["bench"] + argv) == 0
+    rows = [dict(f.split("=") for f in line.split()[3:])
+            for line in capsys.readouterr().out.splitlines()]
+    return [(int(r["min"]), float(r["mean"]), int(r["max"])) for r in rows]
 
 
 class TestSweep:
-    def test_single_trial_degenerate_stats(self):
-        report = run_sweep("random", [6], method_list=("oir",), trials=1,
-                           seed=0, n_gates=30)
-        row = report.rows[0]
-        assert row.min_cost == row.mean_cost == row.max_cost
+    def test_single_trial_degenerate_stats(self, capsys):
+        [(lo, mean, hi)] = bench_rows(capsys, [
+            "--suite", "random", "--qubits", "6", "--methods", "oir",
+            "--trials", "1", "--seed", "0", "--gates", "30"])
+        assert lo == mean == hi
 
-    def test_stats_ordering(self):
-        report = run_sweep("random", [6], method_list=("oai", "oir", "ipo"),
-                           trials=5, seed=0, n_gates=40)
-        for row in report.rows:
-            assert row.min_cost <= row.mean_cost <= row.max_cost
+    def test_stats_ordering(self, capsys):
+        rows = bench_rows(capsys, [
+            "--suite", "random", "--qubits", "6", "--methods", "oai,oir,ipo",
+            "--trials", "5", "--seed", "0", "--gates", "40"])
+        assert len(rows) == 3
+        for lo, mean, hi in rows:
+            assert lo <= mean <= hi
 
     def test_csv_shape(self):
-        report = run_sweep("qft", [4, 6], method_list=("oai", "oir"),
-                           trials=2, seed=1, n_gates=0)
-        lines = report.to_csv().splitlines()
+        records = run_sweep("qft", [4, 6], method_list=("oai", "oir"),
+                            trials=2, seed=1, n_gates=0)
+        lines = to_csv(records).splitlines()
         assert lines[0] == "suite,n,method,trial,seed,cost,gates,fit"
         assert len(lines) == 1 + 2 * (1 + 2)
         assert lines[1].startswith("qft,4,oai,0,,")
@@ -149,7 +162,9 @@ class TestSweep:
     def test_fixed_seed_reproducible(self):
         a = run_sweep("random", [6], trials=3, seed=9, n_gates=25)
         b = run_sweep("random", [6], trials=3, seed=9, n_gates=25)
-        assert a.to_csv() == b.to_csv()
+        assert len(a) == 1 + 3 + 1
+        assert a == b
+        assert to_csv(a) == to_csv(b)
 
     def test_pool_never_larger_than_seed_count(self, monkeypatch):
         import multiprocessing

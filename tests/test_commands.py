@@ -13,12 +13,12 @@ from ionshuttle.commands import (CommandSequence, FormatError, ReplayError,
 from ionshuttle.ordering import Ordering, increase_pairwise_order
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
-from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState, new_state
+from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState
 
 
 def exchange_sequence():
     circ = build_circuit(4, [("cz", (0, 2), ())])
-    state = new_state()
+    state = TrapState()
     state.place_crystal([1, 2], 19)
     state.place_crystal([3, 4], 21)
     return schedule(circ, state).sequence

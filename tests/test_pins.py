@@ -17,7 +17,7 @@ from ionshuttle.ordering import (increase_pairwise_order, order_as_is,
                                  order_inputs_randomly)
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
-from ionshuttle.trap import TrapConfig, new_state
+from ionshuttle.trap import TrapConfig, TrapState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -38,7 +38,7 @@ def test_golden_qft4_oai():
 
 def test_golden_exchange():
     circuit = build_circuit(4, [("cz", (0, 2), ())])
-    state = new_state()
+    state = TrapState()
     state.place_crystal([1, 2], 19)
     state.place_crystal([3, 4], 21)
     assert serialize(schedule(circuit, state).sequence) == golden("exchange.seq")

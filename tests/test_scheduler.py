@@ -12,7 +12,7 @@ from ionshuttle.ordering import (order_as_is, order_inputs_randomly,
                                  place_in_the_model)
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import crystal_chain, schedule
-from ionshuttle.trap import TrapConfig, TrapOverflow, new_state
+from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState
 
 
 def ops_of(commands, kinds):
@@ -26,7 +26,7 @@ def ion_sets(state):
 def lowered(n_qubits, gate, crystals, config=None):
     """Schedule one gate on a hand-placed trap; return the program's
     commands and the trap its replay ends in."""
-    state = new_state(config)
+    state = TrapState(config)
     for ions, segment in crystals:
         state.place_crystal(ions, segment)
     result = schedule(build_circuit(n_qubits, [gate]), state)
@@ -106,7 +106,7 @@ class TestIonPermutation:
 class TestSchedule:
     def test_gate_on_liz_crystal_costs_nothing(self):
         circ = build_circuit(2, [("cz", (0, 1), ())])
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 19)
         result = schedule(circ, state)
         assert result.cost == 0
@@ -117,7 +117,7 @@ class TestSchedule:
 
     def test_distant_crystal_travels_without_cost(self):
         circ = build_circuit(2, [("cz", (0, 1), ())])
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 10)
         result = schedule(circ, state)
         assert result.cost == 0
@@ -127,7 +127,7 @@ class TestSchedule:
 
     def test_adjacent_pair_exchange_costs_six(self):
         circ = build_circuit(4, [("cz", (0, 2), ())])
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 19)
         state.place_crystal([3, 4], 21)
         result = schedule(circ, state)
@@ -138,7 +138,7 @@ class TestSchedule:
 
     def test_one_qubit_gate(self):
         circ = build_circuit(3, [("h", (2,), ())])
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 19)
         state.place_crystal([3], 21)
         result = schedule(circ, state)
@@ -148,7 +148,7 @@ class TestSchedule:
     def test_lower_operand_designated_traveler_when_above(self):
         # gate lists the lower crystal's ion first: designation must flip
         circ = build_circuit(4, [("cz", (2, 0), ())])
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 19)
         state.place_crystal([3, 4], 21)
         result = schedule(circ, state)
@@ -158,7 +158,7 @@ class TestSchedule:
     def test_multi_hop_exchange(self):
         # operands two crystals apart: one ferry hop plus the gate exchange
         circ = build_circuit(6, [("cz", (0, 5), ())])
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 17)
         state.place_crystal([3, 4], 19)
         state.place_crystal([5, 6], 21)
@@ -173,7 +173,7 @@ class TestSchedule:
         rng = random.Random(11)
         pairs = [tuple(rng.sample(range(6), 2)) for _ in range(25)]
         circ = build_circuit(6, [("cz", p, ()) for p in pairs])
-        state = new_state(TrapConfig(n_segments=48, liz=24))
+        state = TrapState(TrapConfig(n_segments=48, liz=24))
         place_in_the_model(state, order_inputs_randomly(circ, 4), circ)
         result = schedule(circ, state)
         dgs = [params[0] for op, params in result.sequence.raw if op == "DG"]
@@ -182,7 +182,7 @@ class TestSchedule:
 
     def test_overflow_names_gate_and_span(self):
         circ = build_circuit(6, [("cz", (0, 1), ()), ("cz", (0, 5), ())])
-        state = new_state(TrapConfig(n_segments=12, liz=6))
+        state = TrapState(TrapConfig(n_segments=12, liz=6))
         place_in_the_model(state, order_as_is(circ), circ)
         with pytest.raises(TrapOverflow, match=r"^gate 1: .*occupied "
                            r"segments \d+-\d+ of 12\)$") as err:
@@ -191,14 +191,14 @@ class TestSchedule:
 
     def test_schedule_rejects_wrong_ion_set(self):
         circ = build_circuit(4, [("cz", (0, 1), ())])
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 19)
         with pytest.raises(ValueError):
             schedule(circ, state)
 
     def test_schedule_rejects_crystals_closer_than_spacing(self):
         circ = build_circuit(2, [("cz", (0, 1), ())])
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1], 18)
         # poke a violation directly: placement never makes one
         state.place_crystal([2], 20)
@@ -212,7 +212,7 @@ class TestSchedule:
         circ = build_circuit(8, [("cz", p, ()) for p in pairs])
         texts = []
         for _ in range(2):
-            state = new_state(TrapConfig(n_segments=48, liz=24))
+            state = TrapState(TrapConfig(n_segments=48, liz=24))
             place_in_the_model(state, order_inputs_randomly(circ, 9), circ)
             texts.append(serialize(schedule(circ, state).sequence))
         assert texts[0] == texts[1]
@@ -223,7 +223,7 @@ class TestSchedule:
             n = rng.randrange(4, 10)
             pairs = [tuple(rng.sample(range(n), 2)) for _ in range(30)]
             circ = build_circuit(n, [("cz", p, ()) for p in pairs])
-            state = new_state(TrapConfig(n_segments=64, liz=32))
+            state = TrapState(TrapConfig(n_segments=64, liz=32))
             place_in_the_model(state, order_inputs_randomly(circ, trial), circ)
             result = schedule(circ, state)
             report = replay(result.sequence)

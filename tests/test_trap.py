@@ -7,11 +7,11 @@ from ionshuttle.trap import (Blocked, CapacityExceeded, DuplicateIon,
                              EmptySegment, InvalidConfig, MissingOperand,
                              NotInLiz, OutOfBounds, ResultTooLarge,
                              SpacingViolation, TrapConfig, TrapState,
-                             WrongSize, new_state)
+                             WrongSize)
 
 
 def test_default_config_matches_reference_trap():
-    state = new_state()
+    state = TrapState()
     assert state.config.n_segments == 32
     assert state.config.liz == 19
     assert not state.seg_crystal
@@ -19,19 +19,19 @@ def test_default_config_matches_reference_trap():
 
 def test_config_rejects_tiny_trap():
     with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(n_segments=4))
+        TrapState(TrapConfig(n_segments=4))
 
 
 def test_config_rejects_liz_out_of_range():
     with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(n_segments=32, liz=33))
+        TrapState(TrapConfig(n_segments=32, liz=33))
     with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(liz=0))
+        TrapState(TrapConfig(liz=0))
     # split and merge need a segment on each side of the LIZ
     with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(liz=1))
+        TrapState(TrapConfig(liz=1))
     with pytest.raises(InvalidConfig):
-        new_state(TrapConfig(liz=32))
+        TrapState(TrapConfig(liz=32))
 
 
 def test_config_rejects_unsupported_limits():
@@ -45,24 +45,24 @@ def test_config_rejects_unsupported_limits():
 
 class TestPlacement:
     def test_place_pair_in_empty_trap(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 19)
         assert state.seg_crystal == {19: [1, 2]}
 
     def test_adjacent_placement_violates_spacing(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 19)
         with pytest.raises(SpacingViolation):
             state.place_crystal([3], 20)
 
     def test_occupied_segment_rejected(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1], 19)
         with pytest.raises(SpacingViolation, match="segment 19 already occupied"):
             state.place_crystal([2], 19)
 
     def test_duplicate_ion_rejected(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1], 10)
         with pytest.raises(DuplicateIon):
             state.place_crystal([1], 14)
@@ -70,12 +70,12 @@ class TestPlacement:
             state.place_crystal([2, 2], 14)
 
     def test_three_ion_crystal_rejected(self):
-        state = new_state()
+        state = TrapState()
         with pytest.raises(CapacityExceeded):
             state.place_crystal([1, 2, 3], 10)
 
     def test_place_ion_extends_singleton(self):
-        state = new_state()
+        state = TrapState()
         state.place_ion(1, 10)
         state.place_ion(2, 10)
         assert state.seg_crystal == {10: [1, 2]}
@@ -85,18 +85,18 @@ class TestPlacement:
 
 class TestTransport:
     def test_single_step_up(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1], 10)
         assert state.move_crystal_step(10, -1) == 9
 
     def test_step_off_the_end(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1], 1)
         with pytest.raises(OutOfBounds):
             state.move_crystal_step(1, -1)
 
     def test_step_into_spacing_conflict(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1], 10)
         state.place_crystal([2], 13)
         assert state.move_crystal_step(13, -1) == 12
@@ -104,12 +104,12 @@ class TestTransport:
             state.move_crystal_step(12, -1)
 
     def test_move_of_empty_segment(self):
-        state = new_state()
+        state = TrapState()
         with pytest.raises(EmptySegment):
             state.move_crystal_step(10, 1)
 
     def test_move_onto_well_blocked(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1], 10)
         state.add_well(11)
         with pytest.raises(Blocked):
@@ -118,27 +118,27 @@ class TestTransport:
 
 class TestSplitMerge:
     def test_split_semantics(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4, 7], 19)
         state.split_at_liz()
         assert state.seg_crystal == {18: [4], 20: [7]}
         assert 19 not in state.seg_crystal
 
     def test_split_needs_two_ions(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4], 19)
         with pytest.raises(WrongSize):
             state.split_at_liz()
 
     def test_split_empty_liz(self):
-        state = new_state()
+        state = TrapState()
         with pytest.raises(NotInLiz):
             state.split_at_liz()
 
     def test_split_blocked_by_neighbor_at_staging(self):
         # no legal op reaches "crystal at liz+1 while the LIZ is occupied",
         # so force the state directly to check the guard
-        state = new_state(TrapConfig())
+        state = TrapState(TrapConfig())
         state.place_crystal([1, 2], 19)
         state.place_crystal([3], 21)
         state.seg_crystal[20] = state.seg_crystal.pop(21)
@@ -147,21 +147,21 @@ class TestSplitMerge:
 
     def test_split_blocked_by_neighbor_two_out(self):
         # a crystal at liz+2 would end up adjacent to the product at liz+1
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1, 2], 19)
         state.place_crystal([3], 21)
         with pytest.raises(Blocked):
             state.split_at_liz()
 
     def test_merge_semantics(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4], 18)
         state.place_crystal([7], 20)
         state.merge_at_liz()
         assert state.seg_crystal == {19: [4, 7]}
 
     def test_merge_missing_operand(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4], 18)
         with pytest.raises(MissingOperand):
             state.merge_at_liz()
@@ -169,7 +169,7 @@ class TestSplitMerge:
     def test_merge_into_occupied_liz(self):
         # no program reaches this (the spacing rule never lets the LIZ and
         # both its neighbours be occupied at once), so poke it in directly
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4], 18)
         state.place_crystal([7], 20)
         state.seg_crystal[19] = [5]
@@ -178,14 +178,14 @@ class TestSplitMerge:
         assert [ions for _, ions in sorted(state.seg_crystal.items())] == [[4], [5], [7]]
 
     def test_merge_result_too_large(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4, 5], 18)
         state.place_crystal([7], 20)
         with pytest.raises(ResultTooLarge):
             state.merge_at_liz()
 
     def test_split_merge_round_trip_preserves_order(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4, 7], 19)
         state.split_at_liz()
         state.merge_at_liz()
@@ -195,7 +195,7 @@ class TestSplitMerge:
         # the trap keeps no list a caller gave it, and no two segments
         # ever hold the same list object
         ions = [4, 7]
-        state = new_state()
+        state = TrapState()
         state.place_crystal(ions, 19)
         assert state.seg_crystal[19] is not ions
         for _ in range(4):
@@ -207,7 +207,7 @@ class TestSplitMerge:
 
 class TestRotation:
     def test_rotation_reverses_pair(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4, 7], 19)
         state.rotate_at_liz()
         assert state.seg_crystal[19] == [7, 4]
@@ -215,26 +215,26 @@ class TestRotation:
         assert state.seg_crystal[19] == [4, 7]
 
     def test_rotation_of_singleton_is_noop(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([4], 19)
         state.rotate_at_liz()
         assert state.seg_crystal[19] == [4]
 
     def test_rotation_of_empty_liz(self):
-        state = new_state()
+        state = TrapState()
         with pytest.raises(EmptySegment):
             state.rotate_at_liz()
 
 
 class TestSpacing:
     def test_spaced_crystals_pass(self):
-        state = new_state()
+        state = TrapState()
         for ion, seg in ((1, 17), (2, 19), (3, 21)):
             state.place_crystal([ion], seg)
         assert state.check_spacing() == []
 
     def test_adjacent_crystals_flagged(self):
-        state = new_state()
+        state = TrapState()
         state.place_crystal([1], 18)
         state.place_crystal([2], 20)
         # poke a violation directly: the model never creates one itself
@@ -242,7 +242,7 @@ class TestSpacing:
         assert state.check_spacing() == [(18, 19)]
 
     def test_empty_trap_passes(self):
-        assert new_state().check_spacing() == []
+        assert TrapState().check_spacing() == []
 
 
 def test_ion_conservation_and_spacing_under_random_ops():
@@ -250,7 +250,7 @@ def test_ion_conservation_and_spacing_under_random_ops():
     invariant, every post-state is spacing-clean and no two segments share
     one ion list."""
     rng = random.Random(7)
-    state = new_state()
+    state = TrapState()
     state.place_crystal([1, 2], 19)
     state.place_crystal([3, 4], 23)
     state.place_crystal([5], 26)
