@@ -15,13 +15,10 @@ from .commands import (CommandSequence, FormatError, ReplayReport,
 from .ordering import (Ordering, increase_pairwise_order, order_as_is,
                        order_inputs_randomly, place_in_the_model,
                        reverse_ordering)
-from .qasm import (Circuit, Gate, QasmError, QasmSyntaxError, UndeclaredQubit,
-                   UnsupportedGate, build_circuit, decompose_gate, parse_qasm,
-                   to_qasm)
+from .qasm import (Circuit, Gate, QasmError, build_circuit, decompose_gate,
+                   parse_qasm, to_qasm)
 from .scheduler import ScheduleResult, schedule
-from .trap import (Blocked, CapacityExceeded, DuplicateIon, EmptySegment,
-                   InvalidConfig, InvalidId, MissingOperand, NotInLiz,
-                   OutOfBounds, ResultTooLarge, SpacingViolation, TrapConfig,
-                   TrapError, TrapOverflow, TrapState, WrongSize)
+from .trap import (CapacityExceeded, InvalidConfig, TrapConfig, TrapError,
+                   TrapOverflow, TrapState)
 
 __version__ = "0.1.0"

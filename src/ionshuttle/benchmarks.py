@@ -24,14 +24,6 @@ from .scheduler import ScheduleResult, plan_cost, schedule
 from .trap import TrapConfig, TrapState
 
 
-class InvalidShape(Exception):
-    pass
-
-
-class TooLarge(Exception):
-    pass
-
-
 ORACLE_MAX_QUBITS = 8
 
 
@@ -67,7 +59,7 @@ def gen_toffoli(n: int) -> Circuit:
     """Generalized Toffoli ladder on n = c controls + (c-1) ancillas + 1
     target, with every doubly-controlled step expanded to two-qubit gates."""
     if n < 4 or n % 2:
-        raise InvalidShape(
+        raise ValueError(
             f"{n} qubits do not split into c controls, c-1 ancillas and a target")
     c = n // 2
     ctrl = list(range(c))
@@ -275,7 +267,7 @@ def brute_force_best_ordering(circuit: Circuit,
     """
     n = circuit.n_qubits
     if n > ORACLE_MAX_QUBITS:
-        raise TooLarge(
+        raise ValueError(
             f"exhaustive search capped at {ORACLE_MAX_QUBITS} qubits")
     best: tuple[Ordering, int] | None = None
     for first in enumerate_orderings(n):

@@ -16,7 +16,7 @@ import statistics
 import sys
 
 from .benchmarks import (bench_config, circuit_fit, compile_ordering,
-                         make_ordering, run_sweep, to_csv, InvalidShape)
+                         make_ordering, run_sweep, to_csv)
 from .commands import (FormatError, ReplayError, cost, parse_sequence,
                        render_trace, render_traces, replay, serialize)
 from .ordering import check_capacity
@@ -38,7 +38,7 @@ EXIT_CODES = (
     ((QasmError, FormatError), EXIT_PARSE),
     ((CapacityExceeded, InvalidConfig), EXIT_CAPACITY),
     ((TrapOverflow,), EXIT_OVERFLOW),
-    ((ReplayError, TrapError, InvalidShape, ValueError), EXIT_ERROR),
+    ((ReplayError, TrapError, ValueError), EXIT_ERROR),
 )
 
 
@@ -120,12 +120,17 @@ def cmd_trace(args) -> int:
 
 def cmd_bench(args) -> int:
     n_list = [int(x) for x in args.qubits.split(",") if x]
+    # each size on its own trap, as run_sweep picks it; every trap is
+    # checked before the first compile, so a bad last size fails at once
+    configs = [_trap_config(args, bench_config(n)) for n in n_list]
+    for n, config in zip(n_list, configs):
+        check_capacity((n + 1) // 2, config)
+        config.validate()
     records = []
-    for n in n_list:  # each size on its own trap, as run_sweep picks it
+    for n, config in zip(n_list, configs):
         records += run_sweep(args.suite, [n], method_list=tuple(args.methods.split(",")),
                              trials=args.trials, seed=args.seed, n_gates=args.gates,
-                             config=_trap_config(args, bench_config(n)),
-                             workers=args.workers)
+                             config=config, workers=args.workers)
     passes = []  # one per (size, method) pass; each pass starts at trial 0
     for r in records:
         if r.trial == 0:

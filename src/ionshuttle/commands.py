@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .trap import NotInLiz, TrapConfig, TrapState, TrapError
+from .trap import TrapConfig, TrapState, TrapError
 
 RawCommand = tuple[str, tuple[int, ...]]
 
@@ -264,7 +264,7 @@ def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
             ions = state.seg_crystal.get(seg)
             if ions is not None:
                 ions.reverse()
-            raise NotInLiz(f"rotation outside LIZ (segment {seg})")
+            raise TrapError(f"rotation outside LIZ (segment {seg})")
         state.rotate_at_liz()
     elif op == "DG":
         state.record_gate(params[0])

@@ -29,25 +29,14 @@ MAX_PAREN_DEPTH = 100
 
 
 class QasmError(Exception):
-    """Base class; carries 1-based source position."""
+    """Input outside the supported subset: bad syntax, an unsupported gate
+    or an undeclared register or index.  Carries the 1-based source
+    position; the message names what failed."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"{line}:{col}: {message}" if line else message)
         self.line = line
         self.col = col
-
-
-class QasmSyntaxError(QasmError):
-    pass
-
-
-class UnsupportedGate(QasmError):
-    pass
-
-
-class UndeclaredQubit(QasmError):
-    """An argument names an undeclared register (quantum or classical) or
-    an index outside its register."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +113,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         m = _TOKEN_RE.match(text, i)
         if m is None:
-            raise QasmSyntaxError(f"unexpected character {ch!r}", line, i - line_start + 1)
+            raise QasmError(f"unexpected character {ch!r}", line, i - line_start + 1)
         tokens.append(_Token(m.lastgroup, m.group(), line, i - line_start + 1))
         i = m.end()
     return tokens
@@ -151,11 +140,11 @@ class _Parser:
         tok = self._peek()
         if tok is None:
             last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise QasmSyntaxError("unexpected end of input", last.line, last.col)
+            raise QasmError("unexpected end of input", last.line, last.col)
         if kind is not None and tok.kind != kind:
-            raise QasmSyntaxError(f"expected {kind}, got {tok.value!r}", tok.line, tok.col)
+            raise QasmError(f"expected {kind}, got {tok.value!r}", tok.line, tok.col)
         if value is not None and tok.value != value:
-            raise QasmSyntaxError(f"expected {value!r}, got {tok.value!r}", tok.line, tok.col)
+            raise QasmError(f"expected {value!r}, got {tok.value!r}", tok.line, tok.col)
         self.pos += 1
         return tok
 
@@ -163,13 +152,13 @@ class _Parser:
         """Read a NUMBER token that must be a plain integer ``int`` converts."""
         tok = self._next("NUMBER")
         if not tok.value.isdecimal():
-            raise QasmSyntaxError(f"expected an integer, got {tok.value!r}",
-                                  tok.line, tok.col)
+            raise QasmError(f"expected an integer, got {tok.value!r}",
+                            tok.line, tok.col)
         try:
             return int(tok.value)
         except ValueError:  # more digits than int converts
-            raise QasmSyntaxError(f"integer of {len(tok.value)} digits is too long",
-                                  tok.line, tok.col) from None
+            raise QasmError(f"integer of {len(tok.value)} digits is too long",
+                            tok.line, tok.col) from None
 
     def _argument(self, table: dict[str, range], kind: str) -> tuple[_Token, int | None]:
         """Read ``name`` or ``name[i]`` naming a ``kind`` register of
@@ -177,8 +166,8 @@ class _Parser:
         whole register."""
         name = self._next("ID")
         if name.value not in table:
-            raise UndeclaredQubit(f"unknown {kind} register {name.value!r}",
-                                  name.line, name.col)
+            raise QasmError(f"unknown {kind} register {name.value!r}",
+                            name.line, name.col)
         if not (self._peek() and self._peek().value == "["):
             return name, None
         self._next("SYM", "[")
@@ -187,7 +176,7 @@ class _Parser:
         self._next("SYM", "]")
         register = table[name.value]
         if idx >= len(register):
-            raise UndeclaredQubit(
+            raise QasmError(
                 f"{name.value}[{idx}] out of range (size {len(register)})",
                 idx_tok.line, idx_tok.col)
         return name, register[idx]
@@ -209,11 +198,11 @@ class _Parser:
     def _header(self) -> None:
         tok = self._next("ID")
         if tok.value != "OPENQASM":
-            raise QasmSyntaxError("missing OPENQASM 2.0 header", tok.line, tok.col)
+            raise QasmError("missing OPENQASM 2.0 header", tok.line, tok.col)
         version = self._next("NUMBER")
         if version.value != "2.0":
-            raise QasmSyntaxError(f"unsupported version {version.value}",
-                                  version.line, version.col)
+            raise QasmError(f"unsupported version {version.value}",
+                            version.line, version.col)
         self._next("SYM", ";")
 
     def _statement(self) -> None:
@@ -221,8 +210,8 @@ class _Parser:
         if tok.value == "include":
             target = self._next("STRING")
             if target.value != '"qelib1.inc"':
-                raise QasmSyntaxError(f"unsupported include {target.value}",
-                                      target.line, target.col)
+                raise QasmError(f"unsupported include {target.value}",
+                                target.line, target.col)
             self._next("SYM", ";")
         elif tok.value in ("qreg", "creg"):
             name = self._next("ID")
@@ -230,13 +219,13 @@ class _Parser:
             size_tok = self._peek()
             size = self._integer()
             if size > sys.maxsize:  # a longer range has no len()
-                raise QasmSyntaxError(f"register size over {sys.maxsize}",
-                                      size_tok.line, size_tok.col)
+                raise QasmError(f"register size over {sys.maxsize}",
+                                size_tok.line, size_tok.col)
             self._next("SYM", "]")
             self._next("SYM", ";")
             if name.value in self.registers or name.value in self.cregs:
-                raise QasmSyntaxError(f"register {name.value!r} redeclared",
-                                      name.line, name.col)
+                raise QasmError(f"register {name.value!r} redeclared",
+                                name.line, name.col)
             if tok.value == "qreg":
                 self.registers[name.value] = range(self.n_qubits, self.n_qubits + size)
                 self.n_qubits += size
@@ -249,12 +238,12 @@ class _Parser:
             self._next("ARROW")
             creg, c = self._argument(self.cregs, "classical")
             if (q is None) != (c is None):
-                raise QasmSyntaxError("measure needs both arguments indexed or "
-                                      "both whole registers", creg.line, creg.col)
+                raise QasmError("measure needs both arguments indexed or "
+                                "both whole registers", creg.line, creg.col)
             if q is None and len(self.registers[qreg.value]) != len(self.cregs[creg.value]):
-                raise QasmSyntaxError(f"measure of register {qreg.value!r} into "
-                                      f"{creg.value!r} of another size",
-                                      creg.line, creg.col)
+                raise QasmError(f"measure of register {qreg.value!r} into "
+                                f"{creg.value!r} of another size",
+                                creg.line, creg.col)
             self._next("SYM", ";")
             log.warning("%d:%d: measure ignored (no effect on shuttling)",
                         tok.line, tok.col)
@@ -264,8 +253,8 @@ class _Parser:
             log.warning("%d:%d: barrier ignored (no effect on shuttling)",
                         tok.line, tok.col)
         elif tok.value in ("gate", "opaque", "if", "reset"):
-            raise QasmSyntaxError(f"unsupported construct {tok.value!r}",
-                                  tok.line, tok.col)
+            raise QasmError(f"unsupported construct {tok.value!r}",
+                            tok.line, tok.col)
         else:
             self._gate_statement(tok)
 
@@ -278,20 +267,20 @@ class _Parser:
         operands = []
         for arg, q in self._qubit_arguments():
             if q is None:
-                raise QasmSyntaxError("whole-register arguments are not supported",
-                                      arg.line, arg.col)
+                raise QasmError("whole-register arguments are not supported",
+                                arg.line, arg.col)
             operands.append(q)
         self._next("SYM", ";")
         if len(set(operands)) != len(operands):
-            raise QasmSyntaxError(f"gate {name.value} repeats an operand",
-                                  name.line, name.col)
+            raise QasmError(f"gate {name.value} repeats an operand",
+                            name.line, name.col)
         if len(operands) <= 2:
             self.specs.append((name.value, tuple(operands), params))
         elif name.value == "ccx" and self.decompose:
             inner = decompose_gate(Gate(0, "ccx", tuple(operands)))
             self.specs.extend((g.kind, g.operands, g.params) for g in inner)
         else:
-            raise UnsupportedGate(
+            raise QasmError(
                 f"{name.value} acts on {len(operands)} qubits (max 2; "
                 "ccx is supported with decomposition enabled)",
                 name.line, name.col)
@@ -312,8 +301,8 @@ class _Parser:
         tok = self._peek()
         value = self._expr()
         if not math.isfinite(value):
-            raise QasmSyntaxError(f"expression value {value} is not finite",
-                                  tok.line, tok.col)
+            raise QasmError(f"expression value {value} is not finite",
+                            tok.line, tok.col)
         return value
 
     def _expr(self) -> float:
@@ -334,7 +323,7 @@ class _Parser:
             if op == "*":
                 value *= factor
             elif factor == 0:
-                raise QasmSyntaxError("division by zero", tok.line, tok.col)
+                raise QasmError("division by zero", tok.line, tok.col)
             else:
                 value /= factor
         return value
@@ -346,10 +335,10 @@ class _Parser:
             negate = not negate
         if tok is None:
             last = self.tokens[-1]
-            raise QasmSyntaxError("unexpected end of expression", last.line, last.col)
+            raise QasmError("unexpected end of expression", last.line, last.col)
         if tok.value == "(":
             if self.depth == MAX_PAREN_DEPTH:
-                raise QasmSyntaxError(
+                raise QasmError(
                     f"parentheses nested deeper than {MAX_PAREN_DEPTH}", tok.line, tok.col)
             self._next()
             self.depth += 1
@@ -363,7 +352,7 @@ class _Parser:
             self._next()
             value = math.pi
         else:
-            raise QasmSyntaxError(f"bad expression token {tok.value!r}", tok.line, tok.col)
+            raise QasmError(f"bad expression token {tok.value!r}", tok.line, tok.col)
         return -value if negate else value
 
 

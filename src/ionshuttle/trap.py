@@ -26,55 +26,21 @@ from dataclasses import dataclass
 
 
 class TrapError(Exception):
-    """Base class for trap constraint violations."""
+    """A trap constraint violation; the message names the constraint.
+
+    Raised as is wherever no caller needs to tell one violation from
+    another.  The subclasses below are the cases that callers do tell
+    apart: each has its own CLI exit code, and ``schedule`` catches
+    ``TrapOverflow`` to name the gate.
+    """
 
 
 class InvalidConfig(TrapError):
-    pass
-
-
-class SpacingViolation(TrapError):
-    pass
+    """A trap shape the model does not support."""
 
 
 class CapacityExceeded(TrapError):
-    pass
-
-
-class DuplicateIon(TrapError):
-    pass
-
-
-class OutOfBounds(TrapError):
-    pass
-
-
-class EmptySegment(TrapError):
-    pass
-
-
-class NotInLiz(TrapError):
-    pass
-
-
-class WrongSize(TrapError):
-    pass
-
-
-class Blocked(TrapError):
-    pass
-
-
-class MissingOperand(TrapError):
-    pass
-
-
-class ResultTooLarge(TrapError):
-    pass
-
-
-class InvalidId(TrapError):
-    """An ion id below 1 or a negative gate index."""
+    """More ions than a crystal holds, or more crystals than the trap."""
 
 
 class TrapOverflow(TrapError):
@@ -129,11 +95,11 @@ class TrapState:
         """Add one ion at ``segment``, extending a 1-ion crystal already
         there."""
         if ion < 1:
-            raise InvalidId(f"ion id {ion} is below 1")
+            raise TrapError(f"ion id {ion} is below 1")
         if any(ion in ions for ions in self.seg_crystal.values()):
-            raise DuplicateIon(f"ion {ion} already placed")
+            raise TrapError(f"ion {ion} already placed")
         if not 1 <= segment <= self.config.n_segments:
-            raise OutOfBounds(f"segment {segment} outside trap")
+            raise TrapError(f"segment {segment} outside trap")
         ions = self.seg_crystal.get(segment)
         if ions is not None:
             if len(ions) >= 2:
@@ -142,7 +108,7 @@ class TrapState:
         else:
             for s in (segment - 1, segment + 1):
                 if s in self.seg_crystal:
-                    raise SpacingViolation(
+                    raise TrapError(
                         f"segment {segment} too close to occupied segment {s}")
             self.seg_crystal[segment] = [ion]
 
@@ -151,9 +117,9 @@ class TrapState:
         if not ions or len(ions) > 2:
             raise CapacityExceeded(f"crystal of {len(ions)} ions not supported")
         if len(set(ions)) != len(ions):
-            raise DuplicateIon(f"duplicate ion in {ions}")
+            raise TrapError(f"duplicate ion in {ions}")
         if segment in self.seg_crystal:
-            raise SpacingViolation(f"segment {segment} already occupied")
+            raise TrapError(f"segment {segment} already occupied")
         for ion in ions:
             self.place_ion(ion, segment)
 
@@ -166,13 +132,13 @@ class TrapState:
         seg_map = self.seg_crystal
         ions = seg_map.get(segment)
         if ions is None:
-            raise EmptySegment(f"no crystal at segment {segment}")
+            raise TrapError(f"no crystal at segment {segment}")
         if not 1 <= dest <= self.config.n_segments:
-            raise OutOfBounds(f"move from segment {segment} leaves the trap")
+            raise TrapError(f"move from segment {segment} leaves the trap")
         if dest in self.wells:
-            raise Blocked(f"segment {dest} holds an empty well")
+            raise TrapError(f"segment {dest} holds an empty well")
         if dest in seg_map or dest + d in seg_map:
-            raise SpacingViolation(
+            raise TrapError(
                 f"moving to segment {dest} violates spacing near it")
         del seg_map[segment]
         seg_map[dest] = ions
@@ -187,15 +153,15 @@ class TrapState:
         seg_map = self.seg_crystal
         ions = seg_map.get(liz)
         if ions is None:
-            raise NotInLiz("no crystal in the LIZ to split")
+            raise TrapError("no crystal in the LIZ to split")
         if len(ions) != 2:
-            raise WrongSize(f"split needs a 2-ion crystal, got {len(ions)}")
+            raise TrapError(f"split needs a 2-ion crystal, got {len(ions)}")
         for stage in (liz - 1, liz + 1):
             if stage in self.wells:
-                raise Blocked(f"segment {stage} holds an empty well")
+                raise TrapError(f"segment {stage} holds an empty well")
             for s in (stage - 1, stage, stage + 1):
                 if s != liz and s in seg_map:
-                    raise Blocked(
+                    raise TrapError(
                         f"split product at {stage} would violate spacing with {s}")
         top, bottom = ions
         del seg_map[liz]
@@ -210,14 +176,14 @@ class TrapState:
         above = seg_map.get(liz - 1)
         below = seg_map.get(liz + 1)
         if above is None or below is None:
-            raise MissingOperand("merge needs crystals at both segments beside the LIZ")
+            raise TrapError("merge needs crystals at both segments beside the LIZ")
         if liz in seg_map:
-            raise Blocked("LIZ occupied, cannot merge into it")
+            raise TrapError("LIZ occupied, cannot merge into it")
         if liz in self.wells:
-            raise Blocked("LIZ holds an empty well")
+            raise TrapError("LIZ holds an empty well")
         total = len(above) + len(below)
         if total > 2:
-            raise ResultTooLarge(f"merge would create a {total}-ion crystal")
+            raise TrapError(f"merge would create a {total}-ion crystal")
         del seg_map[liz - 1]
         del seg_map[liz + 1]
         seg_map[liz] = above + below
@@ -227,28 +193,28 @@ class TrapState:
         a single ion)."""
         ions = self.seg_crystal.get(self.config.liz)
         if ions is None:
-            raise EmptySegment("no crystal in the LIZ to rotate")
+            raise TrapError("no crystal in the LIZ to rotate")
         ions.reverse()
 
     # -- empty wells and gate markers ---------------------------------------
 
     def add_well(self, segment: int) -> None:
         if not 1 <= segment <= self.config.n_segments:
-            raise OutOfBounds(f"segment {segment} outside trap")
+            raise TrapError(f"segment {segment} outside trap")
         if segment in self.seg_crystal:
-            raise Blocked(f"segment {segment} occupied by a crystal")
+            raise TrapError(f"segment {segment} occupied by a crystal")
         if segment in self.wells:
-            raise Blocked(f"segment {segment} already holds a well")
+            raise TrapError(f"segment {segment} already holds a well")
         self.wells.add(segment)
 
     def remove_well(self, segment: int) -> None:
         if segment not in self.wells:
-            raise EmptySegment(f"no empty well at segment {segment}")
+            raise TrapError(f"no empty well at segment {segment}")
         self.wells.discard(segment)
 
     def record_gate(self, gate_index: int) -> None:
         """Record gate execution on the LIZ crystal (no state change)."""
         if gate_index < 0:
-            raise InvalidId(f"gate index {gate_index} is negative")
+            raise TrapError(f"gate index {gate_index} is negative")
         if self.config.liz not in self.seg_crystal:
-            raise NotInLiz("gate executed with no crystal in the LIZ")
+            raise TrapError("gate executed with no crystal in the LIZ")

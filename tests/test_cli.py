@@ -1,12 +1,15 @@
 """CLI subcommands: thin adapters with stable exit codes and outputs."""
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ionshuttle import commands
+import ionshuttle
+from ionshuttle import cli, commands
 from ionshuttle.cli import main
 from ionshuttle.commands import parse_sequence, render_trace, render_trace_svg, replay
 from ionshuttle.qasm import to_qasm
@@ -418,6 +421,21 @@ def test_bench_checks_capacity_before_the_circuit(monkeypatch, capsys):
     assert "500 crystals at stride 2 exceed 32 segments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--segments", "32", "--liz", "19"], "20 crystals at stride 2 exceed 32 segments"),
+    (["--segments", "40"], "LIZ segment 80 outside 2..39"),
+], ids=["capacity", "liz"])
+def test_bench_checks_every_trap_before_the_first_compile(monkeypatch, capsys, flags,
+                                                          message):
+    # the first size fits its trap and the last does not: no sweep may start
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kw: calls.append(args) or [])
+    assert main(["bench", "--suite", "random", "--qubits", "8,40",
+                 "--trials", "20"] + flags) == 3
+    out, err = capsys.readouterr()
+    assert (out, err, calls) == ("", f"error: {message}\n", [])
+
+
 def test_bench_one_qubit_exit_code(capsys):
     assert main(["bench", "--suite", "qft", "--qubits", "1"]) == 1
     assert "at least 2 qubits" in capsys.readouterr().err
@@ -467,6 +485,21 @@ def test_compile_overflow_names_gate(tmp_path, capsys):
                  "--segments", "12", "--liz", "6"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: gate 1: ") and "occupied segments" in err
+
+
+def test_every_error_type_has_an_exit_code():
+    # a type is kept only while some caller tells it apart from its base
+    defined = set()
+    for info in pkgutil.iter_modules(ionshuttle.__path__):
+        module = importlib.import_module(f"ionshuttle.{info.name}")
+        defined |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__}
+    assert {t.__name__ for t in defined} == {
+        "TrapError", "InvalidConfig", "CapacityExceeded", "TrapOverflow",
+        "QasmError", "FormatError", "ReplayError"}
+    for t in defined:
+        assert any(issubclass(t, types) for types, _ in cli.EXIT_CODES), t
 
 
 def test_error_without_exit_code_propagates(monkeypatch):

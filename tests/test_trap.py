@@ -3,11 +3,8 @@ import random
 
 import pytest
 
-from ionshuttle.trap import (Blocked, CapacityExceeded, DuplicateIon,
-                             EmptySegment, InvalidConfig, MissingOperand,
-                             NotInLiz, OutOfBounds, ResultTooLarge,
-                             SpacingViolation, TrapConfig, TrapState,
-                             WrongSize)
+from ionshuttle.trap import (CapacityExceeded, InvalidConfig, TrapConfig,
+                             TrapError, TrapState)
 
 
 def test_default_config_matches_reference_trap():
@@ -52,21 +49,21 @@ class TestPlacement:
     def test_adjacent_placement_violates_spacing(self):
         state = TrapState()
         state.place_crystal([1, 2], 19)
-        with pytest.raises(SpacingViolation):
+        with pytest.raises(TrapError, match="segment 20 too close to occupied segment 19"):
             state.place_crystal([3], 20)
 
     def test_occupied_segment_rejected(self):
         state = TrapState()
         state.place_crystal([1], 19)
-        with pytest.raises(SpacingViolation, match="segment 19 already occupied"):
+        with pytest.raises(TrapError, match="segment 19 already occupied"):
             state.place_crystal([2], 19)
 
     def test_duplicate_ion_rejected(self):
         state = TrapState()
         state.place_crystal([1], 10)
-        with pytest.raises(DuplicateIon):
+        with pytest.raises(TrapError, match="ion 1 already placed"):
             state.place_crystal([1], 14)
-        with pytest.raises(DuplicateIon):
+        with pytest.raises(TrapError, match=r"duplicate ion in \[2, 2\]"):
             state.place_crystal([2, 2], 14)
 
     def test_three_ion_crystal_rejected(self):
@@ -92,7 +89,7 @@ class TestTransport:
     def test_step_off_the_end(self):
         state = TrapState()
         state.place_crystal([1], 1)
-        with pytest.raises(OutOfBounds):
+        with pytest.raises(TrapError, match="move from segment 1 leaves the trap"):
             state.move_crystal_step(1, -1)
 
     def test_step_into_spacing_conflict(self):
@@ -100,19 +97,19 @@ class TestTransport:
         state.place_crystal([1], 10)
         state.place_crystal([2], 13)
         assert state.move_crystal_step(13, -1) == 12
-        with pytest.raises(SpacingViolation):
+        with pytest.raises(TrapError, match="moving to segment 11 violates spacing"):
             state.move_crystal_step(12, -1)
 
     def test_move_of_empty_segment(self):
         state = TrapState()
-        with pytest.raises(EmptySegment):
+        with pytest.raises(TrapError, match="no crystal at segment 10"):
             state.move_crystal_step(10, 1)
 
     def test_move_onto_well_blocked(self):
         state = TrapState()
         state.place_crystal([1], 10)
         state.add_well(11)
-        with pytest.raises(Blocked):
+        with pytest.raises(TrapError, match="segment 11 holds an empty well"):
             state.move_crystal_step(10, 1)
 
 
@@ -127,12 +124,12 @@ class TestSplitMerge:
     def test_split_needs_two_ions(self):
         state = TrapState()
         state.place_crystal([4], 19)
-        with pytest.raises(WrongSize):
+        with pytest.raises(TrapError, match="split needs a 2-ion crystal, got 1"):
             state.split_at_liz()
 
     def test_split_empty_liz(self):
         state = TrapState()
-        with pytest.raises(NotInLiz):
+        with pytest.raises(TrapError, match="no crystal in the LIZ to split"):
             state.split_at_liz()
 
     def test_split_blocked_by_neighbor_at_staging(self):
@@ -142,7 +139,8 @@ class TestSplitMerge:
         state.place_crystal([1, 2], 19)
         state.place_crystal([3], 21)
         state.seg_crystal[20] = state.seg_crystal.pop(21)
-        with pytest.raises(Blocked):
+        with pytest.raises(TrapError,
+                           match="split product at 20 would violate spacing with 20"):
             state.split_at_liz()
 
     def test_split_blocked_by_neighbor_two_out(self):
@@ -150,7 +148,8 @@ class TestSplitMerge:
         state = TrapState()
         state.place_crystal([1, 2], 19)
         state.place_crystal([3], 21)
-        with pytest.raises(Blocked):
+        with pytest.raises(TrapError,
+                           match="split product at 20 would violate spacing with 21"):
             state.split_at_liz()
 
     def test_merge_semantics(self):
@@ -163,7 +162,8 @@ class TestSplitMerge:
     def test_merge_missing_operand(self):
         state = TrapState()
         state.place_crystal([4], 18)
-        with pytest.raises(MissingOperand):
+        with pytest.raises(TrapError,
+                           match="merge needs crystals at both segments beside the LIZ"):
             state.merge_at_liz()
 
     def test_merge_into_occupied_liz(self):
@@ -173,7 +173,7 @@ class TestSplitMerge:
         state.place_crystal([4], 18)
         state.place_crystal([7], 20)
         state.seg_crystal[19] = [5]
-        with pytest.raises(Blocked, match="LIZ occupied"):
+        with pytest.raises(TrapError, match="LIZ occupied"):
             state.merge_at_liz()
         assert [ions for _, ions in sorted(state.seg_crystal.items())] == [[4], [5], [7]]
 
@@ -181,7 +181,7 @@ class TestSplitMerge:
         state = TrapState()
         state.place_crystal([4, 5], 18)
         state.place_crystal([7], 20)
-        with pytest.raises(ResultTooLarge):
+        with pytest.raises(TrapError, match="merge would create a 3-ion crystal"):
             state.merge_at_liz()
 
     def test_split_merge_round_trip_preserves_order(self):
@@ -222,7 +222,7 @@ class TestRotation:
 
     def test_rotation_of_empty_liz(self):
         state = TrapState()
-        with pytest.raises(EmptySegment):
+        with pytest.raises(TrapError, match="no crystal in the LIZ to rotate"):
             state.rotate_at_liz()
 
 
