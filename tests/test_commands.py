@@ -673,9 +673,9 @@ def test_codec_matches_line_at_a_time_reference():
 # -- the trace against a per-row snapshot reference -----------------------------
 
 def reference_trace(sequence):
-    """The text grid drawn from a full snapshot per row: after each
-    state-changing command, every crystal and every well is read back and
-    every cell written afresh."""
+    """The text grid and the SVG drawn from a full snapshot per row: after
+    each state-changing command, every crystal and every well is read back
+    and every cell written afresh."""
     cfg = sequence.config()
     state = TrapState(cfg)
     rows = []   # [first, last, occupants, wells, gates]
@@ -713,7 +713,31 @@ def reference_trace(sequence):
                 cells.append("--" if seg in wells else "..")
         note = "  DG " + ",".join(f"g{g}" for g in row_gates) if row_gates else ""
         lines.append(label.rjust(width) + "  " + " ".join(cells) + note)
-    return "\n".join(lines) + "\n"
+
+    # the SVG: 16-pixel cells right of a 56-pixel label margin, under a
+    # 28-pixel header; a box per well, a dot per ion (two stacked per crystal)
+    height = 28 + max(len(rows), 1) * 16 + 8
+    svg = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{56 + 16 * cfg.n_segments + 8}" '
+           f'height="{height}" font-family="monospace" font-size="10">',
+           f'<rect x="{56 + 16 * (cfg.liz - 1)}" y="16" width="16" '
+           f'height="{height - 24}" fill="#e8f4e8"/>',
+           f'<text x="{56 + 16 * (cfg.liz - 0.5)}" y="12" text-anchor="middle">LIZ</text>',
+           "</svg>"]
+    for seg in range(1, cfg.n_segments + 1, max(1, cfg.n_segments // 8)):
+        svg.append(f'<text x="{56 + 16 * (seg - 0.5)}" y="26" text-anchor="middle" '
+                   f'fill="#888">{seg}</text>')
+    for r, (label, (_, _, occupants, wells, row_gates)) in enumerate(zip(labels, rows)):
+        y = 28 + 16 * (r + 0.5)
+        svg.append(f'<text x="4" y="{y + 3}" fill="#444">'
+                   f'{label + " DG" if row_gates else label}</text>')
+        for seg in wells:
+            svg.append(f'<rect x="{56 + 16 * (seg - 0.5) - 5}" y="{y - 5}" width="10" '
+                       f'height="10" fill="none" stroke="#aaa"/>')
+        for seg, ions in occupants.items():
+            for ion, dy in zip(ions, (0.0,) if len(ions) == 1 else (-3.0, 3.0)):
+                svg.append(f'<circle cx="{56 + 16 * (seg - 0.5)}" cy="{y + dy}" r="3.4" '
+                           f'fill="hsl({ion * 47 % 360},70%,45%)"/>')
+    return "\n".join(lines) + "\n", svg
 
 
 TRACE_EXAMPLES = 300
@@ -770,8 +794,10 @@ def _trace_matches_reference(raw):
         TRACE_OUTCOMES["rejected"] += 1
         # the commands before the rejected one ran: a program the trace draws
         sequence = CommandSequence(sequence.n_segments, sequence.liz, raw[:e.seq - 1])
-    expected = reference_trace(sequence)
+    expected, expected_svg = reference_trace(sequence)
     assert render_trace(sequence) == expected
+    # the SVG's elements, each one line, in any order
+    assert sorted(render_trace_svg(sequence).splitlines()) == sorted(expected_svg)
     rows = expected.splitlines()[2:]
     TRACE_OUTCOMES["well visible"] += any(" --" in row for row in rows)
     TRACE_OUTCOMES["ion cell +"] += any(" +" in row for row in rows)
