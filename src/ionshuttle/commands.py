@@ -32,9 +32,10 @@ rule: through ``_execute``'s ``after`` hook it reads back, after each
 command that ran, only the segments that command can change (a move's
 origin and destination, ``liz-1..liz+1`` for S, M and RC, the segment of
 AIC, AEC and REC), and each row holds only the cells changed since the
-previous row.  ``render_trace`` splices them into one row string,
-``render_trace_svg`` into an occupant dict and a well set that it draws in
-segment order; ``render_traces`` gives both from one replay.
+previous row, after its last command's number and its gates.
+``render_trace`` splices them into one row string, ``render_trace_svg``
+into one segment dict that it draws in segment order; ``render_traces``
+gives both from one replay.
 """
 from __future__ import annotations
 
@@ -343,23 +344,21 @@ def _ion_char(ion: int) -> str:
 _Segment = tuple[tuple[int, ...], bool]
 
 
-@dataclass(slots=True)
-class _TraceRow:
-    first_seq: int
-    last_seq: int
-    changes: dict[int, _Segment]  # each segment changed since the previous row
-    gates: list[int]
+# a trace row: its last command's number, each segment changed since the
+# previous row, and the gate indices its DGs carry
+_Row = tuple[int, dict[int, _Segment], list[int]]
 
-    @property
-    def label(self) -> str:
-        """The row's command-number range, ``first-last`` or one number."""
-        if self.last_seq > self.first_seq:
-            return f"{self.first_seq}-{self.last_seq}"
-        return str(self.first_seq)
+
+def _labels(rows: list[_Row]) -> list[str]:
+    """Each row's command-number range, ``first-last`` or one number; a row
+    starts right after the previous row's last command."""
+    firsts = [1] + [last + 1 for last, _, _ in rows]
+    return [f"{first}-{last}" if last > first else str(first)
+            for first, (last, _, _) in zip(firsts, rows)]
 
 
 def _trace_rows(sequence: CommandSequence,
-                config: TrapConfig | None = None) -> tuple[TrapConfig, list[_TraceRow]]:
+                config: TrapConfig | None = None) -> tuple[TrapConfig, list[_Row]]:
     """Replay yielding one row per state-changing command, holding only the
     segments that changed since the previous row.
 
@@ -379,8 +378,7 @@ def _trace_rows(sequence: CommandSequence,
     state = TrapState(cfg)
     seg_crystal, wells = state.seg_crystal, state.wells
     around_liz = (cfg.liz - 1, cfg.liz, cfg.liz + 1)
-    rows: list[_TraceRow] = []
-    first = 1  # the next row's first command
+    rows: list[_Row] = []
     changes: dict[int, _Segment] = {}
     gates: list[int] = []
     # each distinct segment value once: the rows share them, which spares
@@ -388,7 +386,7 @@ def _trace_rows(sequence: CommandSequence,
     values: dict[_Segment, _Segment] = {}
 
     def record(seq: int, op: str, params: tuple[int, ...]) -> None:
-        nonlocal first, changes, gates
+        nonlocal changes, gates
         if op == "SMU" or op == "SMD":
             d = -1 if op == "SMU" else 1
             if params[0] == 1:  # the single-crystal step, by far the commonest
@@ -409,13 +407,12 @@ def _trace_rows(sequence: CommandSequence,
             value = (tuple(ions) if ions else (), s in wells)
             changes[s] = values.setdefault(value, value)
         if op in STATE_CHANGING:
-            rows.append(_TraceRow(first, seq, changes, gates))
-            first, changes, gates = seq + 1, {}, []
+            rows.append((seq, changes, gates))
+            changes, gates = {}, []
 
     _execute(sequence, state, _reject, record)
     if rows:
-        rows[-1].last_seq = len(sequence.raw)
-        rows[-1].gates.extend(gates)
+        rows[-1] = (len(sequence.raw), rows[-1][1], rows[-1][2] + gates)
     return cfg, rows
 
 
@@ -427,20 +424,20 @@ def _cell(ions: tuple[int, ...], well: bool) -> str:
     return "--" if well else ".."
 
 
-def _text_grid(cfg: TrapConfig, rows: list[_TraceRow]) -> str:
-    labels = [row.label for row in rows]
+def _text_grid(cfg: TrapConfig, rows: list[_Row]) -> str:
+    labels = _labels(rows)
     width = max(map(len, labels), default=1)
     lines = [f"# segments={cfg.n_segments} liz={cfg.liz}"]
     lines.append(" " * (width + 2 + 3 * (cfg.liz - 1)) + "vv")
     body = bytearray(b" ".join([b".."] * cfg.n_segments))  # segment s at 3s - 3
     cells: dict[_Segment, bytes] = {}  # per distinct segment value
-    for row, label in zip(rows, labels):
-        for seg, key in row.changes.items():
+    for (_, changes, gates), label in zip(rows, labels):
+        for seg, key in changes.items():
             cell = cells.get(key)
             if cell is None:
                 cell = cells[key] = _cell(*key).encode()
             body[3 * seg - 3:3 * seg - 1] = cell
-        note = "  DG " + ",".join(f"g{g}" for g in row.gates) if row.gates else ""
+        note = "  DG " + ",".join(f"g{g}" for g in gates) if gates else ""
         lines.append(f"{label:>{width}}  {body.decode()}{note}")
     return "\n".join(lines) + "\n"
 
@@ -451,7 +448,7 @@ def render_trace(sequence: CommandSequence, config: TrapConfig | None = None) ->
     return _text_grid(*_trace_rows(sequence, config))
 
 
-def _svg_grid(cfg: TrapConfig, rows: list[_TraceRow]) -> str:
+def _svg_grid(cfg: TrapConfig, rows: list[_Row]) -> str:
     cell, margin_x, margin_y = 16, 56, 28
     width = margin_x + cfg.n_segments * cell + 8
     height = margin_y + max(len(rows), 1) * cell + 8
@@ -469,30 +466,23 @@ def _svg_grid(cfg: TrapConfig, rows: list[_TraceRow]) -> str:
     for seg in range(1, cfg.n_segments + 1, max(1, cfg.n_segments // 8)):
         parts.append(f'<text x="{x_of(seg)}" y="{margin_y - 2}" '
                      f'text-anchor="middle" fill="#888">{seg}</text>')
-    occupants: dict[int, tuple[int, ...]] = {}
-    wells: set[int] = set()
-    for r, row in enumerate(rows):
-        for seg, (ions, well) in row.changes.items():
-            if ions:
-                occupants[seg] = ions
-            else:
-                occupants.pop(seg, None)
-            if well:
-                wells.add(seg)
-            else:
-                wells.discard(seg)
+    grid: dict[int, _Segment] = {}
+    for r, ((_, changes, gates), label) in enumerate(zip(rows, _labels(rows))):
+        grid.update(changes)
         y = margin_y + (r + 0.5) * cell
-        label = row.label + " DG" if row.gates else row.label
-        parts.append(f'<text x="4" y="{y + 3}" fill="#444">{label}</text>')
-        for seg in sorted(wells):
-            parts.append(f'<rect x="{x_of(seg) - 5}" y="{y - 5}" width="10" height="10" '
-                         f'fill="none" stroke="#aaa"/>')
-        for seg, ions in sorted(occupants.items()):
+        parts.append(f'<text x="4" y="{y + 3}" fill="#444">'
+                     f'{label + " DG" if gates else label}</text>')
+        dots = []  # drawn over the wells
+        for seg, (ions, well) in sorted(grid.items()):
+            if well:
+                parts.append(f'<rect x="{x_of(seg) - 5}" y="{y - 5}" width="10" height="10" '
+                             f'fill="none" stroke="#aaa"/>')
             offsets = (0.0,) if len(ions) == 1 else (-3.0, 3.0)
             for ion, dy in zip(ions, offsets):
                 hue = (ion * 47) % 360
-                parts.append(f'<circle cx="{x_of(seg)}" cy="{y + dy}" r="3.4" '
-                             f'fill="hsl({hue},70%,45%)"/>')
+                dots.append(f'<circle cx="{x_of(seg)}" cy="{y + dy}" r="3.4" '
+                            f'fill="hsl({hue},70%,45%)"/>')
+        parts += dots
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
