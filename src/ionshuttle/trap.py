@@ -49,13 +49,14 @@ class TrapOverflow(TrapError):
 
 @dataclass(frozen=True)
 class TrapConfig:
-    """Trap shape (defaults match the reference hardware).  Crystals hold
-    at most two ions and stay 2 segments apart; both limits are fixed."""
+    """Trap shape (defaults match the reference hardware), valid once made:
+    an unsupported shape raises InvalidConfig.  Crystals hold at most two
+    ions and stay 2 segments apart; both limits are fixed."""
 
     n_segments: int = 32
     liz: int = 19
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_segments < 5:
             raise InvalidConfig(f"need at least 5 segments, got {self.n_segments}")
         if not 2 <= self.liz <= self.n_segments - 1:
@@ -73,9 +74,7 @@ class TrapState:
     """
 
     def __init__(self, config: TrapConfig | None = None):
-        config = config or TrapConfig()
-        config.validate()
-        self.config = config
+        self.config = config or TrapConfig()
         self.seg_crystal: dict[int, list[int]] = {}
         self.wells: set[int] = set()
 

@@ -285,6 +285,16 @@ def test_invalid_trap_override_exit_code(tmp_path):
     assert main(["trace", "-i", str(seq), "--segments", "3"]) == 3
 
 
+def test_trap_flags_override_an_unsupported_header(tmp_path, capsys):
+    seq = tmp_path / "tiny.seq"
+    seq.write_text("# segments=3 liz=19\n1 START 0\n")
+    for command in ("validate", "trace"):
+        assert main([command, "-i", str(seq), "--segments", "32", "--liz", "19"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["validate", "-i", str(seq)]) == 3
+    assert "need at least 5 segments, got 3" in capsys.readouterr().err
+
+
 def test_trace_empty_sequence_header_only(tmp_path, capsys):
     empty = tmp_path / "empty.seq"
     empty.write_text("# segments=32 liz=19\n")

@@ -17,6 +17,8 @@ def test_default_config_matches_reference_trap():
 def test_config_rejects_tiny_trap():
     with pytest.raises(InvalidConfig):
         TrapState(TrapConfig(n_segments=4))
+    with pytest.raises(InvalidConfig, match="need at least 5 segments, got 4"):
+        TrapConfig(n_segments=4)
 
 
 def test_config_rejects_liz_out_of_range():
