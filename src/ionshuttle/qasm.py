@@ -82,7 +82,7 @@ _TOKEN_RE = re.compile(
       | (?P<NUMBER>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
       | (?P<STRING>"[^"\n]*")
       | (?P<ARROW>->)
-      | (?P<SYM>[;,()\[\]+\-*/])
+      | (?P<SYM>[;,()\[\]{}=+\-*/])
     """,
     re.VERBOSE,
 )
