@@ -9,7 +9,7 @@ from .benchmarks import (CompileRecord, brute_force_best_ordering,
                          circuit_fit, compile_ordering, gen_qft,
                          gen_random_circuit, gen_toffoli, run_sweep,
                          theoretical_limit, to_csv)
-from .commands import (CommandSequence, FormatError, ReplayReport,
+from .commands import (CommandSequence, FormatError, ReplayError, ReplayReport,
                        cost, parse_sequence, render_trace, render_trace_svg,
                        replay, serialize)
 from .ordering import (Ordering, increase_pairwise_order, order_as_is,

@@ -510,6 +510,7 @@ def test_every_error_type_has_an_exit_code():
         "QasmError", "FormatError", "ReplayError"}
     for t in defined:
         assert any(issubclass(t, types) for types, _ in cli.EXIT_CODES), t
+        assert getattr(ionshuttle, t.__name__) is t  # a library caller imports it
 
 
 def test_error_without_exit_code_propagates(monkeypatch):
