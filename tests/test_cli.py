@@ -2,6 +2,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from ionshuttle.qasm import to_qasm
 from ionshuttle.benchmarks import gen_qft
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+README = Path(__file__).resolve().parents[1] / "README.md"
 QFT4_SEQ = Path(__file__).parent / "golden" / "qft4_oai.seq"
 
 
@@ -520,6 +522,22 @@ def test_error_without_exit_code_propagates(monkeypatch):
     monkeypatch.setattr("ionshuttle.cli.parse_sequence", broken)
     with pytest.raises(KeyError, match="no such opcode"):
         main(["validate", "-i", str(QFT4_SEQ)])
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    # each "$ ..." block, run in order: a later one reads an earlier one's file
+    prompt = "$ PYTHONPATH=src python -m ionshuttle "
+    text = README.read_text()
+    examples = re.findall(r"^```\n" + re.escape(prompt) + r"([^\n]*)\n(.*?)^```$", text,
+                          re.MULTILINE | re.DOTALL)
+    assert len(examples) == text.count(prompt) >= 4
+    tests_dir = Path(__file__).resolve().parent
+    monkeypatch.chdir(tmp_path)
+    for command, expected in examples:
+        argv = [str(tests_dir / arg.removeprefix("tests/")) if arg.startswith("tests/")
+                else arg for arg in command.split()]
+        assert main(argv) == 0, command
+        assert capsys.readouterr().out == expected, command
 
 
 def test_module_entry_point():
