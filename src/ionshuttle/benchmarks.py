@@ -2,9 +2,12 @@
 exhaustive placement oracle.
 
 The cost of a compiled circuit is its split/merge count.  The circuit fit
-C = cost / two-qubit-gate count measures mean cost per gate; for circuits
-where one ion interacts with a run of others (the all-pairs structure) it
-approaches the limit L = 6/K for K ions per crystal, so L = 3 here.
+C = cost / two-qubit-gate count measures mean cost per gate.  For circuits
+where one ion interacts with a run of others (the all-pairs structure) the
+paper gives the limit L = 6/K for K ions per crystal, so L = 3 for the
+two-ion crystals compiled here.  That figure is the paper's, not a bound
+of this cost model: with one-ion crystals (K = 1) a QFT's fit here tends
+to 2.0, below both 6/1 and 6/2.
 """
 from __future__ import annotations
 
@@ -132,7 +135,9 @@ def circuit_fit(cost: int, n_gates: int) -> float:
 
 
 def theoretical_limit(k: int) -> float:
-    """Asymptotic fit limit 6/K for K ions per crystal (3 when K = 2)."""
+    """The paper's asymptotic fit limit 6/K for K ions per crystal (3 when
+    K = 2, the crystals compiled here).  It is not a bound of this cost
+    model for K = 1, where a QFT's fit tends to 2.0, not 6."""
     if k < 1:
         raise ValueError("crystal size must be at least 1")
     return 6 / k
