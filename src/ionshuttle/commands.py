@@ -31,11 +31,11 @@ The trace keeps the grid state once and updates it by the touched-segment
 rule: through ``_execute``'s ``after`` hook it reads back, after each
 command that ran, only the segments that command can change (a move's
 origin and destination, ``liz-1..liz+1`` for S, M and RC, the segment of
-AIC, AEC and REC), and each row holds only the cells changed since the
-previous row, after its last command's number and its gates.
-``render_trace`` splices them into one row string, ``render_trace_svg``
-into one segment dict that it draws in segment order; ``render_traces``
-gives both from one replay.
+AIC, AEC and REC), and each row holds its last command's number, only
+the cells changed since the previous row, and its gates.  ``render_trace``
+splices the cells into one row string, ``render_trace_svg`` into one
+segment dict that it draws in segment order; ``render_traces`` gives both
+from one replay.
 """
 from __future__ import annotations
 
