@@ -466,9 +466,13 @@ def _svg_grid(cfg: TrapConfig, rows: list[_Row]) -> str:
     for seg in range(1, cfg.n_segments + 1, max(1, cfg.n_segments // 8)):
         parts.append(f'<text x="{x_of(seg)}" y="{margin_y - 2}" '
                      f'text-anchor="middle" fill="#888">{seg}</text>')
-    grid: dict[int, _Segment] = {}
+    grid: dict[int, _Segment] = {}  # each segment with a crystal or a well
     for r, ((_, changes, gates), label) in enumerate(zip(rows, _labels(rows))):
-        grid.update(changes)
+        for seg, value in changes.items():
+            if value == ((), False):
+                grid.pop(seg, None)
+            else:
+                grid[seg] = value
         y = margin_y + (r + 0.5) * cell
         parts.append(f'<text x="4" y="{y + 3}" fill="#444">'
                      f'{label + " DG" if gates else label}</text>')
@@ -477,11 +481,9 @@ def _svg_grid(cfg: TrapConfig, rows: list[_Row]) -> str:
             if well:
                 parts.append(f'<rect x="{x_of(seg) - 5}" y="{y - 5}" width="10" height="10" '
                              f'fill="none" stroke="#aaa"/>')
-            offsets = (0.0,) if len(ions) == 1 else (-3.0, 3.0)
-            for ion, dy in zip(ions, offsets):
-                hue = (ion * 47) % 360
+            for ion, dy in zip(ions, (0.0,) if len(ions) == 1 else (-3.0, 3.0)):
                 dots.append(f'<circle cx="{x_of(seg)}" cy="{y + dy}" r="3.4" '
-                            f'fill="hsl({hue},70%,45%)"/>')
+                            f'fill="hsl({ion * 47 % 360},70%,45%)"/>')
         parts += dots
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
