@@ -249,6 +249,8 @@ ORACLE_PINS = [
     ("random6", lambda: gen_random_circuit(6, 12, 106), ((2, 3), (1, 5), (4, 6)), 48),
     ("random7", lambda: gen_random_circuit(7, 12, 107),
      ((1, 6), (2, 5), (3, 7), (4,)), 48),
+    ("random8", lambda: gen_random_circuit(8, 12, 108),
+     ((1, 5), (3, 4), (2, 6), (7, 8)), 60),
     ("qft6", lambda: gen_qft(6), ((1, 2), (3, 4), (5, 6)), 36),
     ("toffoli6", lambda: gen_toffoli(6), ((1, 4), (2, 6), (3, 5)), 84),
 ]
