@@ -23,7 +23,7 @@ from .ordering import (Ordering, _chunk_pairs, check_capacity,
                        increase_pairwise_order, order_as_is,
                        order_inputs_randomly, place_in_the_model)
 from .qasm import Circuit, build_circuit, decompose_gate, Gate
-from .scheduler import ScheduleResult, plan_cost, schedule
+from .scheduler import ScheduleResult, cheapest_layout, schedule
 from .trap import TrapConfig, TrapState
 
 
@@ -262,11 +262,17 @@ def brute_force_best_ordering(circuit: Circuit,
     layout is exactly the mirror and one suffices.  Ties keep the first hit
     in enumeration order.
 
-    Layouts are ranked with ``plan_cost`` alone; only the winner is lowered
-    (placed and scheduled on ``config``, which checks every gate's cost
-    against the plan), so a ``TrapOverflow`` on the winner still ends the
-    search, but a layout that would overflow and does not win no longer
-    does.  On the traps checked (12/6, 16/8, 16/12, 20/10, 32/19 and 10/3
+    All layouts are ranked by their planned cost in one pass of
+    ``scheduler.cheapest_layout``, which merges layouts once the planner
+    has brought them to the same chain.  That is exact, since the cost of
+    the remaining gates depends only on the chain, and of two merged
+    layouts it keeps the cheaper, or the earlier at equal cost, so the
+    winner is the one a layout-by-layout ``plan_cost`` scan picks.
+
+    Only the winner is lowered (placed and scheduled on ``config``, which
+    checks every gate's cost against the plan), so a ``TrapOverflow`` on the
+    winner still ends the search, but a layout that would overflow and does
+    not win does not.  On the traps checked (12/6, 16/8, 16/12, 20/10, 32/19 and 10/3
     segments/LIZ) overflow was all-or-none across the layouts of a circuit.
     With ``verify`` every layout is also compiled with ``verify=True``.
     """
@@ -274,16 +280,14 @@ def brute_force_best_ordering(circuit: Circuit,
     if n > ORACLE_MAX_QUBITS:
         raise ValueError(
             f"exhaustive search capped at {ORACLE_MAX_QUBITS} qubits")
-    best: tuple[Ordering, int] | None = None
+    layouts = []
     for first in enumerate_orderings(n):
-        layouts = (first,) if n % 2 == 0 else (
-            first, _chunk_pairs(list(reversed(first.ions()))))
+        layouts.append(first)
+        if n % 2:
+            layouts.append(_chunk_pairs(list(reversed(first.ions()))))
+    if verify:
         for ordering in layouts:
-            c = plan_cost(circuit, ordering.crystal_list)
-            if verify:
-                compile_ordering(circuit, ordering, config, verify=True)
-            if best is None or c < best[1]:
-                best = (ordering, c)
-    assert best is not None
-    compile_ordering(circuit, best[0], config)
-    return best
+            compile_ordering(circuit, ordering, config, verify=True)
+    i, cost = cheapest_layout(circuit, [o.crystal_list for o in layouts])
+    compile_ordering(circuit, layouts[i], config)
+    return layouts[i], cost

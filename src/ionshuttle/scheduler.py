@@ -14,6 +14,18 @@ each other or change size, so a step costs 2 split+merge plus 2 for each
 two-ion crystal among the two (3 splits and 3 merges between two pairs);
 the planner prices each step, and ``plan_cost`` a layout, without a trap.
 
+``cheapest_layout`` ranks many layouts in one pass over the gates.  It
+keeps one entry per distinct chain, holding the cost planned so far and
+the index of the first layout that reached it, and plans each distinct
+chain once per gate.  Layouts collapse onto a few chains within a few
+gates, so this plans far fewer gates than ``plan_cost`` on each layout.
+It is exact because a planner step reads nothing but the chain and the
+gate: two layouts that reach the same chain at the same gate pay the same
+for every later gate, so the entry keeps the smaller ``(cost, index)`` of
+the two, and the result is the lexicographic minimum over all layouts, the
+first cheapest in list order.  A planner policy that reads more than that
+(lookahead past the current gate, say) must put it in the merge key.
+
 The lowering (``schedule``) copies each of the placed trap's ion lists
 once into its own ``Crystal`` record, with the segment, and never writes
 the trap: it keeps its own chain of records (a split replaces one entry
@@ -89,15 +101,21 @@ def _plan_gate(chain: list[list[int]], where: dict[int, int], gate: Gate
     return steps, cost
 
 
-def _planned(circuit: Circuit, chain: list[list[int]]) -> list[tuple[list, int]]:
-    """Check that ``chain`` splits exactly the circuit's ions into crystals
-    of one or two, then plan every gate on it in circuit order; return each
-    gate's ``(steps, cost)``.  ``chain`` ends as the final chain."""
+def _check_layout(circuit: Circuit, chain) -> None:
+    """Raise ``ValueError`` unless ``chain`` splits exactly the circuit's
+    ions into crystals of one or two."""
     flat = sorted(ion for ions in chain for ion in ions)
     if (flat != list(range(1, circuit.n_qubits + 1))
             or any(not 1 <= len(ions) <= 2 for ions in chain)):
         raise ValueError("layout must split the circuit's ions into crystals "
                          "of one or two")
+
+
+def _planned(circuit: Circuit, chain: list[list[int]]) -> list[tuple[list, int]]:
+    """Check the layout ``chain``, then plan every gate on it in circuit
+    order; return each gate's ``(steps, cost)``.  ``chain`` ends as the
+    final chain."""
+    _check_layout(circuit, chain)
     where = {ion: i for i, ions in enumerate(chain) for ion in ions}
     return [_plan_gate(chain, where, gate) for gate in circuit.gates]
 
@@ -112,6 +130,35 @@ def plan(circuit: Circuit, crystal_list) -> tuple[int, list[list[int]]]:
 def plan_cost(circuit: Circuit, crystal_list) -> int:
     """The split+merge cost ``schedule`` reaches from this layout."""
     return plan(circuit, crystal_list)[0]
+
+
+def cheapest_layout(circuit: Circuit, crystal_lists) -> tuple[int, int]:
+    """The index and planned cost of the cheapest layout in
+    ``crystal_lists``, the first in list order among equals: the same as
+    ``min((plan_cost(circuit, L), i) for i, L in enumerate(crystal_lists))``
+    with the pair swapped, found in one merged pass (see the module
+    docstring)."""
+    # chain -> (cost so far, index of the first layout that reached it)
+    reached: dict[tuple, tuple[int, int]] = {}
+    for i, layout in enumerate(crystal_lists):
+        key = tuple(map(tuple, layout))
+        _check_layout(circuit, key)
+        reached.setdefault(key, (0, i))
+    if not reached:
+        raise ValueError("no layout to rank")
+    for gate in circuit.two_qubit_gates():  # the others never change a chain
+        merged: dict[tuple, tuple[int, int]] = {}
+        for key, (cost, i) in reached.items():
+            chain = list(map(list, key))
+            where = {ion: k for k, ions in enumerate(chain) for ion in ions}
+            ranked = (cost + _plan_gate(chain, where, gate)[1], i)
+            key = tuple(map(tuple, chain))
+            old = merged.get(key)
+            if old is None or ranked < old:
+                merged[key] = ranked
+        reached = merged
+    cost, i = min(reached.values())
+    return i, cost
 
 
 def crystal_chain(state: TrapState) -> list[list[int]]:
