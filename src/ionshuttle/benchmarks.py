@@ -37,6 +37,9 @@ def gen_random_circuit(n: int, n_gates: int, seed: int) -> Circuit:
     """Two-qubit gates on uniformly random ordered pairs of distinct qubits."""
     if n < 2:
         raise ValueError("random circuits need at least 2 qubits")
+    if n_gates < 0:
+        raise ValueError(f"random circuits need a gate count of at least 0, "
+                         f"got {n_gates}")
     rng = random.Random(seed)
     specs = []
     for _ in range(n_gates):

@@ -121,6 +121,8 @@ def cmd_trace(args) -> int:
 
 def cmd_bench(args) -> int:
     n_list = [int(x) for x in args.qubits.split(",") if x]
+    if not n_list:
+        raise ValueError(f"--qubits names no qubit count: {args.qubits!r}")
     # each size on its own trap, as run_sweep picks it; every trap is
     # checked before the first compile, so a bad last size fails at once
     configs = [_trap_config(args, base.n_segments, base.liz)

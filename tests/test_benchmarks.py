@@ -28,6 +28,12 @@ class TestRandomCircuits:
         with pytest.raises(ValueError, match="at least 2 qubits"):
             gen_random_circuit(1, 5, seed=0)
 
+    def test_negative_gate_count_rejected(self):
+        with pytest.raises(ValueError, match="^random circuits need a gate count "
+                                             "of at least 0, got -1$"):
+            gen_random_circuit(4, -1, seed=0)
+        assert gen_random_circuit(4, 0, seed=0).gates == ()
+
     def test_deterministic_per_seed(self):
         a = gen_random_circuit(7, 50, seed=3)
         b = gen_random_circuit(7, 50, seed=3)

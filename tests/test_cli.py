@@ -478,6 +478,22 @@ def test_bench_bad_qubit_list_exit_code():
     assert main(["bench", "--suite", "qft", "--qubits", "4,x"]) == 1
 
 
+@pytest.mark.parametrize("qubits", ["", ",", ",,"])
+def test_bench_empty_qubit_list_exit_code(capsys, qubits):
+    assert main(["bench", "--suite", "qft", "--qubits", qubits]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --qubits names no qubit count: {qubits!r}\n")
+
+
+def test_bench_negative_gates_exit_code(monkeypatch, capsys):
+    # refused while building the circuit, before any compile
+    monkeypatch.setattr("ionshuttle.benchmarks.compile_ordering", None)
+    assert main(["bench", "--suite", "random", "--qubits", "4",
+                 "--gates", "-3"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: random circuits need a gate count of at least 0, got -3\n")
+
+
 def test_bench_zero_trials_exit_code(capsys):
     assert main(["bench", "--suite", "random", "--qubits", "4",
                  "--trials", "0"]) == 1
