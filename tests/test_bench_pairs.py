@@ -49,6 +49,13 @@ def test_eight_wins_of_ten_are_no_gain():
     assert (oracle["wins"], oracle["verdict"]) == (8, "within bound")
 
 
+def test_nine_pairs_are_too_few_for_a_gain():
+    parent = [result(8.0, 100.0) for _ in range(9)]
+    change = [result(4.0, 100.0) for _ in range(9)]
+    oracle = bench_pairs.summarize(pairs(parent, change), METRICS)["metrics"]["oracle_s"]
+    assert (oracle["wins"], oracle["verdict"]) == (9, "within bound")
+
+
 def test_worse_beyond_bound_in_either_direction():
     parent = [result(8.0, 100.0, 100) for _ in range(4)]
     change = [result(10.5, 70.0, 111) for _ in range(4)]

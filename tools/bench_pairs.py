@@ -12,8 +12,9 @@ than once.  For each end-to-end metric of the change's BENCHMARK.json the
 output holds each side's median and quartiles, the change's wins, losses
 and ties, and a verdict:
 
-- ``gain``: the change wins at least 9 of every 10 pairs and its median is
-  better than the parent's by more than the parent's quartile distance;
+- ``gain``: over at least 10 pairs, the change wins at least 9 of every 10
+  and its median is better than the parent's by more than the parent's
+  quartile distance;
 - ``worse beyond bound``: the change's median is worse than the parent's by
   more than ``bound`` times the parent's median;
 - ``unresolved``: neither, but the parent's quartile distance is wider than
@@ -51,7 +52,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     worse = sign * (cm - pm)
     limit = bound * abs(pm)
     spread = p3 - p1
-    if wins >= 0.9 * len(parent) and -worse > spread:
+    if len(parent) >= 10 and wins >= 0.9 * len(parent) and -worse > spread:
         result = "gain"
     elif worse > limit:
         result = "worse beyond bound"
