@@ -111,8 +111,8 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    report = {"parent": {"dir": os.path.abspath(args.parent), "sha": git_sha(args.parent)},
-              "change": {"dir": os.path.abspath(args.change), "sha": git_sha(args.change)},
+    report = {"parent": {"sha": git_sha(args.parent)},
+              "change": {"sha": git_sha(args.change)},
               "python": platform.python_version(), "nproc": os.cpu_count(),
               "command": spec["command"], "run_seconds": spec["run_seconds"],
               "pairs": args.pairs, "seeds": [args.seed + i for i in range(args.pairs)],
