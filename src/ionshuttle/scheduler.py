@@ -20,11 +20,13 @@ the index of the first layout that reached it, and plans each distinct
 chain once per gate.  Layouts collapse onto a few chains within a few
 gates, so this plans far fewer gates than ``plan_cost`` on each layout.
 It is exact because a planner step reads nothing but the chain and the
-gate: two layouts that reach the same chain at the same gate pay the same
-for every later gate, so the entry keeps the smaller ``(cost, index)`` of
-the two, and the result is the lexicographic minimum over all layouts, the
-first cheapest in list order.  A planner policy that reads more than that
-(lookahead past the current gate, say) must put it in the merge key.
+gate's position in the circuit: two layouts that reach the same chain at
+the same gate pay the same for every later gate, so the entry keeps the
+smaller ``(cost, index)`` of the two, and the result is the lexicographic
+minimum over all layouts, the first cheapest in list order.  The merge key
+must hold everything a step reads besides the position.  A lookahead over
+the next gates needs nothing more, as the position fixes them; a policy
+that carries state from one gate to the next must add that state.
 
 The lowering (``schedule``) copies each of the placed trap's ion lists
 once into its own ``Crystal`` record, with the segment, and never writes
