@@ -275,8 +275,9 @@ def brute_force_best_ordering(circuit: Circuit,
     Only the winner is lowered (placed and scheduled on ``config``, which
     checks every gate's cost against the plan), so a ``TrapOverflow`` on the
     winner still ends the search, but a layout that would overflow and does
-    not win does not.  On the traps checked (12/6, 16/8, 16/12, 20/10, 32/19 and 10/3
-    segments/LIZ) overflow was all-or-none across the layouts of a circuit.
+    not win does not.  On the traps checked (12/6, 16/8, 16/12, 20/10, 32/19
+    and 10/3 segments/LIZ) overflow was all-or-none across the layouts of a
+    circuit.
     With ``verify`` every layout is also compiled with ``verify=True``.
     """
     n = circuit.n_qubits
