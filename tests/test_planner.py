@@ -205,9 +205,11 @@ def ranking_cases(draw):
 
 def planned_prefixes(circuit, layout):
     """The planned ``(cost, chain)`` after each prefix of the gates."""
-    return [(cost, tuple(map(tuple, chain)))
-            for cost, chain in (plan(Circuit(circuit.n_qubits, circuit.gates[:t]), layout)
-                                for t in range(len(circuit.gates) + 1))]
+    prefixes = []
+    for t in range(len(circuit.gates) + 1):
+        cost, chain = plan(Circuit(circuit.n_qubits, circuit.gates[:t]), layout)
+        prefixes.append((cost, tuple(map(tuple, chain))))
+    return prefixes
 
 
 @settings(max_examples=EXAMPLES)
@@ -256,5 +258,8 @@ def test_cheapest_layout_rejects_what_plan_rejects(bad, position):
         plan(circuit, bad)
     with pytest.raises(ValueError, match=f"^{planned.value}$"):
         cheapest_layout(circuit, layouts)
+
+
+def test_cheapest_layout_rejects_an_empty_list():
     with pytest.raises(ValueError, match="^no layout to rank$"):
-        cheapest_layout(circuit, [])
+        cheapest_layout(build_circuit(3, []), [])
