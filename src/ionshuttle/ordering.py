@@ -114,6 +114,16 @@ def check_capacity(n_crystals: int, config: TrapConfig) -> None:
                                f"exceed {config.n_segments} segments")
 
 
+def check_layout(circuit: Circuit, crystal_list) -> None:
+    """Raise ``ValueError`` unless the top-to-bottom ``crystal_list``
+    splits exactly the circuit's ions into crystals of one or two."""
+    flat = sorted(ion for ions in crystal_list for ion in ions)
+    if (flat != list(range(1, circuit.n_qubits + 1))
+            or any(not 1 <= len(ions) <= 2 for ions in crystal_list)):
+        raise ValueError("layout must split the circuit's ions into crystals "
+                         "of one or two")
+
+
 def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -> None:
     """Realize an ordering as initial crystals in an empty trap.
 
@@ -124,12 +134,9 @@ def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -
     """
     if state.seg_crystal:
         raise ValueError("placement needs an empty trap")
-    flat = sorted(ordering.ions())
-    if flat != list(range(1, circuit.n_qubits + 1)):
-        raise ValueError("ordering does not partition the circuit's ions")
-
-    cfg = state.config
     groups = ordering.crystal_list
+    check_layout(circuit, groups)
+    cfg = state.config
     check_capacity(len(groups), cfg)
     span = (len(groups) - 1) * STRIDE
 
@@ -137,8 +144,6 @@ def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -
     if circuit.gates:
         first_ion = circuit.gates[0].operands[0] + 1
         anchor = next(i for i, g in enumerate(groups) if first_ion in g)
-    base = cfg.liz - anchor * STRIDE
-    base = max(base, 1)
-    base = min(base, cfg.n_segments - span)
+    base = min(max(cfg.liz - anchor * STRIDE, 1), cfg.n_segments - span)
     for i, group in enumerate(groups):
         state.place_crystal(list(group), base + i * STRIDE)

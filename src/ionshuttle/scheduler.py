@@ -40,14 +40,15 @@ split, and re-merge the leftover partners into their home crystals.
 A gate without steps brings its crystal to the LIZ and runs there.
 
 Crystals never pass each other, so a transport's only possible blocker is
-the mover's chain neighbour ahead; it is pushed recursively one spacing
-beyond the mover's destination and not restored afterwards.  Split, merge,
-rotation and gate execution are bracketed by add/remove-empty-well commands
-at the two segments beyond the staging sites whenever those hold no
-crystal.  ``schedule`` is the one entry point into the lowering; it plans
-the gates with ``_planned``, as ``plan`` does, and checks each gate's
-split+merge count against its plan.  Nothing here runs the executor:
-``commands.replay`` checks what it emits.
+the mover's chain neighbour ahead; ``_send`` pushes it through an explicit
+stack one spacing beyond the mover's destination, does not restore it, and
+alone checks that every move stays in the trap.  Split, merge, rotation and
+gate execution are bracketed by add/remove-empty-well commands at the two
+segments beyond the staging sites whenever those hold no crystal.
+``schedule`` is the one entry point into the lowering; it plans the gates
+with ``_planned``, as ``plan`` does, and checks each gate's split+merge
+count against its plan.  Nothing here runs the executor: ``commands.replay``
+checks what it emits.
 """
 from __future__ import annotations
 
@@ -55,6 +56,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .commands import CommandSequence, RawCommand
+from .ordering import check_layout
 from .qasm import Circuit, Gate
 from .trap import TrapOverflow, TrapState
 
@@ -103,21 +105,11 @@ def _plan_gate(chain: list[list[int]], where: dict[int, int], gate: Gate
     return steps, cost
 
 
-def _check_layout(circuit: Circuit, chain) -> None:
-    """Raise ``ValueError`` unless ``chain`` splits exactly the circuit's
-    ions into crystals of one or two."""
-    flat = sorted(ion for ions in chain for ion in ions)
-    if (flat != list(range(1, circuit.n_qubits + 1))
-            or any(not 1 <= len(ions) <= 2 for ions in chain)):
-        raise ValueError("layout must split the circuit's ions into crystals "
-                         "of one or two")
-
-
 def _planned(circuit: Circuit, chain: list[list[int]]) -> list[tuple[list, int]]:
     """Check the layout ``chain``, then plan every gate on it in circuit
     order; return each gate's ``(steps, cost)``.  ``chain`` ends as the
     final chain."""
-    _check_layout(circuit, chain)
+    check_layout(circuit, chain)
     where = {ion: i for i, ions in enumerate(chain) for ion in ions}
     return [_plan_gate(chain, where, gate) for gate in circuit.gates]
 
@@ -144,7 +136,7 @@ def cheapest_layout(circuit: Circuit, crystal_lists) -> tuple[int, int]:
     reached: dict[tuple, tuple[int, int]] = {}
     for i, layout in enumerate(crystal_lists):
         key = tuple(map(tuple, layout))
-        _check_layout(circuit, key)
+        check_layout(circuit, key)
         reached.setdefault(key, (0, i))
     if not reached:
         raise ValueError("no layout to rank")
@@ -205,11 +197,11 @@ class _Lowering:
         self.rotate = ("RC", (liz,))
 
     def _send(self, crystal: Crystal, target: int) -> None:
-        """Move a crystal to ``target``, recursively pushing blockers one
-        spacing (2 segments) beyond the target, in the direction of travel.
-        The one possible blocker, the chain neighbour ahead, stops the mover
-        one spacing short of it."""
-        chain = self.chain
+        """Move a crystal to ``target``, stopping one spacing (2 segments)
+        short of the one possible blocker, the chain neighbour ahead, which
+        an explicit stack then pushes one spacing beyond the target.  Any
+        target off the trap, the mover's or a blocker's, is a ``TrapOverflow``."""
+        chain, n = self.chain, self.n_segments
         # explicit push stack of (chain index, target): resolving a blocker
         # suspends the mover's frame
         stack = [(chain.index(crystal), target)]
@@ -220,6 +212,8 @@ class _Lowering:
             if seg == target:
                 stack.pop()
                 continue
+            if not 1 <= target <= n:
+                raise TrapOverflow(f"push chain from segment {seg} leaves the trap")
             d = 1 if target > seg else -1
             j = i + d
             stop = target
@@ -228,11 +222,7 @@ class _Lowering:
             self.out.extend(self.steps[d][seg:stop:d])
             crystal.segment = stop
             if stop != target:
-                push_to = target + 2 * d
-                if not 1 <= push_to <= self.n_segments:
-                    raise TrapOverflow(f"push chain from segment "
-                                       f"{chain[j].segment} leaves the trap")
-                stack.append((j, push_to))
+                stack.append((j, target + 2 * d))
 
     # -- LIZ operations with the empty-well bracket --------------------------
 
@@ -260,20 +250,17 @@ class _Lowering:
             crystal.ions.reverse()
 
     def _split(self, crystal: Crystal, d: int) -> tuple[Crystal, Crystal]:
-        """Bring a two-ion crystal to the LIZ and split it, first pushing
-        away the neighbours that would sit too close to the products at
-        liz-1 / liz+1; return (product on side -d, product on side +d),
-        where side +1 is below the LIZ."""
+        """Bring a two-ion crystal to the LIZ and split it, first pushing away
+        a neighbour at liz-2 / liz+2 (``_send`` leaves none nearer), which
+        would crowd the products at liz-1 / liz+1; return (product on side
+        -d, product on side +d), where side +1 is below the LIZ."""
         liz, chain = self.liz, self.chain
         self._send(crystal, liz)
         k = chain.index(crystal)
         for side in (-1, 1):
             j = k + side
-            if 0 <= j < len(chain) and chain[j].segment in (liz + side, liz + 2 * side):
-                push_to = liz + 3 * side
-                if not 1 <= push_to <= self.n_segments:
-                    raise TrapOverflow(f"no room beside the LIZ at segment {push_to}")
-                self._send(chain[j], push_to)
+            if 0 <= j < len(chain) and chain[j].segment == liz + 2 * side:
+                self._send(chain[j], liz + 3 * side)
         self._at_liz(("S", ()), k, k)
         above = Crystal(crystal.ions[:1], liz - 1)
         below = Crystal(crystal.ions[1:], liz + 1)

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from ionshuttle.benchmarks import gen_qft, gen_toffoli
-from ionshuttle.ordering import (increase_pairwise_order, order_as_is,
+from ionshuttle.ordering import (Ordering, increase_pairwise_order, order_as_is,
                                  order_inputs_randomly, place_in_the_model,
                                  reverse_ordering)
 from ionshuttle.qasm import build_circuit
@@ -167,8 +167,15 @@ class TestPlacement:
         circ = circuit_on_ions(4, [])
         state = TrapState(TrapConfig())
         bad = order_as_is(circuit_on_ions(6, []))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^layout must split"):
             place_in_the_model(state, bad, circ)
+
+    def test_rejects_a_three_ion_crystal(self):
+        circ = circuit_on_ions(3, [])
+        state = TrapState(TrapConfig())
+        with pytest.raises(ValueError, match="^layout must split"):
+            place_in_the_model(state, Ordering(((1, 2, 3),)), circ)
+        assert state.seg_crystal == {}
 
 
 def _ipo_corpus():

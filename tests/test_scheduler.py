@@ -65,6 +65,13 @@ class TestSendToSegment:
             lowered(3, ("h", (0,), ()), [([1], 28), ([2], 30), ([3], 32)],
                     TrapConfig(n_segments=32, liz=30))
 
+    def test_split_side_overflow(self):
+        # splitting [2, 1] at the LIZ must clear [3] from segment 10 to 11
+        with pytest.raises(TrapOverflow, match=r"^gate 0: push chain from segment 10 "
+                           r"leaves the trap \(occupied segments 8-10 of 10\)$"):
+            lowered(3, ("cz", (0, 2), ()), [([1, 2], 8), ([3], 10)],
+                    TrapConfig(n_segments=10, liz=8))
+
 
 class TestIonPermutation:
     """Ion exchange between adjacent crystals, run through schedule."""
