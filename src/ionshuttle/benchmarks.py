@@ -17,7 +17,6 @@ import math
 import random
 from dataclasses import dataclass
 
-from .commands import cost as sequence_cost
 from .commands import replay
 from .ordering import (Ordering, _chunk_pairs, check_capacity,
                        increase_pairwise_order, order_as_is,
@@ -28,6 +27,7 @@ from .trap import TrapConfig, TrapState
 
 
 ORACLE_MAX_QUBITS = 8
+ORDERING_METHODS = ("oai", "oir", "ipo")
 
 
 # -- circuit generators --------------------------------------------------------
@@ -97,16 +97,21 @@ def bench_config(n: int) -> TrapConfig:
     return TrapConfig(n_segments=4 * n, liz=2 * n)
 
 
+def check_method(method: str) -> None:
+    """Raise ``ValueError`` unless ``method`` is one of ``ORDERING_METHODS``."""
+    if method not in ORDERING_METHODS:
+        raise ValueError(f"unknown ordering method {method!r}")
+
+
 def make_ordering(circuit: Circuit, method: str, seed: int | None = None) -> Ordering:
+    check_method(method)
     if method == "oai":
         return order_as_is(circuit)
-    if method == "oir":
-        if seed is None:
-            raise ValueError("oir needs a seed")
-        return order_inputs_randomly(circuit, seed)
     if method == "ipo":
         return increase_pairwise_order(circuit)
-    raise ValueError(f"unknown ordering method {method!r}")
+    if seed is None:
+        raise ValueError("oir needs a seed")
+    return order_inputs_randomly(circuit, seed)
 
 
 def compile_ordering(circuit: Circuit, ordering: Ordering,
@@ -203,7 +208,7 @@ def oir_costs(circuit: Circuit, seeds, config: TrapConfig | None = None,
     return list(map(trial, seeds))
 
 
-def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
+def run_sweep(suite: str, n_list, method_list=ORDERING_METHODS,
               trials: int = 1, seed: int = 0, n_gates: int = 1000,
               config: TrapConfig | None = None,
               workers: int = 1) -> list[CompileRecord]:
@@ -219,6 +224,8 @@ def run_sweep(suite: str, n_list, method_list=("oai", "oir", "ipo"),
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    for method in method_list:  # every name, before the first compile
+        check_method(method)
     records = []
     for n in n_list:
         cfg = config or bench_config(n)

@@ -14,8 +14,8 @@ import argparse
 import statistics
 import sys
 
-from .benchmarks import (bench_config, circuit_fit, compile_ordering,
-                         make_ordering, run_sweep, to_csv)
+from .benchmarks import (ORDERING_METHODS, bench_config, circuit_fit,
+                         compile_ordering, make_ordering, run_sweep, to_csv)
 from .commands import (FormatError, ReplayError, cost, parse_sequence,
                        render_trace, render_traces, replay, serialize)
 from .ordering import check_capacity
@@ -64,8 +64,7 @@ def cmd_compile(args) -> int:
     config = _trap_config(args, TrapConfig.n_segments, TrapConfig.liz)
     # before the layout, whose size grows with the declared register
     check_capacity((circuit.n_qubits + 1) // 2, config)
-    ordering = make_ordering(circuit, args.ordering,
-                             args.seed if args.ordering == "oir" else None)
+    ordering = make_ordering(circuit, args.ordering, args.seed)  # only oir reads it
     result = compile_ordering(circuit, ordering, config)
 
     sequence = result.sequence
@@ -168,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="compile OpenQASM 2.0 to a shuttling sequence")
     p.add_argument("-i", "--input", required=True, help="OpenQASM 2.0 file")
     p.add_argument("-o", "--output", default=None, help="sequence output path")
-    p.add_argument("--ordering", choices=("oai", "oir", "ipo"), default="ipo")
+    p.add_argument("--ordering", choices=ORDERING_METHODS, default="ipo")
     p.add_argument("--seed", type=int, default=0, help="seed for --ordering oir")
     p.add_argument("--decompose", action="store_true",
                    help="expand ccx gates into two-qubit gates")

@@ -277,6 +277,12 @@ def test_oracle_overflow_on_small_trap():
                                   TrapConfig(n_segments=12, liz=6))
 
 
+def test_run_sweep_checks_every_method_before_the_first_compile(monkeypatch):
+    monkeypatch.setattr(benchmarks, "_suite_circuit", None)
+    with pytest.raises(ValueError, match="^unknown ordering method 'xyz'$"):
+        run_sweep("random", [4, 6], method_list=("oai", "xyz"))
+
+
 def test_make_ordering_rejects_unknown_method_and_unseeded_oir():
     circuit = gen_qft(4)
     with pytest.raises(ValueError, match="unknown ordering method 'xyz'"):

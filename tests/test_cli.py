@@ -448,6 +448,20 @@ def test_bench_checks_every_trap_before_the_first_compile(monkeypatch, capsys, f
     assert (out, err, calls) == ("", f"error: {message}\n", [])
 
 
+@pytest.mark.parametrize("methods,name", [("oir,xyz", "xyz"), ("oai,", "")],
+                         ids=["unknown", "empty"])
+def test_bench_checks_every_method_before_the_first_compile(monkeypatch, capsys,
+                                                            methods, name):
+    def no_compile(*args, **kw):
+        raise AssertionError("compiled before the method check")
+
+    monkeypatch.setattr("ionshuttle.benchmarks.compile_ordering", no_compile)
+    monkeypatch.setattr("ionshuttle.benchmarks.oir_costs", no_compile)
+    assert main(["bench", "--suite", "random", "--qubits", "12,20",
+                 "--methods", methods, "--trials", "10"]) == 1
+    assert capsys.readouterr() == ("", f"error: unknown ordering method {name!r}\n")
+
+
 def test_bench_one_qubit_exit_code(capsys):
     assert main(["bench", "--suite", "qft", "--qubits", "1"]) == 1
     assert "at least 2 qubits" in capsys.readouterr().err
