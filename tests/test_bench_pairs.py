@@ -1,5 +1,7 @@
-"""The summary of tools/bench_pairs.py on made-up runs; nothing is run."""
+"""tools/bench_pairs.py on made-up runs: its summary, and how it reads a
+finished or failed run; nothing is run."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,26 @@ def test_failures_are_counted_per_side():
 
 def test_one_pair_has_degenerate_quartiles():
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_a_failed_run_names_itself_and_exits_1(monkeypatch, capsys):
+    stderr = "".join(f"line {i}\n" for i in range(30))
+
+    def failed(args, **kw):
+        assert kw["cwd"] == "../parent" and "--seed" in args
+        return subprocess.CompletedProcess(args, 3, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", failed)
+    with pytest.raises(SystemExit) as done:
+        bench_pairs.run_once("../parent", ["python3", "bench/run.py"], "search", 1741, 30)
+    assert done.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("benchmark failed in ../parent: workload search, seed 1741, exit 3\n"
+                   + "".join(f"  line {i}\n" for i in range(10, 30)))
+
+
+def test_a_clean_run_returns_its_last_line(monkeypatch):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda args, **kw:
+                        subprocess.CompletedProcess(args, 0, stdout='progress\n{"ok": 1}\n'))
+    assert bench_pairs.run_once(".", ["python3", "bench/run.py"], "search", 1, 30) == {"ok": 1}

@@ -89,12 +89,23 @@ def git_sha(checkout: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
+STDERR_LINES = 20  # of a failed run's standard error, printed
+
+
 def run_once(checkout: str, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
-    """One benchmark run in ``checkout``; its last line of output, parsed."""
+    """One benchmark run in ``checkout``; its last line of output, parsed.
+    A failed run prints the checkout, workload, seed, exit code and the
+    end of its standard error, and ends the script with exit 1."""
     done = subprocess.run(command + ["--workload", workload, "--seed", str(seed),
                                      "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, capture_output=True, text=True, check=True)
+                          cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        print(f"benchmark failed in {checkout}: workload {workload}, seed {seed}, "
+              f"exit {done.returncode}", file=sys.stderr)
+        for line in done.stderr.splitlines()[-STDERR_LINES:]:
+            print(f"  {line}", file=sys.stderr)
+        sys.exit(1)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
