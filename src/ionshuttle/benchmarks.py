@@ -27,7 +27,7 @@ from .trap import TrapConfig, TrapState
 
 
 ORACLE_MAX_QUBITS = 8
-ORDERING_METHODS = ("oai", "oir", "ipo")
+ORDERING_METHODS = ("oai", "oir", "ipo")  # the names make_ordering takes
 
 
 # -- circuit generators --------------------------------------------------------
@@ -98,7 +98,6 @@ def bench_config(n: int) -> TrapConfig:
 
 
 def check_method(method: str) -> None:
-    """Raise ``ValueError`` unless ``method`` is one of ``ORDERING_METHODS``."""
     if method not in ORDERING_METHODS:
         raise ValueError(f"unknown ordering method {method!r}")
 

@@ -144,6 +144,8 @@ def place_in_the_model(state: TrapState, ordering: Ordering, circuit: Circuit) -
     if circuit.gates:
         first_ion = circuit.gates[0].operands[0] + 1
         anchor = next(i for i, g in enumerate(groups) if first_ion in g)
-    base = min(max(cfg.liz - anchor * STRIDE, 1), cfg.n_segments - span)
+    base = cfg.liz - anchor * STRIDE
+    base = max(base, 1)
+    base = min(base, cfg.n_segments - span)
     for i, group in enumerate(groups):
         state.place_crystal(list(group), base + i * STRIDE)
