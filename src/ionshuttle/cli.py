@@ -17,7 +17,7 @@ import sys
 from .benchmarks import (ORDERING_METHODS, bench_config, circuit_fit,
                          compile_ordering, make_ordering, run_sweep, to_csv)
 from .commands import (FormatError, ReplayError, cost, parse_sequence,
-                       render_trace, render_traces, replay, serialize)
+                       render_trace, render_traces, replay, serialize_pieces)
 from .ordering import check_capacity
 from .qasm import QasmError, parse_qasm
 from .trap import (CapacityExceeded, InvalidConfig, TrapConfig, TrapError,
@@ -82,7 +82,8 @@ def cmd_compile(args) -> int:
     if n2q:
         print(f"circuit fit: {circuit_fit(result.cost, n2q):.6f}")
     if args.output:
-        _write(args.output, serialize(sequence))
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.writelines(serialize_pieces(sequence))  # never the whole text at once
         print(f"wrote {args.output}")
     if args.trace:
         _write(args.trace, render_trace(sequence, config))

@@ -21,6 +21,16 @@ and ``parse_sequence`` checks every line's sequence number but validates
 each distinct line tail (the text after the number) once per call, so
 equal commands in a parsed program are one shared tuple.
 
+The codec also works a bounded number of lines at a time, so that a long
+program's text costs about its own size in memory, not a list of line
+strings several times that.  ``serialize_pieces`` yields the text as the
+header and then one piece per ``_SERIALIZE_PIECE`` commands, and
+``serialize`` joins them.  ``parse_sequence`` splits the text into lines
+one piece of about ``_PARSE_PIECE`` characters at a time.  A piece boundary
+falls only right after a ``"\\n"``, which always ends a line, alone or as
+the end of a ``"\\r\\n"``; so splitting each piece gives the lines, and
+line numbers, of splitting the whole text.
+
 ``apply`` is the one executor: it is the only code that maps an opcode
 to the ``TrapState`` primitives, and it raises a ``TrapError`` for any
 command the constraint set forbids.  ``_execute`` runs a program through
@@ -40,7 +50,9 @@ from one replay.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .trap import TrapConfig, TrapState, TrapError
 
@@ -65,6 +77,8 @@ STATE_CHANGING = ("AIC", "SMU", "SMD", "RC", "M", "S")
 _HEADER_START_RE = re.compile(r"#\s*segments=")  # a line that must be a header
 _HEADER_RE = re.compile(r"#\s*segments=(\S+)\s+liz=(\S+)")
 _INT_RE = re.compile(r"-?[0-9]+")  # every integer in sequence text
+_SERIALIZE_PIECE = 4096  # commands that serialize_pieces formats into one piece
+_PARSE_PIECE = 65536  # characters that parse_sequence splits into lines at a time
 
 
 class FormatError(Exception):
@@ -109,18 +123,27 @@ def cost(sequence: CommandSequence) -> int:
     return sum(1 for op, _ in sequence.raw if op == "S" or op == "M")
 
 
-def serialize(sequence: CommandSequence) -> str:
-    out = [f"# segments={sequence.n_segments} liz={sequence.liz}"]
+def serialize_pieces(sequence: CommandSequence) -> Iterator[str]:
+    """:func:`serialize`'s text as consecutive pieces of whole lines: the
+    header, then each run of ``_SERIALIZE_PIECE`` commands."""
+    yield f"# segments={sequence.n_segments} liz={sequence.liz}\n"
+    raw = sequence.raw
     tails: dict[RawCommand, str] = {}  # each distinct command's text after its number
-    for i, command in enumerate(sequence.raw, 1):
-        tail = tails.get(command)
-        if tail is None:
-            op, params = command
-            # for SMU/SMD params[0] is already the segment count
-            count = () if op in ("SMU", "SMD") else (len(params),)
-            tail = tails[command] = " ".join(map(str, (op, *count, *params)))
-        out.append(f"{i} {tail}")
-    return "\n".join(out) + "\n"
+    for start in range(0, len(raw), _SERIALIZE_PIECE):
+        out = []
+        for i, command in enumerate(raw[start:start + _SERIALIZE_PIECE], start + 1):
+            tail = tails.get(command)
+            if tail is None:
+                op, params = command
+                # for SMU/SMD params[0] is already the segment count
+                count = () if op in ("SMU", "SMD") else (len(params),)
+                tail = tails[command] = " ".join(map(str, (op, *count, *params)))
+            out.append(f"{i} {tail}")
+        yield "\n".join(out) + "\n"
+
+
+def serialize(sequence: CommandSequence) -> str:
+    return "".join(serialize_pieces(sequence))
 
 
 def _integer(token: str) -> int:
@@ -164,6 +187,16 @@ def _command(tokens: list[str], lineno: int) -> RawCommand:
     return op, tuple(rest)
 
 
+def _text_pieces(text: str) -> Iterator[str]:
+    """``text`` as consecutive slices that each end just after the first
+    ``"\\n"`` at or past ``_PARSE_PIECE`` characters, or at the text's end."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _PARSE_PIECE - 1) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
 def parse_sequence(text: str) -> CommandSequence:
     """Inverse of :func:`serialize`; raises FormatError with line numbers.
 
@@ -178,7 +211,8 @@ def parse_sequence(text: str) -> CommandSequence:
     raw: list[RawCommand] = []
     tails: dict[str, RawCommand] = {}
     interned: dict[RawCommand, RawCommand] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = chain.from_iterable(map(str.splitlines, _text_pieces(text)))
+    for lineno, line in enumerate(lines, start=1):
         seq_text, _, tail = line.partition(" ")
         canonical = seq_text == str(len(raw) + 1)
         if canonical:

@@ -20,6 +20,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -88,8 +89,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int

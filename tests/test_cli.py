@@ -12,9 +12,12 @@ import pytest
 import ionshuttle
 from ionshuttle import cli, commands
 from ionshuttle.cli import main
-from ionshuttle.commands import parse_sequence, render_trace, render_trace_svg, replay
+from ionshuttle.commands import (parse_sequence, render_trace, render_trace_svg, replay,
+                                 serialize)
+from ionshuttle.ordering import increase_pairwise_order
 from ionshuttle.qasm import to_qasm
-from ionshuttle.benchmarks import gen_qft
+from ionshuttle.benchmarks import compile_ordering, gen_qft, gen_random_circuit
+from ionshuttle.trap import TrapConfig
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -278,6 +281,18 @@ def test_compile_trace_matches_the_trace_command(tmp_path, qft8_file, capsys):
     assert f"wrote {grid}" in capsys.readouterr().out
     assert main(["trace", "-i", str(out)]) == 0
     assert capsys.readouterr().out == grid.read_text()
+
+
+def test_compile_output_of_many_pieces_is_the_serialized_program(tmp_path, capsys):
+    circuit = gen_random_circuit(6, 150, 1)
+    src, out = tmp_path / "random6.qasm", tmp_path / "out.seq"
+    src.write_text(to_qasm(circuit))
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    sequence = compile_ordering(circuit, increase_pairwise_order(circuit),
+                                TrapConfig()).sequence
+    assert len(sequence) > 3 * commands._SERIALIZE_PIECE
+    assert out.read_bytes() == serialize(sequence).encode()
+    assert f"commands: {len(sequence)} (" in capsys.readouterr().out
 
 
 def test_invalid_trap_override_exit_code(tmp_path):

@@ -1,15 +1,17 @@
 """Command ISA: wire format, replay validation, cost and trace rendering."""
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionshuttle.benchmarks import bench_config, compile_ordering, gen_random_circuit
+from ionshuttle import commands
 from ionshuttle.commands import (CommandSequence, FormatError, ReplayError,
                                  _execute, _reject, cost, parse_sequence,
                                  render_trace, render_trace_svg, replay,
-                                 serialize)
+                                 serialize, serialize_pieces)
 from ionshuttle.ordering import Ordering, increase_pairwise_order
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
@@ -659,7 +661,7 @@ def _codec_matches_reference(text):
     assert len({id(c) for c in raw}) == len(set(raw))
 
 
-def test_codec_matches_line_at_a_time_reference():
+def check_codec_property():
     CODEC_OUTCOMES.clear()
     _codec_matches_reference()
     # floors keep the comparison from holding only vacuously
@@ -668,6 +670,80 @@ def test_codec_matches_line_at_a_time_reference():
     assert CODEC_OUTCOMES["parsed with odd spacing"] >= CODEC_EXAMPLES // 20, CODEC_OUTCOMES
     for kind in FORMAT_ERRORS:
         assert CODEC_OUTCOMES[kind] >= 3, (kind, CODEC_OUTCOMES)
+
+
+def test_codec_matches_line_at_a_time_reference():
+    check_codec_property()
+
+
+@pytest.mark.parametrize("serialize_piece, parse_piece", [(1, 1), (2, 3), (3, 8)])
+def test_codec_matches_reference_at_tiny_piece_sizes(monkeypatch, serialize_piece,
+                                                     parse_piece):
+    """With pieces of a few commands and a few characters, every CRLF,
+    blank, comment, header and bad line sits at or next to a boundary."""
+    monkeypatch.setattr(commands, "_SERIALIZE_PIECE", serialize_piece)
+    monkeypatch.setattr(commands, "_PARSE_PIECE", parse_piece)
+    check_codec_property()
+
+
+PIECE_COMMANDS = [("START", ()), ("AIC", (1, 5)), ("AEC", (6,)), ("SMD", (1, 5)),
+                  ("SMU", (2, 6, 9)), ("REC", (6,)), ("S", ()), ("RC", (19,)),
+                  ("DG", (3,)), ("M", ())]
+
+
+@pytest.mark.parametrize("piece", [None, 3])
+def test_serialize_at_piece_boundaries(monkeypatch, piece):
+    if piece is not None:
+        monkeypatch.setattr(commands, "_SERIALIZE_PIECE", piece)
+    n = commands._SERIALIZE_PIECE
+    for length in (0, 1, n - 1, n, n + 1, 2 * n + 1):
+        raw = [PIECE_COMMANDS[i % len(PIECE_COMMANDS)] for i in range(length)]
+        sequence = CommandSequence(40, 21, raw)
+        pieces = list(serialize_pieces(sequence))
+        assert len(pieces) == 1 + -(-length // n), length
+        assert all(p.endswith("\n") for p in pieces)
+        assert serialize(sequence) == "".join(pieces) == reference_serialize(sequence)
+        assert parse_sequence(serialize(sequence)).raw == raw
+
+
+def test_parse_pieces_split_only_after_a_newline():
+    circuit = gen_random_circuit(8, 100, 3)
+    sequence = compile_ordering(circuit, increase_pairwise_order(circuit),
+                                bench_config(8)).sequence
+    text = serialize(sequence).replace("\n", "\r\n")
+    pieces = list(commands._text_pieces(text))
+    assert len(pieces) > 2 and "".join(pieces) == text
+    for piece in pieces[:-1]:
+        assert piece.endswith("\r\n") and len(piece) >= commands._PARSE_PIECE
+    assert parse_sequence(text) == reference_parse(text)
+    # an error past the first piece keeps its line number
+    lines = text.splitlines(keepends=True)
+    lines[-3] = lines[-3].split(" ")[0] + " FROB 0\r\n"
+    with pytest.raises(FormatError, match="unknown opcode 'FROB'") as err:
+        parse_sequence("".join(lines))
+    assert err.value.line == len(lines) - 2
+
+
+def traced_peak(f, arg):
+    """The bytes ``f(arg)`` allocates at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        f(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_codec_memory_stays_near_the_text_size():
+    """The codec holds a bounded number of lines at a time: no list of one
+    string per line (a test of memory, not of time)."""
+    circuit = gen_random_circuit(12, 300, 5)
+    sequence = compile_ordering(circuit, increase_pairwise_order(circuit),
+                                bench_config(12)).sequence
+    text = serialize(sequence)
+    assert len(sequence) > 60_000 and len(text) > 900_000
+    assert traced_peak(serialize, sequence) <= 3 * len(text)
+    assert traced_peak(parse_sequence, text) <= 2 * len(text)
 
 
 # -- the trace against a per-row snapshot reference -----------------------------
