@@ -1,5 +1,7 @@
 """Benchmark generators, sweeps, circuit fit and the exhaustive oracle."""
+import hashlib
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -268,6 +270,34 @@ ORACLE_PINS = [
 def test_oracle_pinned_results(make_circuit, layout, cost):
     ordering, best = brute_force_best_ordering(make_circuit())
     assert (ordering.crystal_list, best) == (layout, cost)
+
+
+def corpus_circuit(rng, n):
+    """Up to 16 gates on ``n`` qubits, about one in four a one-qubit gate."""
+    specs = []
+    for _ in range(rng.randint(0, 16)):
+        if rng.random() < 0.25:
+            specs.append(("h", (rng.randrange(n),), ()))
+        else:
+            specs.append(("cz", tuple(rng.sample(range(n), 2)), ()))
+    return build_circuit(n, specs)
+
+
+def test_oracle_corpus_pin():
+    # 20 circuits at each n = 2..7 from one seed; the sha256 pins the list
+    # of (crystal_list, cost) pairs that the oracle returned for them when
+    # it ranked every layout through its own chain, so a faster ranking must
+    # pick the same layouts.  The first two circuits at n <= 4 also compile
+    # every layout verified.
+    rng = random.Random(2020)
+    results = []
+    for n in range(2, 8):
+        for k in range(20):
+            ordering, best = brute_force_best_ordering(
+                corpus_circuit(rng, n), verify=n <= 4 and k < 2)
+            results.append((ordering.crystal_list, best))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "f3090814068c9b098109ad8614592a03595a3ce8830859c527f922cc210bc036")
 
 
 def test_oracle_overflow_on_small_trap():
