@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 
 from .commands import replay
-from .ordering import (Ordering, _chunk_pairs, check_capacity,
-                       increase_pairwise_order, order_as_is,
-                       order_inputs_randomly, place_in_the_model)
+from .ordering import (Ordering, check_capacity, increase_pairwise_order,
+                       order_as_is, order_inputs_randomly, paired,
+                       place_in_the_model)
 from .qasm import Circuit, build_circuit, decompose_gate, Gate
 from .scheduler import ScheduleResult, cheapest_layout, schedule
 from .trap import TrapConfig, TrapState
@@ -249,12 +249,18 @@ def run_sweep(suite: str, n_list, method_list=ORDERING_METHODS,
 # -- exhaustive placement oracle ----------------------------------------------
 
 
+def _reversal_classes(n: int):
+    """One flat permutation of ions 1..n per reversal class, the smaller of
+    the two, in lexicographic order."""
+    return (perm for perm in itertools.permutations(range(1, n + 1))
+            if perm <= perm[::-1])
+
+
 def enumerate_orderings(n: int):
     """One representative per reversal class (n!/2 classes for n >= 2), in
     lexicographic order of the flat permutation, paired left to right."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        if perm <= perm[::-1]:
-            yield _chunk_pairs(list(perm))
+    for perm in _reversal_classes(n):
+        yield Ordering(paired(perm))
 
 
 def brute_force_best_ordering(circuit: Circuit,
@@ -265,20 +271,26 @@ def brute_force_best_ordering(circuit: Circuit,
 
     Mirroring a layout end to end (groups and intra-group order reversed)
     never changes the cost, so classes pair each permutation with its
-    reverse.  For an odd register the two members chunk to layouts with the
-    lone ion paired differently, which do differ in cost, so both
+    reverse.  For an odd register the two members pair up into layouts with
+    the lone ion paired differently, which do differ in cost, so both
     representatives are ranked; for an even register the second member's
     layout is exactly the mirror and one suffices.  Ties keep the first hit
     in enumeration order.
 
-    All layouts are ranked by their planned cost in one pass of
-    ``scheduler.cheapest_layout``, which merges layouts once the planner
-    has brought them to the same chain.  That is exact, since the cost of
-    the remaining gates depends only on the chain, and of two merged
-    layouts it keeps the cheaper, or the earlier at equal cost, so the
-    winner is the one a layout-by-layout ``plan_cost`` scan picks.
+    The register must fit the trap (``config``, or ``bench_config(n)`` as
+    ``compile_ordering`` uses when it is None) before any layout is built:
+    every layout has (n + 1) // 2 crystals, so ``CapacityExceeded`` comes
+    first.  The layouts are plain crystal lists from ``ordering.paired``,
+    ranked by their planned cost in one pass of
+    ``scheduler.cheapest_layout``, which plans each distinct gate move once
+    per crystal-size pattern and merges layouts once the planner has
+    brought them to the same chain.  That is exact, since the cost of the
+    remaining gates depends only on the chain, and of two merged layouts it
+    keeps the cheaper, or the earlier at equal cost, so the winner is the
+    one a layout-by-layout ``plan_cost`` scan picks.  Only the winner
+    becomes an ``Ordering``.
 
-    Only the winner is lowered (placed and scheduled on ``config``, which
+    Only the winner is lowered (placed and scheduled on the trap, which
     checks every gate's cost against the plan), so a ``TrapOverflow`` on the
     winner still ends the search, but a layout that would overflow and does
     not win does not.  On the traps checked (12/6, 16/8, 16/12, 20/10, 32/19
@@ -290,14 +302,17 @@ def brute_force_best_ordering(circuit: Circuit,
     if n > ORACLE_MAX_QUBITS:
         raise ValueError(
             f"exhaustive search capped at {ORACLE_MAX_QUBITS} qubits")
+    cfg = config or bench_config(n)
+    check_capacity((n + 1) // 2, cfg)
     layouts = []
-    for first in enumerate_orderings(n):
-        layouts.append(first)
+    for perm in _reversal_classes(n):
+        layouts.append(paired(perm))
         if n % 2:
-            layouts.append(_chunk_pairs(list(reversed(first.ions()))))
+            layouts.append(paired(perm[::-1]))
     if verify:
-        for ordering in layouts:
-            compile_ordering(circuit, ordering, config, verify=True)
-    i, cost = cheapest_layout(circuit, [o.crystal_list for o in layouts])
-    compile_ordering(circuit, layouts[i], config)
-    return layouts[i], cost
+        for layout in layouts:
+            compile_ordering(circuit, Ordering(layout), cfg, verify=True)
+    i, cost = cheapest_layout(circuit, layouts)
+    winner = Ordering(layouts[i])
+    compile_ordering(circuit, winner, cfg)
+    return winner, cost

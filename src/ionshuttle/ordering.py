@@ -10,6 +10,7 @@ Ion ids are 1-based and encode qubit ``q`` as ion ``q + 1``.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -29,9 +30,14 @@ class Ordering:
         return tuple(ion for group in self.crystal_list for ion in group)
 
 
+def paired(ions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A crystal list of ``ions`` paired left to right, the last one alone
+    when their count is odd."""
+    return tuple(ions[i:i + 2] for i in range(0, len(ions), 2))
+
+
 def _chunk_pairs(ions: list[int]) -> Ordering:
-    groups = tuple(tuple(ions[i:i + 2]) for i in range(0, len(ions), 2))
-    return Ordering(groups)
+    return Ordering(paired(tuple(ions)))
 
 
 def _gate_ions(circuit: Circuit) -> list[tuple[int, int]]:
@@ -117,9 +123,9 @@ def check_capacity(n_crystals: int, config: TrapConfig) -> None:
 def check_layout(circuit: Circuit, crystal_list) -> None:
     """Raise ``ValueError`` unless the top-to-bottom ``crystal_list``
     splits exactly the circuit's ions into crystals of one or two."""
-    flat = sorted(ion for ions in crystal_list for ion in ions)
+    flat = sorted(itertools.chain.from_iterable(crystal_list))
     if (flat != list(range(1, circuit.n_qubits + 1))
-            or any(not 1 <= len(ions) <= 2 for ions in crystal_list)):
+            or not set(map(len, crystal_list)) <= {1, 2}):
         raise ValueError("layout must split the circuit's ions into crystals "
                          "of one or two")
 

@@ -14,19 +14,31 @@ each other or change size, so a step costs 2 split+merge plus 2 for each
 two-ion crystal among the two (3 splits and 3 merges between two pairs);
 the planner prices each step, and ``plan_cost`` a layout, without a trap.
 
-``cheapest_layout`` ranks many layouts in one pass over the gates.  It
-keeps one entry per distinct chain, holding the cost planned so far and
-the index of the first layout that reached it, and plans each distinct
-chain once per gate.  Layouts collapse onto a few chains within a few
-gates, so this plans far fewer gates than ``plan_cost`` on each layout.
-It is exact because a planner step reads nothing but the chain and the
-gate's position in the circuit: two layouts that reach the same chain at
-the same gate pay the same for every later gate, so the entry keeps the
-smaller ``(cost, index)`` of the two, and the result is the lexicographic
-minimum over all layouts, the first cheapest in list order.  The merge key
-must hold everything a step reads besides the position.  A lookahead over
-the next gates needs nothing more, as the position fixes them; a policy
-that carries state from one gate to the next must add that state.
+``cheapest_layout`` ranks many layouts in one pass over the gates.  Its
+merge key is ``(sizes, flat)``: the crystal sizes and the ion order read
+from the top of the chain to the bottom, which together are the chain.
+Each key holds the cost planned so far and the index of the first layout
+that reached it.  Two layouts that reach one key at the same gate pay the
+same for every later gate, so the entry keeps the smaller ``(cost,
+index)`` of the two, and the result is the lexicographic minimum over all
+layouts, the first cheapest in list order.  Layouts collapse onto a few
+chains within a few gates.
+
+A gate is planned once per distinct move, not once per chain.  A step
+reads the crystal sizes and where the gate's two ions sit; every other ion
+only rides along.  So on every chain of one size pattern, a gate whose
+operands sit at flat positions ``pa`` and ``pb`` is one reordering of
+positions at one split+merge cost.  ``_position_move`` plans it once with
+``_plan_gate`` on a chain of position labels, and the ranking keeps it
+under ``(sizes, pa, pb)`` as an ``itemgetter`` and the cost, and applies
+the ``itemgetter`` to every flat chain it meets there.  Sizes never
+change, so layouts of different size patterns never merge and are ranked
+apart; a 6-qubit oracle call plans at most 30 moves.  This is exact only
+while a step reads nothing but the sizes, its operands' positions and the
+gate's position in the circuit.  Whatever else a policy reads must join
+the keys: a lookahead over the next gates reads where their operands sit,
+so those positions join the move key, and any state a step carries from
+one gate to the next joins both the merge key and the move key.
 
 The lowering (``schedule``) copies each of the placed trap's ion lists
 once into its own ``Crystal`` record, with the segment, and never writes
@@ -52,6 +64,7 @@ checks what it emits.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -126,32 +139,66 @@ def plan_cost(circuit: Circuit, crystal_list) -> int:
     return plan(circuit, crystal_list)[0]
 
 
+def _position_move(sizes: tuple[int, ...], pa: int, pb: int
+                   ) -> tuple[itemgetter, int]:
+    """One gate as a move of positions: for a chain of crystals of
+    ``sizes`` whose flat ion order holds the gate's first operand at
+    position ``pa`` and its second at ``pb``, the ``itemgetter`` that
+    reorders a flat ion tuple into the planned chain's, and the gate's
+    split+merge cost.  ``_plan_gate`` plans it once on ions labelled by
+    position (label p + 1 at position p, so the positions are the gate's
+    qubits)."""
+    labels = iter(range(1, sum(sizes) + 1))
+    chain = [[next(labels) for _ in range(size)] for size in sizes]
+    where = {label: i for i, ions in enumerate(chain) for label in ions}
+    cost = _plan_gate(chain, where, Gate(0, "cz", (pa, pb)))[1]
+    return itemgetter(*(label - 1 for ions in chain for label in ions)), cost
+
+
 def cheapest_layout(circuit: Circuit, crystal_lists) -> tuple[int, int]:
     """The index and planned cost of the cheapest layout in
     ``crystal_lists``, the first in list order among equals: the same as
     ``min((plan_cost(circuit, L), i) for i, L in enumerate(crystal_lists))``
-    with the pair swapped, found in one merged pass (see the module
-    docstring)."""
-    # chain -> (cost so far, index of the first layout that reached it)
-    reached: dict[tuple, tuple[int, int]] = {}
+    with the pair swapped, found in one merged pass.
+
+    Every layout is checked with ``check_layout`` first.  Each chain
+    reached is keyed by its crystal sizes and its flat ion order, and a
+    gate moves it by the ``_position_move`` of the sizes and of the flat
+    positions of the gate's two ions, planned once per size pattern.  That
+    is exact because a step reads nothing else; a policy that reads more,
+    or carries state from one gate to the next, must add it to the keys
+    (see the module docstring)."""
+    # crystal sizes -> flat ion order -> (cost so far, index of the first
+    # layout that reached it)
+    starts: dict[tuple, dict[tuple, tuple[int, int]]] = {}
     for i, layout in enumerate(crystal_lists):
-        key = tuple(map(tuple, layout))
-        check_layout(circuit, key)
-        reached.setdefault(key, (0, i))
-    if not reached:
+        check_layout(circuit, layout)
+        flat = tuple(itertools.chain.from_iterable(layout))
+        starts.setdefault(tuple(map(len, layout)), {}).setdefault(flat, (0, i))
+    if not starts:
         raise ValueError("no layout to rank")
-    for gate in circuit.two_qubit_gates():  # the others never change a chain
-        merged: dict[tuple, tuple[int, int]] = {}
-        for key, (cost, i) in reached.items():
-            chain = list(map(list, key))
-            where = {ion: k for k, ions in enumerate(chain) for ion in ions}
-            ranked = (cost + _plan_gate(chain, where, gate)[1], i)
-            key = tuple(map(tuple, chain))
-            old = merged.get(key)
-            if old is None or ranked < old:
-                merged[key] = ranked
-        reached = merged
-    cost, i = min(reached.values())
+    # the other gates never change a chain
+    operands = [(g.operands[0] + 1, g.operands[1] + 1)
+                for g in circuit.two_qubit_gates()]
+    best = []
+    for sizes, reached in starts.items():  # sizes never change
+        moves: dict[tuple[int, int], tuple[itemgetter, int]] = {}
+        for a, b in operands:
+            merged: dict[tuple, tuple[int, int]] = {}
+            for flat, (cost, i) in reached.items():
+                at = flat.index(a), flat.index(b)
+                move = moves.get(at)
+                if move is None:
+                    move = moves[at] = _position_move(sizes, *at)
+                reorder, step = move
+                flat = reorder(flat)
+                ranked = (cost + step, i)
+                old = merged.get(flat)
+                if old is None or ranked < old:
+                    merged[flat] = ranked
+            reached = merged
+        best.append(min(reached.values()))
+    cost, i = min(best)
     return i, cost
 
 

@@ -18,7 +18,7 @@ from ionshuttle.benchmarks import (bench_config, brute_force_best_ordering,
 from ionshuttle.cli import main
 from ionshuttle.ordering import order_as_is, reverse_ordering
 from ionshuttle.qasm import build_circuit
-from ionshuttle.trap import TrapConfig, TrapOverflow
+from ionshuttle.trap import CapacityExceeded, TrapConfig, TrapOverflow
 
 
 class TestRandomCircuits:
@@ -305,6 +305,23 @@ def test_oracle_overflow_on_small_trap():
     with pytest.raises(TrapOverflow):
         brute_force_best_ordering(gen_random_circuit(6, 20, 0),
                                   TrapConfig(n_segments=12, liz=6))
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["config", "bench_config"])
+def test_oracle_checks_capacity_before_ranking(monkeypatch, given):
+    # 8 qubits make 4 crystals, which need 7 segments at stride 2; without
+    # a config the oracle must check the trap that compile_ordering uses
+    small = TrapConfig(n_segments=6, liz=3)
+
+    def rank(*args):
+        raise AssertionError("ranked layouts before checking the trap")
+
+    monkeypatch.setattr(benchmarks, "cheapest_layout", rank)
+    monkeypatch.setattr(benchmarks, "bench_config", lambda n: small)
+    with pytest.raises(CapacityExceeded,
+                       match="^4 crystals at stride 2 exceed 6 segments$"):
+        brute_force_best_ordering(gen_random_circuit(8, 30, 5),
+                                  small if given else None)
 
 
 def test_run_sweep_checks_every_method_before_the_first_compile(monkeypatch):

@@ -16,9 +16,9 @@ from ionshuttle.benchmarks import (bench_config, compile_ordering, gen_qft,
                                    make_ordering)
 from ionshuttle.commands import replay
 from ionshuttle.ordering import Ordering
-from ionshuttle.qasm import Circuit, build_circuit
-from ionshuttle.scheduler import (cheapest_layout, crystal_chain, plan,
-                                  plan_cost, schedule)
+from ionshuttle.qasm import Circuit, Gate, build_circuit
+from ionshuttle.scheduler import (_plan_gate, _position_move, cheapest_layout,
+                                  crystal_chain, plan, plan_cost, schedule)
 from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState
 
 EXAMPLES = 300
@@ -246,6 +246,44 @@ def test_cheapest_layout_keeps_the_earliest_of_equal_costs():
     layouts = [((2,), (1, 3), (4,)), ((2,), (3, 1), (4,)), ((1,), (2, 3), (4,))]
     assert [plan_cost(circuit, layout) for layout in layouts] == [20, 16, 16]
     assert cheapest_layout(circuit, layouts) == (1, 16)
+
+
+def test_cheapest_layout_keys_chains_by_crystal_sizes():
+    # one flat ion order in two crystal patterns: the gate's ions share a
+    # crystal only in the second, so a chain keyed by its ion order alone
+    # would rank the second layout as the first
+    circuit = build_circuit(3, [("cz", (1, 2), ())])
+    layouts = [((1, 2), (3,)), ((1,), (2, 3))]
+    assert [plan_cost(circuit, layout) for layout in layouts] == [4, 0]
+    assert cheapest_layout(circuit, layouts) == (1, 0)
+
+
+@st.composite
+def gate_moves(draw):
+    """Crystal sizes of 1 and 2 holding at least two ions, a random
+    labelling of the ions 1..n in them, and two distinct operands."""
+    sizes = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=8)
+                 .filter(lambda sizes: sum(sizes) >= 2))
+    ions = draw(st.permutations(range(1, sum(sizes) + 1)))
+    a, b = draw(st.permutations(ions))[:2]
+    return tuple(sizes), tuple(ions), a, b
+
+
+def regroup(flat, sizes):
+    """The chain of crystals of ``sizes`` holding the flat ion order."""
+    labels = iter(flat)
+    return [[next(labels) for _ in range(size)] for size in sizes]
+
+
+@settings(max_examples=EXAMPLES)
+@given(gate_moves())
+def test_position_move_matches_plan_gate(case):
+    sizes, flat, a, b = case
+    reorder, cost = _position_move(sizes, flat.index(a), flat.index(b))
+    chain = regroup(flat, sizes)
+    where = {ion: i for i, ions in enumerate(chain) for ion in ions}
+    planned = _plan_gate(chain, where, Gate(0, "cz", (a - 1, b - 1)))[1]
+    assert (regroup(reorder(flat), sizes), cost) == (chain, planned)
 
 
 @pytest.mark.parametrize("bad", [((1, 2),), ((1, 2, 3),), ((1, 1), (2, 3))])
