@@ -1,6 +1,7 @@
 """tools/bench_pairs.py on made-up runs: its summary, and how it reads a
 finished or failed run; nothing is run."""
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -114,3 +115,45 @@ def test_a_clean_run_returns_its_last_line(monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda args, **kw:
                         subprocess.CompletedProcess(args, 0, stdout='progress\n{"ok": 1}\n'))
     assert bench_pairs.run_once(".", ["python3", "bench/run.py"], "search", 1, 30) == {"ok": 1}
+
+
+def test_main_adds_one_traced_run_per_side_and_workload(monkeypatch, tmp_path, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"command": ["python3", "bench/run.py"], "run_seconds": 30, "end_to_end": METRICS}))
+    calls = []
+
+    def run(args, **kw):
+        if args[0] == "git":
+            return subprocess.CompletedProcess(args, 0, stdout="abc123\n")
+        seed, trace = int(args[args.index("--seed") + 1]), args[args.index("--trace") + 1]
+        calls.append((kw["cwd"], args[args.index("--workload") + 1], seed, trace))
+        side = 1.0 if kw["cwd"] == "../parent" else 0.5
+        if trace == "1":
+            line = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+                "benchmarks.self_ms": {"value": 4.0 * side, "unit": "ms"},
+                "benchmarks.oracle_layout_us": {"value": 12.0 * side, "unit": "us"}}}
+        else:
+            line = result(8.0 * side + 0.01 * (seed - 2001), 100.0)
+        return subprocess.CompletedProcess(args, 0, stdout="# table\n" + json.dumps(line) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "../parent", "--change", str(change),
+                             "--workload", "search", "--workload", "structured",
+                             "--pairs", "2", "--seed", "2001", "--out", str(out)]) == 0
+    # two alternating pairs, then one traced run per side on the first seed
+    for workload in ("search", "structured"):
+        assert [c for c in calls if c[1] == workload] == [
+            ("../parent", workload, 2001, "0"), (str(change), workload, 2001, "0"),
+            (str(change), workload, 2002, "0"), ("../parent", workload, 2002, "0"),
+            ("../parent", workload, 2001, "1"), (str(change), workload, 2001, "1")]
+    report = json.loads(out.read_text())
+    assert report["workloads"]["search"]["per_layer"] == {
+        "parent": {"benchmarks.self_ms": 4.0, "benchmarks.oracle_layout_us": 12.0},
+        "change": {"benchmarks.self_ms": 2.0, "benchmarks.oracle_layout_us": 6.0}}
+    assert report["workloads"]["search"]["metrics"]["oracle_s"]["wins"] == 2
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ("search benchmarks.oracle_layout_us parent 12 change 6 traced, seed 2001"
+            .split()) in printed

@@ -21,7 +21,12 @@ and ties, and a verdict:
   that bound, and not every change run reads better than every parent run;
 - ``within bound``: otherwise.
 
-It also records both checkouts' git SHAs, the Python version and ``nproc``.
+After a workload's pairs it runs the benchmark once more per side with
+``--trace 1`` on seed S, and writes each side's per-layer metrics (span
+times per layer, such as ``benchmarks.self_ms``, and counts) under
+``per_layer``, to show in which layer a change in an end-to-end metric
+lands.  It also records both checkouts' git SHAs, the Python version and
+``nproc``.
 """
 from __future__ import annotations
 
@@ -93,12 +98,12 @@ STDERR_LINES = 20  # of a failed run's standard error, printed
 
 
 def run_once(checkout: str, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict:
-    """One benchmark run in ``checkout``; its last line of output, parsed.
-    A failed run prints the checkout, workload, seed, exit code and the
-    end of its standard error, and ends the script with exit 1."""
+             seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in ``checkout``, traced or not; its last line of
+    output, parsed.  A failed run prints the checkout, workload, seed, exit
+    code and the end of its standard error, and ends the script with exit 1."""
     done = subprocess.run(command + ["--workload", workload, "--seed", str(seed),
-                                     "--seconds", str(seconds), "--trace", "0"],
+                                     "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         print(f"benchmark failed in {checkout}: workload {workload}, seed {seed}, "
@@ -107,6 +112,11 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int,
             print(f"  {line}", file=sys.stderr)
         sys.exit(1)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def values(result: dict) -> dict:
+    """Metric name -> value of one run's last-line result."""
+    return {name: m["value"] for name, m in result["metrics"].items()}
 
 
 def main(argv=None) -> int:
@@ -137,12 +147,14 @@ def main(argv=None) -> int:
                                    seed, spec["run_seconds"]) for side in order}
             pairs.append(pair)
             runs.append({"seed": seed, "first": order[0],
-                         **{side: {name: m["value"] for name, m in pair[side]["metrics"].items()}
-                            for side in order}})
+                         **{side: values(pair[side]) for side in order}})
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} done",
                   file=sys.stderr)
+        per_layer = {side: values(run_once(getattr(args, side), spec["command"], workload,
+                                           args.seed, spec["run_seconds"], trace=1))
+                     for side in ("parent", "change")}
         report["workloads"][workload] = {**summarize(pairs, spec["end_to_end"]),
-                                         "runs": runs}
+                                         "runs": runs, "per_layer": per_layer}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
@@ -151,6 +163,11 @@ def main(argv=None) -> int:
             print(f"{workload:<10} {name:<16} parent {m['parent']['median']:<12.6g} "
                   f"change {m['change']['median']:<12.6g} wins {m['wins']}/{args.pairs} "
                   f"{m['verdict']}")
+        layers = summary["per_layer"]
+        for name, value in layers["parent"].items():
+            print(f"{workload:<10} {name:<32} parent {value:<12.6g} "
+                  f"change {layers['change'].get(name, float('nan')):<12.6g} "
+                  f"traced, seed {args.seed}")
     return 0
 
 
