@@ -278,24 +278,25 @@ def brute_force_best_ordering(circuit: Circuit,
     in enumeration order.
 
     The register must fit the trap (``config``, or ``bench_config(n)`` as
-    ``compile_ordering`` uses when it is None) before any layout is built:
-    every layout has (n + 1) // 2 crystals, so ``CapacityExceeded`` comes
-    first.  The layouts are plain crystal lists from ``ordering.paired``,
-    ranked by their planned cost in one pass of
-    ``scheduler.cheapest_layout``, which plans each distinct gate move once
-    per crystal-size pattern and merges layouts once the planner has
-    brought them to the same chain.  That is exact, since the cost of the
-    remaining gates depends only on the chain, and of two merged layouts it
-    keeps the cheaper, or the earlier at equal cost, so the winner is the
-    one a layout-by-layout ``plan_cost`` scan picks.  Only the winner
-    becomes an ``Ordering``.
+    ``compile_ordering`` uses when it is None): every layout has
+    (n + 1) // 2 crystals, so a trap too small raises ``CapacityExceeded``
+    before any layout is built.
 
-    Only the winner is lowered (placed and scheduled on the trap, which
-    checks every gate's cost against the plan), so a ``TrapOverflow`` on the
-    winner still ends the search, but a layout that would overflow and does
-    not win does not.  On the traps checked (12/6, 16/8, 16/12, 20/10, 32/19
-    and 10/3 segments/LIZ) overflow was all-or-none across the layouts of a
-    circuit.
+    The layouts are plain crystal lists from ``ordering.paired``, ranked by
+    their planned cost in one pass of ``scheduler.cheapest_layout``, which
+    plans each distinct gate move once per crystal-size pattern and merges
+    layouts once the planner has brought them to the same chain.  That is
+    exact, since the cost of the remaining gates depends only on the chain,
+    and of two merged layouts it keeps the cheaper, or the earlier at equal
+    cost, so the winner is the one a layout-by-layout ``plan_cost`` scan
+    picks.
+
+    Only the winner becomes an ``Ordering`` and is lowered (placed and
+    scheduled on the trap, which checks every gate's cost against the plan),
+    so a ``TrapOverflow`` on the winner still ends the search, but a layout
+    that would overflow and does not win does not.  On the traps checked
+    (12/6, 16/8, 16/12, 20/10, 32/19 and 10/3 segments/LIZ) overflow was
+    all-or-none across the layouts of a circuit.
     With ``verify`` every layout is also compiled with ``verify=True``.
     """
     n = circuit.n_qubits
