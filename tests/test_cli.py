@@ -477,6 +477,20 @@ def test_bench_checks_every_method_before_the_first_compile(monkeypatch, capsys,
     assert capsys.readouterr() == ("", f"error: unknown ordering method {name!r}\n")
 
 
+@pytest.mark.parametrize("flags,code,message", [
+    (["--qubits", "8,40", "--trials", "0", "--methods", "oir,xyz",
+      "--segments", "32", "--liz", "19"], 3, "20 crystals at stride 2 exceed 32 segments"),
+    (["--qubits", "8,40", "--trials", "0", "--methods", "oir,xyz",
+      "--segments", "40"], 3, "LIZ segment 80 outside 2..39"),
+    (["--qubits", "8", "--trials", "0", "--methods", "xyz"], 1,
+     "trials must be at least 1, got 0"),
+], ids=["capacity", "liz", "trials"])
+def test_bench_reports_the_first_of_several_faults(capsys, flags, code, message):
+    # every trap shape, then every capacity, then --trials, then --methods
+    assert main(["bench", "--suite", "random"] + flags) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_bench_one_qubit_exit_code(capsys):
     assert main(["bench", "--suite", "qft", "--qubits", "1"]) == 1
     assert "at least 2 qubits" in capsys.readouterr().err
