@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .commands import replay
-from .ordering import (Ordering, check_capacity, increase_pairwise_order,
+from .ordering import (Ordering, check_register, increase_pairwise_order,
                        order_as_is, order_inputs_randomly, paired,
                        place_in_the_model)
 from .qasm import Circuit, build_circuit, decompose_gate, Gate
@@ -209,40 +209,39 @@ def oir_costs(circuit: Circuit, seeds, config: TrapConfig | None = None,
 
 def run_sweep(suite: str, n_list, method_list=ORDERING_METHODS,
               trials: int = 1, seed: int = 0, n_gates: int = 1000,
-              config: TrapConfig | None = None,
-              workers: int = 1) -> list[CompileRecord]:
-    """Compile each suite circuit under each ordering method.
+              config=bench_config, workers: int = 1) -> list[CompileRecord]:
+    """Compile each suite circuit under each ordering method, each size on
+    the trap that ``config`` maps its qubit count to.
 
-    Deterministic methods run once; the randomized one runs ``trials`` times
-    with seeds derived from the master seed by counter.  Every compile is
-    replayed and verified.  Records come per size, then per method, then
-    per trial, so each method's pass starts at trial 0.  Trials are
-    independent (each compile owns its trap), so ``workers`` > 1 fans them
-    out over processes; records stay in trial order, identical to a serial
-    run.
+    Before the first suite circuit is built, the sweep builds every size's
+    trap, then checks every register's capacity, then ``trials``, then every
+    method name, so a fault fails at once.  Deterministic methods run once;
+    the randomized one runs ``trials`` times with seeds derived from the
+    master seed by counter.  Every compile is replayed and verified.  Records
+    come per size, then per method, then per trial, so each method's pass
+    starts at trial 0.  Trials are independent (each compile owns its trap),
+    so ``workers`` > 1 fans them out over processes; records stay in trial
+    order, identical to a serial run.
     """
+    traps = [(n, config(n)) for n in n_list]
+    for n, cfg in traps:
+        check_register(n, cfg)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    for method in method_list:  # every name, before the first compile
+    for method in method_list:
         check_method(method)
     records = []
-    for n in n_list:
-        cfg = config or bench_config(n)
-        check_capacity((n + 1) // 2, cfg)  # before building the suite circuit
+    for n, cfg in traps:
         circuit = _suite_circuit(suite, n, n_gates, seed)
         n2q = len(circuit.two_qubit_gates())
         for method in method_list:
-            if method == "oir":
-                runs: list[tuple[int, int | None]] = [(t, seed + t) for t in range(trials)]
-                costs = oir_costs(circuit, [ts for _, ts in runs], cfg,
-                                  workers=workers)
-            else:
-                runs = [(0, None)]
-                costs = [compile_ordering(circuit, make_ordering(circuit, method),
-                                          cfg, verify=True).cost]
+            seeds = [seed + t for t in range(trials)] if method == "oir" else [None]
+            costs = (oir_costs(circuit, seeds, cfg, workers=workers) if method == "oir"
+                     else [compile_ordering(circuit, make_ordering(circuit, method),
+                                            cfg, verify=True).cost])
             records += [CompileRecord(suite, n, method, trial, trial_seed, c,
                                       n2q, circuit_fit(c, n2q))
-                        for (trial, trial_seed), c in zip(runs, costs)]
+                        for trial, (trial_seed, c) in enumerate(zip(seeds, costs))]
     return records
 
 
@@ -304,7 +303,7 @@ def brute_force_best_ordering(circuit: Circuit,
         raise ValueError(
             f"exhaustive search capped at {ORACLE_MAX_QUBITS} qubits")
     cfg = config or bench_config(n)
-    check_capacity((n + 1) // 2, cfg)
+    check_register(n, cfg)
     layouts = []
     for perm in _reversal_classes(n):
         layouts.append(paired(perm))

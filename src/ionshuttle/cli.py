@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+from dataclasses import astuple
 
 from .benchmarks import (ORDERING_METHODS, bench_config, circuit_fit,
                          compile_ordering, make_ordering, run_sweep, to_csv)
 from .commands import (FormatError, ReplayError, cost, parse_sequence,
                        render_trace, render_traces, replay, serialize_pieces)
-from .ordering import check_capacity
+from .ordering import check_register
 from .qasm import QasmError, parse_qasm
 from .trap import (CapacityExceeded, InvalidConfig, TrapConfig, TrapError,
                    TrapOverflow)
@@ -63,7 +64,7 @@ def cmd_compile(args) -> int:
     circuit = parse_qasm(_read(args.input), decompose=args.decompose)
     config = _trap_config(args, TrapConfig.n_segments, TrapConfig.liz)
     # before the layout, whose size grows with the declared register
-    check_capacity((circuit.n_qubits + 1) // 2, config)
+    check_register(circuit.n_qubits, config)
     ordering = make_ordering(circuit, args.ordering, args.seed)  # only oir reads it
     result = compile_ordering(circuit, ordering, config)
 
@@ -120,20 +121,16 @@ def cmd_trace(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.gates is not None and args.suite != "random":
+        raise ValueError(f"--gates applies only to --suite random, not {args.suite}")
     n_list = [int(x) for x in args.qubits.split(",") if x]
     if not n_list:
         raise ValueError(f"--qubits names no qubit count: {args.qubits!r}")
-    # each size on its own trap, as run_sweep picks it; every trap is
-    # checked before the first compile, so a bad last size fails at once
-    configs = [_trap_config(args, base.n_segments, base.liz)
-               for base in map(bench_config, n_list)]
-    for n, config in zip(n_list, configs):
-        check_capacity((n + 1) // 2, config)
-    records = []
-    for n, config in zip(n_list, configs):
-        records += run_sweep(args.suite, [n], method_list=tuple(args.methods.split(",")),
-                             trials=args.trials, seed=args.seed, n_gates=args.gates,
-                             config=config, workers=args.workers)
+    records = run_sweep(args.suite, n_list, method_list=tuple(args.methods.split(",")),
+                        trials=args.trials, seed=args.seed,
+                        n_gates=1000 if args.gates is None else args.gates,
+                        config=lambda n: _trap_config(args, *astuple(bench_config(n))),
+                        workers=args.workers)
     passes = []  # one per (size, method) pass; each pass starts at trial 0
     for r in records:
         if r.trial == 0:
@@ -193,8 +190,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run ordering sweeps and export CSV")
     p.add_argument("--suite", choices=("random", "qft", "toffoli"), required=True)
     p.add_argument("--qubits", required=True, help="comma-separated qubit counts")
-    p.add_argument("--gates", type=int, default=1000,
-                   help="gate count for random circuits")
+    p.add_argument("--gates", type=int, default=None,
+                   help="gate count of --suite random (default 1000)")
     p.add_argument("--trials", type=int, default=1, help="randomized-ordering trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", default="oai,oir,ipo")

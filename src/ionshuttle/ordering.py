@@ -36,10 +36,6 @@ def paired(ions: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(ions[i:i + 2] for i in range(0, len(ions), 2))
 
 
-def _chunk_pairs(ions: list[int]) -> Ordering:
-    return Ordering(paired(tuple(ions)))
-
-
 def _gate_ions(circuit: Circuit) -> list[tuple[int, int]]:
     return [(g.operands[0] + 1, g.operands[1] + 1) for g in circuit.gates
             if len(g.operands) == 2]
@@ -47,7 +43,7 @@ def _gate_ions(circuit: Circuit) -> list[tuple[int, int]]:
 
 def order_as_is(circuit: Circuit) -> Ordering:
     """Pair ions left to right: [{1,2},{3,4},...]."""
-    return _chunk_pairs(list(range(1, circuit.n_qubits + 1)))
+    return Ordering(paired(tuple(range(1, circuit.n_qubits + 1))))
 
 
 def order_inputs_randomly(circuit: Circuit, seed: int) -> Ordering:
@@ -55,7 +51,7 @@ def order_inputs_randomly(circuit: Circuit, seed: int) -> Ordering:
     generator), paired into crystals; deterministic per seed."""
     ions = list(range(1, circuit.n_qubits + 1))
     random.Random(seed).shuffle(ions)
-    return _chunk_pairs(ions)
+    return Ordering(paired(tuple(ions)))
 
 
 def increase_pairwise_order(circuit: Circuit) -> Ordering:
@@ -113,11 +109,16 @@ def reverse_ordering(ordering: Ordering) -> Ordering:
 
 def check_capacity(n_crystals: int, config: TrapConfig) -> None:
     """Raise CapacityExceeded unless ``n_crystals`` placed at ``STRIDE``
-    fit the trap.  Every heuristic makes one crystal per two ions, rounded
-    up, so a register can be checked before its layout is built."""
+    fit the trap."""
     if (n_crystals - 1) * STRIDE + 1 > config.n_segments:
         raise CapacityExceeded(f"{n_crystals} crystals at stride {STRIDE} "
                                f"exceed {config.n_segments} segments")
+
+
+def check_register(n_qubits: int, config: TrapConfig) -> None:
+    """Raise CapacityExceeded unless ``n_qubits`` fit the trap in one crystal
+    per two ions, rounded up, as every heuristic lays them out."""
+    check_capacity((n_qubits + 1) // 2, config)
 
 
 def check_layout(circuit: Circuit, crystal_list) -> None:

@@ -330,6 +330,18 @@ def test_run_sweep_checks_every_method_before_the_first_compile(monkeypatch):
         run_sweep("random", [4, 6], method_list=("oai", "xyz"))
 
 
+def test_run_sweep_checks_every_trap_before_the_first_compile(monkeypatch):
+    # the first sizes fit the rule's trap and the last does not: no circuit
+    # may be built, let alone compiled
+    calls = []
+    monkeypatch.setattr(benchmarks, "_suite_circuit",
+                        lambda *args: calls.append(args) or None)
+    with pytest.raises(CapacityExceeded,
+                       match="^20 crystals at stride 2 exceed 32 segments$"):
+        run_sweep("random", [8, 12, 40], trials=20, config=lambda n: TrapConfig())
+    assert calls == []
+
+
 def test_make_ordering_rejects_unknown_method_and_unseeded_oir():
     circuit = gen_qft(4)
     with pytest.raises(ValueError, match="unknown ordering method 'xyz'"):

@@ -456,7 +456,8 @@ def test_bench_checks_every_trap_before_the_first_compile(monkeypatch, capsys, f
                                                           message):
     # the first size fits its trap and the last does not: no sweep may start
     calls = []
-    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kw: calls.append(args) or [])
+    monkeypatch.setattr("ionshuttle.benchmarks._suite_circuit",
+                        lambda *args, **kw: calls.append(args) or [])
     assert main(["bench", "--suite", "random", "--qubits", "8,40",
                  "--trials", "20"] + flags) == 3
     out, err = capsys.readouterr()
@@ -535,6 +536,15 @@ def test_bench_negative_gates_exit_code(monkeypatch, capsys):
                  "--gates", "-3"]) == 1
     assert capsys.readouterr() == (
         "", "error: random circuits need a gate count of at least 0, got -3\n")
+
+
+@pytest.mark.parametrize("suite", ["qft", "toffoli"])
+def test_bench_gates_of_a_fixed_suite_exit_code(monkeypatch, capsys, suite):
+    # a QFT or Toffoli circuit has no gate count to set: refused, not ignored
+    monkeypatch.setattr("ionshuttle.benchmarks._suite_circuit", None)
+    assert main(["bench", "--suite", suite, "--qubits", "4", "--gates", "5"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --gates applies only to --suite random, not {suite}\n")
 
 
 def test_bench_zero_trials_exit_code(capsys):
