@@ -3,6 +3,7 @@ finished or failed run; nothing is run."""
 import importlib.util
 import json
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -117,23 +118,27 @@ def test_a_clean_run_returns_its_last_line(monkeypatch):
     assert bench_pairs.run_once(".", ["python3", "bench/run.py"], "search", 1, 30) == {"ok": 1}
 
 
-def test_main_adds_one_traced_run_per_side_and_workload(monkeypatch, tmp_path, capsys):
+def test_main_adds_three_traced_runs_per_side_and_workload(monkeypatch, tmp_path, capsys):
     change = tmp_path / "change"
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps(
         {"command": ["python3", "bench/run.py"], "run_seconds": 30, "end_to_end": METRICS}))
     calls = []
+    traced = Counter()  # of each side and workload
 
     def run(args, **kw):
         if args[0] == "git":
             return subprocess.CompletedProcess(args, 0, stdout="abc123\n")
         seed, trace = int(args[args.index("--seed") + 1]), args[args.index("--trace") + 1]
-        calls.append((kw["cwd"], args[args.index("--workload") + 1], seed, trace))
+        workload = args[args.index("--workload") + 1]
+        calls.append((kw["cwd"], workload, seed, trace))
         side = 1.0 if kw["cwd"] == "../parent" else 0.5
         if trace == "1":
+            k = (1.0, 5.0, 2.0)[traced[kw["cwd"], workload]]  # median 2
+            traced[kw["cwd"], workload] += 1
             line = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
-                "benchmarks.self_ms": {"value": 4.0 * side, "unit": "ms"},
-                "benchmarks.oracle_layout_us": {"value": 12.0 * side, "unit": "us"}}}
+                "benchmarks.self_ms": {"value": 4.0 * side * k, "unit": "ms"},
+                "benchmarks.oracle_layout_us": {"value": 12.0 * side * k, "unit": "us"}}}
         else:
             line = result(8.0 * side + 0.01 * (seed - 2001), 100.0)
         return subprocess.CompletedProcess(args, 0, stdout="# table\n" + json.dumps(line) + "\n")
@@ -143,17 +148,22 @@ def test_main_adds_one_traced_run_per_side_and_workload(monkeypatch, tmp_path, c
     assert bench_pairs.main(["--parent", "../parent", "--change", str(change),
                              "--workload", "search", "--workload", "structured",
                              "--pairs", "2", "--seed", "2001", "--out", str(out)]) == 0
-    # two alternating pairs, then one traced run per side on the first seed
+    # two alternating pairs, then three alternating traced runs per side on
+    # the first seed
+    parent, chg = "../parent", str(change)
     for workload in ("search", "structured"):
         assert [c for c in calls if c[1] == workload] == [
-            ("../parent", workload, 2001, "0"), (str(change), workload, 2001, "0"),
-            (str(change), workload, 2002, "0"), ("../parent", workload, 2002, "0"),
-            ("../parent", workload, 2001, "1"), (str(change), workload, 2001, "1")]
+            (parent, workload, 2001, "0"), (chg, workload, 2001, "0"),
+            (chg, workload, 2002, "0"), (parent, workload, 2002, "0"),
+            (parent, workload, 2001, "1"), (chg, workload, 2001, "1"),
+            (chg, workload, 2001, "1"), (parent, workload, 2001, "1"),
+            (parent, workload, 2001, "1"), (chg, workload, 2001, "1")]
     report = json.loads(out.read_text())
-    assert report["workloads"]["search"]["per_layer"] == {
-        "parent": {"benchmarks.self_ms": 4.0, "benchmarks.oracle_layout_us": 12.0},
-        "change": {"benchmarks.self_ms": 2.0, "benchmarks.oracle_layout_us": 6.0}}
+    for workload in ("search", "structured"):
+        assert report["workloads"][workload]["per_layer"] == {
+            "parent": {"benchmarks.self_ms": 8.0, "benchmarks.oracle_layout_us": 24.0},
+            "change": {"benchmarks.self_ms": 4.0, "benchmarks.oracle_layout_us": 12.0}}
     assert report["workloads"]["search"]["metrics"]["oracle_s"]["wins"] == 2
     printed = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert ("search benchmarks.oracle_layout_us parent 12 change 6 traced, seed 2001"
-            .split()) in printed
+    assert ("search benchmarks.oracle_layout_us parent 24 change 12 traced median of 3, "
+            "seed 2001".split()) in printed

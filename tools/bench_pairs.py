@@ -21,12 +21,12 @@ and ties, and a verdict:
   that bound, and not every change run reads better than every parent run;
 - ``within bound``: otherwise.
 
-After a workload's pairs it runs the benchmark once more per side with
-``--trace 1`` on seed S, and writes each side's per-layer metrics (span
-times per layer, such as ``benchmarks.self_ms``, and counts) under
-``per_layer``, to show in which layer a change in an end-to-end metric
-lands.  It also records both checkouts' git SHAs, the Python version and
-``nproc``.
+After a workload's pairs it runs the benchmark ``TRACED_RUNS`` more times
+per side with ``--trace 1`` on seed S, alternating which side goes first,
+and writes the median of each side's per-layer metrics (span times per
+layer, such as ``benchmarks.self_ms``, and counts) under ``per_layer``, to
+show in which layer a change in an end-to-end metric lands.  It also
+records both checkouts' git SHAs, the Python version and ``nproc``.
 """
 from __future__ import annotations
 
@@ -37,6 +37,9 @@ import platform
 import statistics
 import subprocess
 import sys
+
+ORDERS = (("parent", "change"), ("change", "parent"))  # of even and odd runs
+TRACED_RUNS = 3  # per side and workload; one traced run is too noisy
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -142,7 +145,7 @@ def main(argv=None) -> int:
         pairs, runs = [], []
         for i in range(args.pairs):
             seed = args.seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = ORDERS[i % 2]
             pair = {side: run_once(getattr(args, side), spec["command"], workload,
                                    seed, spec["run_seconds"]) for side in order}
             pairs.append(pair)
@@ -150,9 +153,15 @@ def main(argv=None) -> int:
                          **{side: values(pair[side]) for side in order}})
             print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} done",
                   file=sys.stderr)
-        per_layer = {side: values(run_once(getattr(args, side), spec["command"], workload,
-                                           args.seed, spec["run_seconds"], trace=1))
-                     for side in ("parent", "change")}
+        traced = {"parent": [], "change": []}
+        for i in range(TRACED_RUNS):
+            for side in ORDERS[i % 2]:
+                traced[side].append(values(run_once(getattr(args, side), spec["command"],
+                                                    workload, args.seed,
+                                                    spec["run_seconds"], trace=1)))
+        per_layer = {side: {name: statistics.median(run[name] for run in side_runs)
+                            for name in side_runs[0]}
+                     for side, side_runs in traced.items()}
         report["workloads"][workload] = {**summarize(pairs, spec["end_to_end"]),
                                          "runs": runs, "per_layer": per_layer}
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -167,7 +176,7 @@ def main(argv=None) -> int:
         for name, value in layers["parent"].items():
             print(f"{workload:<10} {name:<32} parent {value:<12.6g} "
                   f"change {layers['change'].get(name, float('nan')):<12.6g} "
-                  f"traced, seed {args.seed}")
+                  f"traced median of {TRACED_RUNS}, seed {args.seed}")
     return 0
 
 
