@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from ionshuttle.benchmarks import (bench_config, compile_ordering, gen_qft,
-                                   gen_random_circuit, gen_toffoli)
+from ionshuttle.benchmarks import (ORDERING_METHODS, bench_config,
+                                   compile_ordering, gen_qft,
+                                   gen_random_circuit, gen_toffoli,
+                                   make_ordering)
 from ionshuttle.commands import (CommandSequence, parse_sequence, render_trace,
                                  render_trace_svg, serialize)
-from ionshuttle.ordering import (increase_pairwise_order, order_as_is,
+from ionshuttle.ordering import (Ordering, increase_pairwise_order, order_as_is,
                                  order_inputs_randomly)
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
@@ -72,6 +74,25 @@ def test_large_compile_hash(make_circuit, layout, digest, sm):
                               bench_config(circuit.n_qubits))
     assert result.cost == sm
     assert sha256(serialize(result.sequence)) == digest
+
+
+def test_small_compile_corpus_pin():
+    # 12-gate random circuits at every n = 2..13 under each method (OIR on
+    # the circuit's seed) and in one-ion crystals: odd registers put a
+    # one-ion crystal beside pairs, and the one-ion layout exchanges two
+    # one-ion crystals, so every pairing of crystal sizes is pinned in both
+    # directions, with and without the gate
+    digest = hashlib.sha256()
+    for n in range(2, 14):
+        for seed in range(4):
+            circuit = gen_random_circuit(n, 12, seed)
+            orderings = [make_ordering(circuit, method, seed) for method in ORDERING_METHODS]
+            orderings.append(Ordering(tuple((ion,) for ion in range(1, n + 1))))
+            for ordering in orderings:
+                result = compile_ordering(circuit, ordering, bench_config(n), verify=True)
+                digest.update(serialize(result.sequence).encode())
+    assert digest.hexdigest() == (
+        "c779cc72b707e8835c1b7fc071660b5c72ab109cc77a6fc2c6b1b3246fb3c083")
 
 
 def test_trace_hash_toffoli16():
