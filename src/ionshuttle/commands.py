@@ -73,6 +73,7 @@ OPCODE_ARITY: dict[str, int | None] = {
 }
 
 STATE_CHANGING = ("AIC", "SMU", "SMD", "RC", "M", "S")
+DIRECTION = {"SMU": -1, "SMD": 1}  # move opcode -> step, +1 toward higher segments
 
 _HEADER_START_RE = re.compile(r"#\s*segments=")  # a line that must be a header
 _HEADER_RE = re.compile(r"#\s*segments=(\S+)\s+liz=(\S+)")
@@ -135,8 +136,8 @@ def serialize_pieces(sequence: CommandSequence) -> Iterator[str]:
             tail = tails.get(command)
             if tail is None:
                 op, params = command
-                # for SMU/SMD params[0] is already the segment count
-                count = () if op in ("SMU", "SMD") else (len(params),)
+                # for a move params[0] is already the segment count
+                count = () if op in DIRECTION else (len(params),)
                 tail = tails[command] = " ".join(map(str, (op, *count, *params)))
             out.append(f"{i} {tail}")
         yield "\n".join(out) + "\n"
@@ -270,8 +271,8 @@ def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
     there before it is rejected.  START changes nothing; where it and AIC
     may stand is a rule of the program (see :func:`_execute`).
     """
-    if op == "SMU" or op == "SMD":
-        d = -1 if op == "SMU" else 1
+    d = DIRECTION.get(op)
+    if d is not None:
         if params[0] == 1:  # the single-crystal step, by far the commonest
             state.move_crystal_step(params[1], d)
             return
@@ -421,8 +422,8 @@ def _trace_rows(sequence: CommandSequence,
 
     def record(seq: int, op: str, params: tuple[int, ...]) -> None:
         nonlocal changes, gates
-        if op == "SMU" or op == "SMD":
-            d = -1 if op == "SMU" else 1
+        d = DIRECTION.get(op)
+        if d is not None:
             if params[0] == 1:  # the single-crystal step, by far the commonest
                 touched = (params[1], params[1] + d)
             else:

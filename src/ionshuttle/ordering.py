@@ -93,10 +93,7 @@ def increase_pairwise_order(circuit: Circuit) -> Ordering:
             continue
         new, ref = (cu, cv) if cv in chained else (cv, cu)
         i = chained.index(ref)
-        if i <= len(chained) - 1 - i:
-            chained.insert(0, new)
-        else:
-            chained.append(new)
+        chained.insert(0 if i <= len(chained) - 1 - i else len(chained), new)
     chained += [c for c in range(len(crystals)) if c not in chained]
     return Ordering(tuple(crystals[i] for i in chained))
 

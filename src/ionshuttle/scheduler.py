@@ -44,12 +44,17 @@ The lowering (``schedule``) copies each of the placed trap's ion lists
 once into its own ``Crystal`` record, with the segment, and never writes
 the trap: it keeps its own chain of records (a split replaces one entry
 with two, a merge two with one), its own command list and its own
-split+merge count.  Every planned step becomes the fixed choreography:
-orient both crystals so the two ions face each other, split each two-ion
-crystal, stage the two travelers beside the LIZ, merge, rotate (so the ions
-part in exchanged directions), run the gate when the step asks for it,
-split, and re-merge the leftover partners into their home crystals.
-A gate without steps brings its crystal to the LIZ and runs there.
+split+merge count.  Every planned step becomes one fixed choreography,
+written once for both sides of the exchange: a side is a crystal, its
+traveler and the direction toward the other side, ``d`` for crystal ``i``
+and ``-d`` for crystal ``i + d``.  Each side orients its crystal so the
+traveler faces the other side and splits it if it holds two ions; the two
+travelers meet at the LIZ, rotate (so the ions part in exchanged
+directions), run the gate when the step asks for it and split; then each
+side's partner meets the product that now holds the other side's ion.
+``_meet`` is the one merge: it stages two crystals at liz-d and liz+d and
+merges them.  A gate without steps brings its crystal to the LIZ and runs
+there.
 
 Crystals never pass each other, so a transport's only possible blocker is
 the mover's chain neighbour ahead; ``_send`` pushes it through an explicit
@@ -68,7 +73,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .commands import CommandSequence, RawCommand
+from .commands import DIRECTION, CommandSequence, RawCommand
 from .ordering import check_layout
 from .qasm import Circuit, Gate
 from .trap import TrapOverflow, TrapState
@@ -107,12 +112,9 @@ def _plan_gate(chain: list[list[int]], where: dict[int, int], gate: Gate
         cost += 2 + 2 * ((len(home) == 2) + (len(dest) == 2))  # sizes never change
         home.remove(a)
         dest.remove(partner)
-        if d > 0:
-            home.append(partner)
-            dest.insert(0, a)
-        else:
-            home.insert(0, partner)
-            dest.append(a)
+        # each now holds at most one ion, so index d is its +d end, -d its -d end
+        home.insert(d, partner)
+        dest.insert(-d, a)
         where[a], where[partner] = k, i
         i = k
     return steps, cost
@@ -235,8 +237,8 @@ class _Lowering:
         self.out: list[RawCommand] = []
         self.cost = 0
         # one command per origin segment for each single-step move
-        self.steps = {1: [("SMD", (1, s)) for s in range(n + 1)],
-                      -1: [("SMU", (1, s)) for s in range(n + 1)]}
+        self.steps = {d: [(op, (1, s)) for s in range(n + 1)]
+                      for op, d in DIRECTION.items()}
         # the well-bracket commands for the fixed sites beside the LIZ
         self.well_cmds = tuple((s, ("AEC", (s,)), ("REC", (s,)))
                                for s in (liz - 2, liz + 2) if 1 <= s <= n)
@@ -315,13 +317,15 @@ class _Lowering:
         self.cost += 1
         return (above, below) if d > 0 else (below, above)
 
-    def _merge(self, crystal: Crystal) -> Crystal:
-        """Merge ``crystal`` with the one on the other side of the LIZ,
-        ordered top operand first."""
-        chain = self.chain
-        k = chain.index(crystal) - (crystal.segment > self.liz)
+    def _meet(self, a: Crystal, b: Crystal, d: int) -> Crystal:
+        """Stage ``a`` at liz-d, then its chain neighbour ``b`` at liz+d, and
+        merge them, top ions first: every merge of an exchange."""
+        liz, chain = self.liz, self.chain
+        self._send(a, liz - d)
+        self._send(b, liz + d)
+        k = chain.index(a) - (d < 0)  # the upper of the two
         self._at_liz(("M", ()), k, k + 1)
-        merged = Crystal(chain[k].ions + chain[k + 1].ions, self.liz)
+        merged = Crystal(chain[k].ions + chain[k + 1].ions, liz)
         chain[k:k + 2] = [merged]
         self.cost += 1
         return merged
@@ -332,41 +336,31 @@ class _Lowering:
         """Exchange ion_a of chain crystal ``i`` with ion_b of crystal ``i + d``
         (+1: below, -1: above), running gate ``gate`` on the temporary
         merged crystal unless it is None.  ion_a ends in ion_b's crystal and
-        ion_b in ion_a's; the choreography (and so the cost) is the same
-        either way, with every direction and intra-crystal end flipped."""
-        liz, chain, rotate = self.liz, self.chain, self.rotate
-        c1, c4 = chain[i], chain[i + d]
-        # orient so the travelers face each other (no-ops for singletons)
-        back = 0 if d > 0 else -1
-        if len(c1.ions) == 2 and c1.ions[back] == ion_a:
-            self._run(c1, rotate)
-        if len(c4.ions) == 2 and c4.ions[-1 - back] == ion_b:
-            self._run(c4, rotate)
+        ion_b in ion_a's.
 
-        c1_pair = len(c1.ions) == 2
-        c4_pair = len(c4.ions) == 2
-        traveler_a, traveler_b = c1, c4
-        if c1_pair:
-            partner_a, traveler_a = self._split(c1, d)
-        if c4_pair:
-            partner_b, traveler_b = self._split(c4, -d)
-
-        self._send(traveler_a, liz - d)
-        self._send(traveler_b, liz + d)
-        merged = self._merge(traveler_a)       # ion_a on the -d side of ion_b
-        self._run(merged, rotate)              # swap them, so they part exchanged
+        A side is a crystal, its traveler and the direction toward the other
+        side.  Each phase runs once per side, side a's first: orient so the
+        traveler faces the other side; split a pair, its partner staying on
+        the far side; after the travelers' ``_meet``, rotation, gate and
+        split, ``_meet`` the partner with the product that holds the other
+        side's ion."""
+        chain, rotate = self.chain, self.rotate
+        sides = ((chain[i], ion_a, d), (chain[i + d], ion_b, -d))
+        for crystal, ion, e in sides:  # orient: ions[e > 0] faces the other side
+            if len(crystal.ions) == 2 and crystal.ions[e > 0] != ion:
+                self._run(crystal, rotate)
+        # each side's (partner or None, traveler)
+        parts = [self._split(crystal, e) if len(crystal.ions) == 2 else (None, crystal)
+                 for crystal, _, e in sides]
+        merged = self._meet(parts[0][1], parts[1][1], d)  # ion_a on the -d side
+        self._run(merged, rotate)  # swap them, so they part exchanged
         if gate is not None:
             self._run(merged, ("DG", (gate,)))
-        out_b, out_a = self._split(merged, d)  # ion_a on the +d side
-
-        if c1_pair:
-            self._send(partner_a, liz - d)
-            self._send(out_b, liz + d)
-            self._merge(out_b)  # ion_a's old home, now holding ion_b
-        if c4_pair:
-            self._send(out_a, liz - d)
-            self._send(partner_b, liz + d)
-            self._merge(out_a)  # ion_b's old home, now holding ion_a
+        # ion_b's product parts to the -d side and ion_a's to +d; each meets
+        # the partner on its side, the two in chain order along d
+        for (partner, _), product, e in zip(parts, self._split(merged, d), (d, -d)):
+            if partner is not None:
+                self._meet(*(partner, product)[::e * d], d)
 
     def run_gate(self, gate: Gate, steps) -> None:
         """Lower one gate's planned steps; a gate without steps runs on its

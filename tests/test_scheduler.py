@@ -257,17 +257,17 @@ def test_lowering_that_miscounts_a_gate_is_refused(monkeypatch):
     winner, _ = brute_force_best_ordering(circ)
     costs = compile_ordering(circ, winner).per_gate_costs
     first = next(g for g, c in enumerate(costs) if c)
-    merge = ionshuttle.scheduler._Lowering._merge
+    meet = ionshuttle.scheduler._Lowering._meet
 
-    def merge_once_too_often(self, crystal):
-        merged = merge(self, crystal)
+    def merge_once_too_often(self, a, b, d):
+        merged = meet(self, a, b, d)
         if not hasattr(self, "miscounted"):  # the first merge of a compile
             self.miscounted = True
             self.out.append(("M", ()))
             self.cost += 1
         return merged
 
-    monkeypatch.setattr(ionshuttle.scheduler._Lowering, "_merge", merge_once_too_often)
+    monkeypatch.setattr(ionshuttle.scheduler._Lowering, "_meet", merge_once_too_often)
     # layout [1 2] [3 4]: the h and cz(0, 1) cost nothing, and gate 2,
     # cz(0, 2), exchanges between the two pairs
     with pytest.raises(RuntimeError, match=r"^gate 2: lowered cost 7, planned 6$"):
