@@ -269,7 +269,8 @@ def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
     A failing command leaves the state as it was, with one exception: an
     RC that names a segment other than the LIZ still reverses the crystal
     there before it is rejected.  START changes nothing; where it and AIC
-    may stand is a rule of the program (see :func:`_execute`).
+    may stand is a rule of the program (see :func:`_execute`).  An opcode
+    outside the set is a TrapError.
     """
     d = DIRECTION.get(op)
     if d is not None:
@@ -306,6 +307,8 @@ def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
         state.record_gate(params[0])
     elif op == "AIC":
         state.place_ion(params[0], params[1])
+    elif op != "START":
+        raise TrapError(f"unknown opcode {op!r}")
 
 
 def _execute(sequence: CommandSequence, state: TrapState, bad,

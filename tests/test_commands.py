@@ -267,6 +267,20 @@ class TestReplay:
         assert [seq for seq, _ in report.violations] == [3]
         assert sorted(report.final_state.seg_crystal) == [10, 14]
 
+    def test_unknown_opcode_flagged(self):
+        # a CommandSequence built in code skips the parser's opcode check;
+        # the executor rejects the opcode itself, and the commands around it
+        # still run
+        seq = CommandSequence(32, 19, [("START", ()), ("AIC", (1, 19)), ("XYZ", (3,)),
+                                       ("DG", (0,))])
+        report = replay(seq)
+        assert report.violations == [(3, "unknown opcode 'XYZ'")]
+        assert report.final_state.seg_crystal == {19: [1]}
+        with pytest.raises(ReplayError) as err:
+            replay(seq, strict=True)
+        assert err.value.seq == 3
+        assert str(err.value) == "command 3: unknown opcode 'XYZ'"
+
     def test_meaningless_ids_flagged(self):
         # ion ids start at 1 and gate indices at 0; ion 1 fills the LIZ so
         # the DG fails on its index alone
