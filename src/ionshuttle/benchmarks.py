@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 
@@ -192,12 +193,12 @@ def _trial_cost(circuit: Circuit, cfg: TrapConfig, verify: bool, seed: int) -> i
 
 def oir_costs(circuit: Circuit, seeds, config: TrapConfig | None = None,
               verify: bool = True, workers: int = 1) -> list[int]:
-    """Compile one randomized layout per seed; independent trials fan out
-    over ``workers`` processes (results stay in seed order)."""
+    """Compile one randomized layout per seed, in seed order; the trials fan
+    out over ``workers`` processes, at most one per seed and per CPU."""
     trial = functools.partial(_trial_cost, circuit,
                               config or bench_config(circuit.n_qubits), verify)
     seeds = list(seeds)
-    workers = min(workers, len(seeds))
+    workers = min(workers, len(seeds), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 

@@ -196,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", default="oai,oir,ipo")
     p.add_argument("--csv", default=None, help="per-compile CSV output path")
-    p.add_argument("--workers", type=int, default=1, help="parallel trial processes")
+    p.add_argument("--workers", type=int, default=1, help="trial processes, at most one per CPU")
     trap_flags(p)
     p.set_defaults(func=cmd_bench)
     return parser

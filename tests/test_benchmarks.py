@@ -174,7 +174,10 @@ class TestSweep:
         assert a == b
         assert to_csv(a) == to_csv(b)
 
-    def test_pool_never_larger_than_seed_count(self, monkeypatch):
+    @pytest.fixture
+    def serial_pools(self, monkeypatch) -> list[int]:
+        """Make ``oir_costs``' pools map in this process; the list their
+        sizes are appended to."""
         import multiprocessing
         sizes = []
 
@@ -195,11 +198,25 @@ class TestSweep:
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method: SimpleNamespace(Pool=SerialPool))
+        return sizes
+
+    def test_pool_never_larger_than_seed_count(self, monkeypatch, serial_pools):
+        monkeypatch.setattr(benchmarks.os, "cpu_count", lambda: 64)
         circuit = gen_random_circuit(6, 20, 0)
         assert oir_costs(circuit, [1, 2], workers=64) == oir_costs(circuit, [1, 2])
-        assert sizes == [2]
+        assert serial_pools == [2]
         oir_costs(circuit, [3], workers=64)  # one seed runs without a pool
-        assert sizes == [2]
+        assert serial_pools == [2]
+
+    @pytest.mark.parametrize("cpus,pools", [(3, [3]), (1, []), (None, [])])
+    def test_pool_never_larger_than_cpu_count(self, monkeypatch, serial_pools, cpus, pools):
+        # a huge --workers asks for no more processes than the CPUs; an
+        # unknown CPU count counts as one, which runs without a pool
+        monkeypatch.setattr(benchmarks.os, "cpu_count", lambda: cpus)
+        circuit = gen_random_circuit(6, 20, 0)
+        seeds = list(range(10))
+        assert oir_costs(circuit, seeds, workers=5000) == oir_costs(circuit, seeds)
+        assert serial_pools == pools
 
     def test_bench_config_scales(self):
         assert bench_config(8) == bench_config(4)
