@@ -138,7 +138,9 @@ def test_main_adds_three_traced_runs_per_side_and_workload(monkeypatch, tmp_path
             traced[kw["cwd"], workload] += 1
             line = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
                 "benchmarks.self_ms": {"value": 4.0 * side * k, "unit": "ms"},
-                "benchmarks.oracle_layout_us": {"value": 12.0 * side * k, "unit": "us"}}}
+                "benchmarks.oracle_layout_us": {"value": 12.0 * side * k, "unit": "us"},
+                # 9 and 10 times k: each median within the other's quartiles
+                "scheduler.self_ms": {"value": (11.0 - 2.0 * side) * k, "unit": "ms"}}}
         else:
             line = result(8.0 * side + 0.01 * (seed - 2001), 100.0)
         return subprocess.CompletedProcess(args, 0, stdout="# table\n" + json.dumps(line) + "\n")
@@ -161,9 +163,21 @@ def test_main_adds_three_traced_runs_per_side_and_workload(monkeypatch, tmp_path
     report = json.loads(out.read_text())
     for workload in ("search", "structured"):
         assert report["workloads"][workload]["per_layer"] == {
-            "parent": {"benchmarks.self_ms": 8.0, "benchmarks.oracle_layout_us": 24.0},
-            "change": {"benchmarks.self_ms": 4.0, "benchmarks.oracle_layout_us": 12.0}}
+            "parent": {"benchmarks.self_ms": 8.0, "benchmarks.oracle_layout_us": 24.0,
+                       "scheduler.self_ms": 18.0},
+            "change": {"benchmarks.self_ms": 4.0, "benchmarks.oracle_layout_us": 12.0,
+                       "scheduler.self_ms": 20.0}}
+        # factors 1, 5 and 2: quartiles 1.5 and 3.5 times the side's scale
+        assert report["workloads"][workload]["per_layer_quartiles"] == {
+            "parent": {"benchmarks.self_ms": {"q1": 6.0, "q3": 14.0},
+                       "benchmarks.oracle_layout_us": {"q1": 18.0, "q3": 42.0},
+                       "scheduler.self_ms": {"q1": 13.5, "q3": 31.5}},
+            "change": {"benchmarks.self_ms": {"q1": 3.0, "q3": 7.0},
+                       "benchmarks.oracle_layout_us": {"q1": 9.0, "q3": 21.0},
+                       "scheduler.self_ms": {"q1": 15.0, "q3": 35.0}}}
     assert report["workloads"]["search"]["metrics"]["oracle_s"]["wins"] == 2
     printed = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ("search benchmarks.oracle_layout_us parent 24 change 12 traced median of 3, "
             "seed 2001".split()) in printed
+    assert ("search scheduler.self_ms parent 18 change 20 traced median of 3, seed 2001 "
+            "noise: each median within the other's q1-q3".split()) in printed

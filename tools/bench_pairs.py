@@ -25,8 +25,11 @@ After a workload's pairs it runs the benchmark ``TRACED_RUNS`` more times
 per side with ``--trace 1`` on seed S, alternating which side goes first,
 and writes the median of each side's per-layer metrics (span times per
 layer, such as ``benchmarks.self_ms``, and counts) under ``per_layer``, to
-show in which layer a change in an end-to-end metric lands.  It also
-records both checkouts' git SHAs, the Python version and ``nproc``.
+show in which layer a change in an end-to-end metric lands, and their first
+and third quartiles under ``per_layer_quartiles``.  The printout marks a
+per-layer difference as noise when each side's median lies within the
+other side's quartiles.  It also records both checkouts' git SHAs, the
+Python version and ``nproc``.
 """
 from __future__ import annotations
 
@@ -89,6 +92,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                              for side in sides), m["better"], m["bound"])
         for m in metrics}
     return out
+
+
+def within(value: float, spread: dict | None) -> bool:
+    """Whether ``value`` lies in a ``{"q1": ..., "q3": ...}`` range."""
+    return spread is not None and spread["q1"] <= value <= spread["q3"]
 
 
 def git_sha(checkout: str) -> str:
@@ -159,11 +167,16 @@ def main(argv=None) -> int:
                 traced[side].append(values(run_once(getattr(args, side), spec["command"],
                                                     workload, args.seed,
                                                     spec["run_seconds"], trace=1)))
-        per_layer = {side: {name: statistics.median(run[name] for run in side_runs)
-                            for name in side_runs[0]}
-                     for side, side_runs in traced.items()}
+        per_layer, per_layer_quartiles = {}, {}
+        for side, side_runs in traced.items():
+            spread = {name: quartiles([run[name] for run in side_runs])
+                      for name in side_runs[0]}
+            per_layer[side] = {name: q2 for name, (_, q2, _) in spread.items()}
+            per_layer_quartiles[side] = {name: {"q1": q1, "q3": q3}
+                                         for name, (q1, _, q3) in spread.items()}
         report["workloads"][workload] = {**summarize(pairs, spec["end_to_end"]),
-                                         "runs": runs, "per_layer": per_layer}
+                                         "runs": runs, "per_layer": per_layer,
+                                         "per_layer_quartiles": per_layer_quartiles}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
@@ -172,11 +185,14 @@ def main(argv=None) -> int:
             print(f"{workload:<10} {name:<16} parent {m['parent']['median']:<12.6g} "
                   f"change {m['change']['median']:<12.6g} wins {m['wins']}/{args.pairs} "
                   f"{m['verdict']}")
-        layers = summary["per_layer"]
+        layers, ranges = summary["per_layer"], summary["per_layer_quartiles"]
         for name, value in layers["parent"].items():
-            print(f"{workload:<10} {name:<32} parent {value:<12.6g} "
-                  f"change {layers['change'].get(name, float('nan')):<12.6g} "
-                  f"traced median of {TRACED_RUNS}, seed {args.seed}")
+            other = layers["change"].get(name, float("nan"))
+            noise = (other != value and within(other, ranges["parent"][name])
+                     and within(value, ranges["change"].get(name)))
+            print(f"{workload:<10} {name:<32} parent {value:<12.6g} change {other:<12.6g} "
+                  f"traced median of {TRACED_RUNS}, seed {args.seed}"
+                  + ("  noise: each median within the other's q1-q3" if noise else ""))
     return 0
 
 
