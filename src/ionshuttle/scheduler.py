@@ -342,8 +342,8 @@ class _Lowering:
         side.  Each phase runs once per side, side a's first: orient so the
         traveler faces the other side; split a pair, its partner staying on
         the far side; after the travelers' ``_meet``, rotation, gate and
-        split, ``_meet`` the partner with the product that holds the other
-        side's ion."""
+        split, ``_meet`` the partner, staged at liz-e for direction e, with
+        the product that holds the other side's ion."""
         chain, rotate = self.chain, self.rotate
         sides = ((chain[i], ion_a, d), (chain[i + d], ion_b, -d))
         for crystal, ion, e in sides:  # orient: ions[e > 0] faces the other side
@@ -356,11 +356,12 @@ class _Lowering:
         self._run(merged, rotate)  # swap them, so they part exchanged
         if gate is not None:
             self._run(merged, ("DG", (gate,)))
-        # ion_b's product parts to the -d side and ion_a's to +d; each meets
-        # the partner on its side, the two in chain order along d
+        # ion_b's product parts to the -d side and ion_a's to +d, each toward
+        # the partner on its side; side b's partner sits one spacing beyond
+        # its product, so staging it first only pushes the product ahead
         for (partner, _), product, e in zip(parts, self._split(merged, d), (d, -d)):
             if partner is not None:
-                self._meet(*(partner, product)[::e * d], d)
+                self._meet(partner, product, e)
 
     def run_gate(self, gate: Gate, steps) -> None:
         """Lower one gate's planned steps; a gate without steps runs on its
