@@ -107,9 +107,14 @@ class CommandSequence:
     raw: list[RawCommand] = field(default_factory=list)
 
     def opcode_counts(self) -> dict[str, int]:
+        """Each opcode of the set and how often it occurs; an opcode outside
+        the set is a ``TrapError``, as in ``apply``."""
         counts = {op: 0 for op in OPCODE_ARITY}
-        for op, _ in self.raw:
-            counts[op] += 1
+        try:
+            for op, _ in self.raw:
+                counts[op] += 1
+        except KeyError as e:
+            raise TrapError(f"unknown opcode {e.args[0]!r}") from None
         return counts
 
     def config(self) -> TrapConfig:

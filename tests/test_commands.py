@@ -15,7 +15,7 @@ from ionshuttle.commands import (CommandSequence, FormatError, ReplayError,
 from ionshuttle.ordering import Ordering, increase_pairwise_order
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
-from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState
+from ionshuttle.trap import TrapConfig, TrapError, TrapOverflow, TrapState
 
 
 def exchange_sequence():
@@ -280,6 +280,11 @@ class TestReplay:
             replay(seq, strict=True)
         assert err.value.seq == 3
         assert str(err.value) == "command 3: unknown opcode 'XYZ'"
+
+    def test_unknown_opcode_not_counted(self):
+        seq = CommandSequence(32, 19, [("START", ()), ("XYZ", (3,))])
+        with pytest.raises(TrapError, match="^unknown opcode 'XYZ'$"):
+            seq.opcode_counts()
 
     def test_meaningless_ids_flagged(self):
         # ion ids start at 1 and gate indices at 0; ion 1 fills the LIZ so
