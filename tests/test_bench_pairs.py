@@ -112,6 +112,21 @@ def test_a_failed_run_names_itself_and_exits_1(monkeypatch, capsys):
                    + "".join(f"  line {i}\n" for i in range(10, 30)))
 
 
+@pytest.mark.parametrize("stdout,shown", [("", "''"), ("progress\nTraceback lost\n",
+                                                       "'Traceback lost'")],
+                         ids=["no output", "not json"])
+def test_a_run_without_a_result_names_itself_and_exits_1(monkeypatch, capsys, stdout, shown):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda args, **kw:
+                        subprocess.CompletedProcess(args, 0, stdout=stdout, stderr=""))
+    with pytest.raises(SystemExit) as done:
+        bench_pairs.run_once("../change", ["python3", "bench/run.py"], "search", 1741, 30)
+    assert done.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("benchmark printed no JSON result in ../change: workload search, "
+                   f"seed 1741; last line: {shown}\n")
+
+
 def test_a_clean_run_returns_its_last_line(monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda args, **kw:
                         subprocess.CompletedProcess(args, 0, stdout='progress\n{"ok": 1}\n'))

@@ -112,17 +112,28 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int,
              seconds: float, trace: int = 0) -> dict:
     """One benchmark run in ``checkout``, traced or not; its last line of
     output, parsed.  A failed run prints the checkout, workload, seed, exit
-    code and the end of its standard error, and ends the script with exit 1."""
+    code and the end of its standard error, and ends the script with exit 1.
+    So does a run that exits 0 without a JSON object as its last line of
+    output, showing that line."""
     done = subprocess.run(command + ["--workload", workload, "--seed", str(seed),
                                      "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
+    where = f"in {checkout}: workload {workload}, seed {seed}"
     if done.returncode:
-        print(f"benchmark failed in {checkout}: workload {workload}, seed {seed}, "
-              f"exit {done.returncode}", file=sys.stderr)
+        print(f"benchmark failed {where}, exit {done.returncode}", file=sys.stderr)
         for line in done.stderr.splitlines()[-STDERR_LINES:]:
             print(f"  {line}", file=sys.stderr)
         sys.exit(1)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        print(f"benchmark printed no JSON result {where}; last line: {last!r}",
+              file=sys.stderr)
+        sys.exit(1)
+    return result
 
 
 def values(result: dict) -> dict:
