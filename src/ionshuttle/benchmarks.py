@@ -23,7 +23,7 @@ from .ordering import (Ordering, check_register, increase_pairwise_order,
                        order_as_is, order_inputs_randomly, paired,
                        place_in_the_model)
 from .qasm import Circuit, build_circuit, decompose_gate, Gate
-from .scheduler import ScheduleResult, cheapest_layout, schedule
+from .scheduler import ScheduleResult, rank_flat, schedule
 from .trap import TrapConfig, TrapState
 
 
@@ -256,6 +256,24 @@ def _reversal_classes(n: int):
             if perm <= perm[::-1])
 
 
+def _oracle_flats(n: int):
+    """The flat permutations the oracle ranks, in its order: each reversal
+    class's, followed for an odd register by its reverse, whose lone ion
+    sits at the other end."""
+    classes = _reversal_classes(n)
+    if n % 2:
+        return itertools.chain.from_iterable((perm, perm[::-1]) for perm in classes)
+    return classes
+
+
+def _compiled_as_read(circuit: Circuit, cfg: TrapConfig, flats):
+    """Yield each flat permutation after a verified compile of its paired
+    layout."""
+    for flat in flats:
+        compile_ordering(circuit, Ordering(paired(flat)), cfg, verify=True)
+        yield flat
+
+
 def enumerate_orderings(n: int):
     """One representative per reversal class (n!/2 classes for n >= 2), in
     lexicographic order of the flat permutation, paired left to right."""
@@ -282,22 +300,27 @@ def brute_force_best_ordering(circuit: Circuit,
     (n + 1) // 2 crystals, so a trap too small raises ``CapacityExceeded``
     before any layout is built.
 
-    The layouts are plain crystal lists from ``ordering.paired``, ranked by
-    their planned cost in one pass of ``scheduler.cheapest_layout``, which
-    plans each distinct gate move once per crystal-size pattern and merges
-    layouts once the planner has brought them to the same chain.  That is
-    exact, since the cost of the remaining gates depends only on the chain,
-    and of two merged layouts it keeps the cheaper, or the earlier at equal
-    cost, so the winner is the one a layout-by-layout ``plan_cost`` scan
-    picks.
+    The permutations stream straight into ``scheduler.rank_flat``, with
+    crystal sizes ``(2, ..., 2)``, and a trailing 1 for an odd register.
+    They are generated valid, so they are not checked, and neither they nor
+    their layouts are held in a list: the first two-qubit gate merges each
+    one into the chain it reaches as it is enumerated.  The ranking plans
+    each distinct gate move once and merges permutations once the planner
+    has brought them to the same chain.  That is exact, since the cost of
+    the remaining gates depends only on the chain, and of two merged
+    permutations it keeps the cheaper, or the earlier at equal cost, so the
+    winner is the one a layout-by-layout ``plan_cost`` scan picks.  The
+    winner's permutation is enumerated again up to its index.
 
-    Only the winner becomes an ``Ordering`` and is lowered (placed and
-    scheduled on the trap, which checks every gate's cost against the plan),
+    Only the winner becomes an ``Ordering`` and is lowered (placed, which
+    checks its layout, and scheduled on the trap, which checks every gate's
+    cost against the plan),
     so a ``TrapOverflow`` on the winner still ends the search, but a layout
     that would overflow and does not win does not.  On the traps checked
     (12/6, 16/8, 16/12, 20/10, 32/19 and 10/3 segments/LIZ) overflow was
     all-or-none across the layouts of a circuit.
-    With ``verify`` every layout is also compiled with ``verify=True``.
+    With ``verify`` every layout is also compiled with ``verify=True`` as
+    it is enumerated, before the ranking reads it.
     """
     n = circuit.n_qubits
     if n > ORACLE_MAX_QUBITS:
@@ -305,15 +328,10 @@ def brute_force_best_ordering(circuit: Circuit,
             f"exhaustive search capped at {ORACLE_MAX_QUBITS} qubits")
     cfg = config or bench_config(n)
     check_register(n, cfg)
-    layouts = []
-    for perm in _reversal_classes(n):
-        layouts.append(paired(perm))
-        if n % 2:
-            layouts.append(paired(perm[::-1]))
+    flats = _oracle_flats(n)
     if verify:
-        for layout in layouts:
-            compile_ordering(circuit, Ordering(layout), cfg, verify=True)
-    i, cost = cheapest_layout(circuit, layouts)
-    winner = Ordering(layouts[i])
+        flats = _compiled_as_read(circuit, cfg, flats)
+    i, cost = rank_flat(circuit, (2,) * (n // 2) + (1,) * (n % 2), flats)
+    winner = Ordering(paired(next(itertools.islice(_oracle_flats(n), i, None))))
     compile_ordering(circuit, winner, cfg)
     return winner, cost

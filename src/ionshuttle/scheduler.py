@@ -14,31 +14,37 @@ each other or change size, so a step costs 2 split+merge plus 2 for each
 two-ion crystal among the two (3 splits and 3 merges between two pairs);
 the planner prices each step, and ``plan_cost`` a layout, without a trap.
 
-``cheapest_layout`` ranks many layouts in one pass over the gates.  Its
-merge key is ``(sizes, flat)``: the crystal sizes and the ion order read
-from the top of the chain to the bottom, which together are the chain.
-Each key holds the cost planned so far and the index of the first layout
-that reached it.  Two layouts that reach one key at the same gate pay the
-same for every later gate, so the entry keeps the smaller ``(cost,
-index)`` of the two, and the result is the lexicographic minimum over all
-layouts, the first cheapest in list order.  Layouts collapse onto a few
-chains within a few gates.
+``rank_flat`` is the one ranking core.  It reads a stream of flat ion
+tuples, the ion order from the top of the chain to the bottom, whose
+crystals share one size pattern, and ranks them in one pass over the gates.
+The first two-qubit gate takes each tuple as it arrives and merges it
+straight into a dict keyed by the chain it reaches, so the stream is never
+held.  Each key holds the cost planned so far and the index of the first
+tuple that reached it.  Two tuples that reach one chain at the same gate
+pay the same for every later gate, so the entry keeps the smaller ``(cost,
+index)`` of the two, and the result is the lexicographic minimum over the
+stream, the first cheapest in stream order.  Tuples collapse onto a few
+chains within a few gates.  ``cheapest_layout`` checks a list of layouts,
+groups them by crystal sizes and ranks each group through ``rank_flat``;
+the exhaustive oracle (``benchmarks.brute_force_best_ordering``) streams
+its generated permutations into it unchecked.
 
 A gate is planned once per distinct move, not once per chain.  A step
 reads the crystal sizes and where the gate's two ions sit; every other ion
 only rides along.  So on every chain of one size pattern, a gate whose
 operands sit at flat positions ``pa`` and ``pb`` is one reordering of
 positions at one split+merge cost.  ``_position_move`` plans it once with
-``_plan_gate`` on a chain of position labels, and the ranking keeps it
-under ``(sizes, pa, pb)`` as an ``itemgetter`` and the cost, and applies
-the ``itemgetter`` to every flat chain it meets there.  Sizes never
-change, so layouts of different size patterns never merge and are ranked
-apart; a 6-qubit oracle call plans at most 30 moves.  This is exact only
-while a step reads nothing but the sizes, its operands' positions and the
-gate's position in the circuit.  Whatever else a policy reads must join
-the keys: a lookahead over the next gates reads where their operands sit,
-so those positions join the move key, and any state a step carries from
-one gate to the next joins both the merge key and the move key.
+``_plan_gate`` on a chain of position labels, and ``rank_flat``, whose
+stream shares one size pattern, keeps it under ``(pa, pb)`` as an
+``itemgetter`` and the cost, and applies the ``itemgetter`` to every flat
+chain it meets there.  Sizes never change, so layouts of different size
+patterns never merge and are ranked apart; a 6-qubit oracle call plans at
+most 30 moves.  This is exact only while a step reads nothing but the
+sizes, its operands' positions and the gate's position in the circuit.
+Whatever else a policy reads must join the keys: a lookahead over the next
+gates reads where their operands sit, so those positions join the move
+key, and any state a step carries from one gate to the next joins both the
+merge key and the move key.
 
 The lowering (``schedule``) copies each of the placed trap's ion lists
 once into its own ``Crystal`` record, with the segment, and never writes
@@ -157,49 +163,69 @@ def _position_move(sizes: tuple[int, ...], pa: int, pb: int
     return itemgetter(*(label - 1 for ions in chain for label in ions)), cost
 
 
+def rank_flat(circuit: Circuit, sizes: tuple[int, ...], flats) -> tuple[int, int]:
+    """The index and planned cost of the cheapest chain in the stream
+    ``flats``, the first in stream order among equals: flat ion tuples that
+    crystals of ``sizes`` split into valid layouts, read lazily and not
+    checked.
+
+    Each chain reached is keyed by its flat ion order and holds the cost
+    planned so far and the index of the first tuple that reached it.  A
+    gate moves it by the ``_position_move`` of the flat positions of the
+    gate's two ions, planned once per position pair.  That is exact because
+    a step reads nothing else; a policy that reads more, or carries state
+    from one gate to the next, must add it to the keys (see the module
+    docstring).  The first two-qubit gate takes each tuple as it arrives,
+    so no list of tuples is held.  With no two-qubit gate every tuple costs
+    0 and the first wins; an empty stream is a ``ValueError``."""
+    # (flat ion order, (cost so far, index of the first tuple that reached it))
+    reached = zip(flats, zip(itertools.repeat(0), itertools.count()))
+    moves: dict[tuple[int, int], tuple[itemgetter, int]] = {}
+    # the other gates never change a chain
+    for gate in circuit.two_qubit_gates():
+        a, b = gate.operands[0] + 1, gate.operands[1] + 1
+        merged: dict[tuple, tuple[int, int]] = {}
+        for flat, (cost, i) in reached:
+            at = flat.index(a), flat.index(b)
+            move = moves.get(at)
+            if move is None:
+                move = moves[at] = _position_move(sizes, *at)
+            reorder, step = move
+            flat = reorder(flat)
+            ranked = (cost + step, i)
+            old = merged.get(flat)
+            if old is None or ranked < old:
+                merged[flat] = ranked
+        reached = merged.items()
+    best = min((ranked for _, ranked in reached), default=None)
+    if best is None:
+        raise ValueError("no layout to rank")
+    cost, i = best
+    return i, cost
+
+
 def cheapest_layout(circuit: Circuit, crystal_lists) -> tuple[int, int]:
     """The index and planned cost of the cheapest layout in
     ``crystal_lists``, the first in list order among equals: the same as
     ``min((plan_cost(circuit, L), i) for i, L in enumerate(crystal_lists))``
-    with the pair swapped, found in one merged pass.
+    with the pair swapped.
 
-    Every layout is checked with ``check_layout`` first.  Each chain
-    reached is keyed by its crystal sizes and its flat ion order, and a
-    gate moves it by the ``_position_move`` of the sizes and of the flat
-    positions of the gate's two ions, planned once per size pattern.  That
-    is exact because a step reads nothing else; a policy that reads more,
-    or carries state from one gate to the next, must add it to the keys
-    (see the module docstring)."""
-    # crystal sizes -> flat ion order -> (cost so far, index of the first
-    # layout that reached it)
-    starts: dict[tuple, dict[tuple, tuple[int, int]]] = {}
+    Every layout is checked with ``check_layout`` first.  The layouts are
+    then grouped by their crystal sizes, since sizes never change and
+    layouts of different size patterns never meet, and each group's flat
+    ion tuples are ranked by ``rank_flat``."""
+    groups: dict[tuple, tuple[list, list]] = {}  # sizes -> (flats, indices)
     for i, layout in enumerate(crystal_lists):
         check_layout(circuit, layout)
-        flat = tuple(itertools.chain.from_iterable(layout))
-        starts.setdefault(tuple(map(len, layout)), {}).setdefault(flat, (0, i))
-    if not starts:
+        flats, indices = groups.setdefault(tuple(map(len, layout)), ([], []))
+        flats.append(tuple(itertools.chain.from_iterable(layout)))
+        indices.append(i)
+    if not groups:
         raise ValueError("no layout to rank")
-    # the other gates never change a chain
-    operands = [(g.operands[0] + 1, g.operands[1] + 1)
-                for g in circuit.two_qubit_gates()]
     best = []
-    for sizes, reached in starts.items():  # sizes never change
-        moves: dict[tuple[int, int], tuple[itemgetter, int]] = {}
-        for a, b in operands:
-            merged: dict[tuple, tuple[int, int]] = {}
-            for flat, (cost, i) in reached.items():
-                at = flat.index(a), flat.index(b)
-                move = moves.get(at)
-                if move is None:
-                    move = moves[at] = _position_move(sizes, *at)
-                reorder, step = move
-                flat = reorder(flat)
-                ranked = (cost + step, i)
-                old = merged.get(flat)
-                if old is None or ranked < old:
-                    merged[flat] = ranked
-            reached = merged
-        best.append(min(reached.values()))
+    for sizes, (flats, indices) in groups.items():
+        j, cost = rank_flat(circuit, sizes, flats)
+        best.append((cost, indices[j]))
     cost, i = min(best)
     return i, cost
 

@@ -1,7 +1,9 @@
 """Benchmark generators, sweeps, circuit fit and the exhaustive oracle."""
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -16,8 +18,9 @@ from ionshuttle.benchmarks import (bench_config, brute_force_best_ordering,
                                    make_ordering, oir_costs, run_sweep,
                                    theoretical_limit, to_csv)
 from ionshuttle.cli import main
-from ionshuttle.ordering import order_as_is, reverse_ordering
+from ionshuttle.ordering import order_as_is, paired, reverse_ordering
 from ionshuttle.qasm import build_circuit
+from ionshuttle.scheduler import plan_cost
 from ionshuttle.trap import CapacityExceeded, TrapConfig, TrapOverflow
 
 
@@ -317,6 +320,71 @@ def test_oracle_corpus_pin():
         "f3090814068c9b098109ad8614592a03595a3ce8830859c527f922cc210bc036")
 
 
+def scanned_oracle(circuit):
+    """The oracle's answer by a plain ``plan_cost`` scan: every reversal
+    class's permutation in lexicographic order, each followed for an odd
+    register by its reverse, paired left to right; the first cheapest wins.
+    Also the layouts, in that order."""
+    n = circuit.n_qubits
+    layouts = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        if perm <= perm[::-1]:
+            layouts.append(paired(perm))
+            if n % 2:
+                layouts.append(paired(perm[::-1]))
+    cost, i = min((plan_cost(circuit, layout), i) for i, layout in enumerate(layouts))
+    return (layouts[i], cost), layouts
+
+
+ONE_QUBIT_GATES = [("h", (q,), ()) for q in (4, 0, 2)]
+
+
+@pytest.mark.parametrize("circuit", [
+    *(corpus_circuit(random.Random(2300 + n), n) for n in range(2, 8)),
+    *(gen_random_circuit(n, 14, 2310 + n) for n in (3, 5, 7)),
+    build_circuit(5, []),
+    build_circuit(5, ONE_QUBIT_GATES),
+    build_circuit(5, ONE_QUBIT_GATES + [("cz", (4, 0), ())]),
+], ids=[*(f"corpus{n}" for n in range(2, 8)), "random3", "random5", "random7",
+        "gateless5", "one_qubit5", "one_qubit_then_cz5"])
+def test_oracle_matches_a_plan_cost_scan(circuit):
+    ordering, best = brute_force_best_ordering(circuit)
+    assert (ordering.crystal_list, best) == scanned_oracle(circuit)[0]
+
+
+@pytest.mark.parametrize("circuit", [gen_random_circuit(3, 10, 2321),
+                                     gen_random_circuit(4, 10, 2322),
+                                     build_circuit(3, [])],
+                         ids=["random3", "random4", "gateless3"])
+def test_verified_oracle_compiles_every_layout(monkeypatch, circuit):
+    # under verify every layout is compiled verified, in enumeration order,
+    # and then the winner once more, unverified
+    compiled = []
+
+    def compile_and_log(circuit, ordering, config=None, verify=False):
+        compiled.append((ordering.crystal_list, verify))
+        return compile_ordering(circuit, ordering, config, verify)
+
+    monkeypatch.setattr(benchmarks, "compile_ordering", compile_and_log)
+    ordering, best = brute_force_best_ordering(circuit, verify=True)
+    answer, layouts = scanned_oracle(circuit)
+    assert (ordering.crystal_list, best) == answer
+    assert compiled == [(layout, True) for layout in layouts] + [(answer[0], False)]
+
+
+def test_oracle_holds_no_list_of_layouts():
+    # the ranking reads the 20,160 permutations one at a time; a list of
+    # them and their layouts peaked at 11.8 MB
+    circuit = gen_random_circuit(8, 30, 5)
+    tracemalloc.start()
+    try:
+        brute_force_best_ordering(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_oracle_overflow_on_small_trap():
     # every 6-qubit layout overflows a 12-segment trap, the winner included
     with pytest.raises(TrapOverflow):
@@ -333,7 +401,7 @@ def test_oracle_checks_capacity_before_ranking(monkeypatch, given):
     def rank(*args):
         raise AssertionError("ranked layouts before checking the trap")
 
-    monkeypatch.setattr(benchmarks, "cheapest_layout", rank)
+    monkeypatch.setattr(benchmarks, "rank_flat", rank)
     monkeypatch.setattr(benchmarks, "bench_config", lambda n: small)
     with pytest.raises(CapacityExceeded,
                        match="^4 crystals at stride 2 exceed 6 segments$"):
