@@ -300,25 +300,20 @@ def brute_force_best_ordering(circuit: Circuit,
     (n + 1) // 2 crystals, so a trap too small raises ``CapacityExceeded``
     before any layout is built.
 
-    The permutations stream straight into ``scheduler.rank_flat``, with
-    crystal sizes ``(2, ..., 2)``, and a trailing 1 for an odd register.
-    They are generated valid, so they are not checked, and neither they nor
-    their layouts are held in a list: the first two-qubit gate merges each
-    one into the chain it reaches as it is enumerated.  The ranking plans
-    each distinct gate move once and merges permutations once the planner
-    has brought them to the same chain.  That is exact, since the cost of
-    the remaining gates depends only on the chain, and of two merged
-    permutations it keeps the cheaper, or the earlier at equal cost, so the
-    winner is the one a layout-by-layout ``plan_cost`` scan picks.  The
-    winner's permutation is enumerated again up to its index.
+    The permutations are generated valid, so they stream unchecked into
+    ``scheduler.rank_flat`` (crystal sizes ``(2, ..., 2)``, with a trailing
+    1 for an odd register), and no list of them or of their layouts is
+    held.  The ranking merges permutations that the planner brings to the
+    same chain, keeping the cheaper or, at equal cost, the earlier, so the
+    winner is the one a layout-by-layout ``plan_cost`` scan picks.  Its
+    permutation is then enumerated again up to its index.
 
     Only the winner becomes an ``Ordering`` and is lowered (placed, which
     checks its layout, and scheduled on the trap, which checks every gate's
-    cost against the plan),
-    so a ``TrapOverflow`` on the winner still ends the search, but a layout
-    that would overflow and does not win does not.  On the traps checked
-    (12/6, 16/8, 16/12, 20/10, 32/19 and 10/3 segments/LIZ) overflow was
-    all-or-none across the layouts of a circuit.
+    cost against the plan), so a ``TrapOverflow`` on the winner still ends
+    the search, but a layout that would overflow and does not win does not.
+    On the traps checked (12/6, 16/8, 16/12, 20/10, 32/19 and 10/3
+    segments/LIZ) overflow was all-or-none across the layouts of a circuit.
     With ``verify`` every layout is also compiled with ``verify=True`` as
     it is enumerated, before the ranking reads it.
     """

@@ -164,20 +164,12 @@ def _position_move(sizes: tuple[int, ...], pa: int, pb: int
 
 
 def rank_flat(circuit: Circuit, sizes: tuple[int, ...], flats) -> tuple[int, int]:
-    """The index and planned cost of the cheapest chain in the stream
-    ``flats``, the first in stream order among equals: flat ion tuples that
-    crystals of ``sizes`` split into valid layouts, read lazily and not
-    checked.
-
-    Each chain reached is keyed by its flat ion order and holds the cost
-    planned so far and the index of the first tuple that reached it.  A
-    gate moves it by the ``_position_move`` of the flat positions of the
-    gate's two ions, planned once per position pair.  That is exact because
-    a step reads nothing else; a policy that reads more, or carries state
-    from one gate to the next, must add it to the keys (see the module
-    docstring).  The first two-qubit gate takes each tuple as it arrives,
-    so no list of tuples is held.  With no two-qubit gate every tuple costs
-    0 and the first wins; an empty stream is a ``ValueError``."""
+    """The index and planned cost of the cheapest flat ion tuple in the
+    stream ``flats``, the first in stream order among equals.  Each tuple
+    is a valid layout in crystals of ``sizes``; the stream is read once,
+    lazily, and not checked.  With no two-qubit gate every tuple costs 0;
+    an empty stream is a ``ValueError``.  The module docstring says how
+    chains merge and move, and why that is exact."""
     # (flat ion order, (cost so far, index of the first tuple that reached it))
     reached = zip(flats, zip(itertools.repeat(0), itertools.count()))
     moves: dict[tuple[int, int], tuple[itemgetter, int]] = {}

@@ -373,8 +373,9 @@ def test_verified_oracle_compiles_every_layout(monkeypatch, circuit):
 
 
 def test_oracle_holds_no_list_of_layouts():
-    # the ranking reads the 20,160 permutations one at a time; a list of
-    # them and their layouts peaked at 11.8 MB
+    # the ranking reads the 20,160 permutations one at a time and keeps
+    # only the chains they reach; holding them all as layouts, with their
+    # flat tuples, peaks near 12 MB
     circuit = gen_random_circuit(8, 30, 5)
     tracemalloc.start()
     try:

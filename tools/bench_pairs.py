@@ -113,8 +113,8 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int,
     """One benchmark run in ``checkout``, traced or not; its last line of
     output, parsed.  A failed run prints the checkout, workload, seed, exit
     code and the end of its standard error, and ends the script with exit 1.
-    So does a run that exits 0 without a JSON object as its last line of
-    output, showing that line."""
+    So does a run that exits 0 without JSON as its last line of output,
+    showing that line."""
     done = subprocess.run(command + ["--workload", workload, "--seed", str(seed),
                                      "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
@@ -126,14 +126,11 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int,
         sys.exit(1)
     last = (done.stdout.strip().splitlines() or [""])[-1]
     try:
-        result = json.loads(last)
+        return json.loads(last)
     except json.JSONDecodeError:
-        result = None
-    if not isinstance(result, dict):
         print(f"benchmark printed no JSON result {where}; last line: {last!r}",
               file=sys.stderr)
         sys.exit(1)
-    return result
 
 
 def values(result: dict) -> dict:
