@@ -62,6 +62,21 @@ side's partner meets the product that now holds the other side's ion.
 merges them.  A gate without steps brings its crystal to the LIZ and runs
 there.
 
+Each step is lowered once per distinct state and call: ``_step`` keys a
+memo in the ``_Lowering`` by the segment of every chain crystal, ``i``,
+``d``, whether the step runs the gate and whether each side must rotate
+first.  Commands name segments and gate indices, never ions, and crystal
+sizes are fixed for the whole call, so these fix every command a step
+emits, where each crystal ends and which position of the two exchanged
+crystals each of their ions ends at.  A miss runs ``_exchange`` and stores
+its commands, the offset of its ``DG``, the new segments, the two new
+crystals as positions into the old two, top first, and the split+merge
+count; a hit replays them with this gate's own ``DG``.  A step that
+overflows is never stored, so a hit cannot overflow.  This is exact only
+while the key holds all the lowering reads: anything a step reads or
+carries beyond it, such as a meeting point off the LIZ, a train of crystals
+moved in lockstep or a side on which wells are held, joins the key.
+
 Crystals never pass each other, so a transport's only possible blocker is
 the mover's chain neighbour ahead; ``_send`` pushes it through an explicit
 stack one spacing beyond the mover's destination, does not restore it, and
@@ -244,7 +259,8 @@ class Crystal:
 
 class _Lowering:
     """The lowering's top-to-bottom ``chain`` of crystals, the commands it
-    emitted (``out``) and their split+merge ``cost``."""
+    emitted (``out``), their split+merge ``cost`` and the ``memo`` of the
+    steps it lowered, for one ``schedule`` call."""
 
     def __init__(self, state: TrapState):
         cfg = state.config
@@ -262,12 +278,15 @@ class _Lowering:
                                for s in (liz - 2, liz + 2) if 1 <= s <= n)
         # the one rotation, always at the LIZ
         self.rotate = ("RC", (liz,))
+        self.memo: dict[tuple, tuple] = {}
 
     def _send(self, crystal: Crystal, target: int) -> None:
         """Move a crystal to ``target``, stopping one spacing (2 segments)
         short of the one possible blocker, the chain neighbour ahead, which
         an explicit stack then pushes one spacing beyond the target.  Any
-        target off the trap, the mover's or a blocker's, is a ``TrapOverflow``."""
+        target off the trap, the mover's or a blocker's, is a ``TrapOverflow``.
+        The check runs once per distinct step state of a call: a step
+        replayed from the memo does not move through here again."""
         chain, n = self.chain, self.n_segments
         # explicit push stack of (chain index, target): resolving a blocker
         # suspends the mover's frame
@@ -381,6 +400,39 @@ class _Lowering:
             if partner is not None:
                 self._meet(partner, product, e)
 
+    def _step(self, i: int, ion_a: int, ion_b: int, d: int, gate: int | None) -> None:
+        """``_exchange`` through the memo: a step whose key was lowered
+        before in this call replays that lowering, its commands with this
+        gate's ``DG``, its segments, its re-picked ions and its cost.  The
+        module docstring gives the key and why a replay is exact."""
+        chain, out = self.chain, self.out
+        a, b = chain[i], chain[i + d]
+        key = (tuple([c.segment for c in chain]), i, d, gate is not None,
+               len(a.ions) == 2 and a.ions[d > 0] != ion_a,
+               len(b.ions) == 2 and b.ions[d < 0] != ion_b)
+        lo = min(i, i + d)
+        ions = chain[lo].ions + chain[lo + 1].ions  # the two crystals' ions, top first
+        start = len(out)
+        hit = self.memo.get(key)
+        if hit is None:
+            cost = self.cost
+            self._exchange(i, ion_a, ion_b, d, gate)
+            emitted = tuple(out[start:])
+            self.memo[key] = (
+                emitted, None if gate is None else emitted.index(("DG", (gate,))),
+                tuple([c.segment for c in chain]),
+                tuple(tuple(map(ions.index, chain[k].ions)) for k in (lo, lo + 1)),
+                self.cost - cost)
+            return
+        emitted, dg, segments, picks, cost = hit
+        out.extend(emitted)
+        if dg is not None:
+            out[start + dg] = ("DG", (gate,))
+        chain[lo:lo + 2] = [Crystal([ions[p] for p in pick], 0) for pick in picks]
+        for crystal, segment in zip(chain, segments):
+            crystal.segment = segment
+        self.cost += cost
+
     def run_gate(self, gate: Gate, steps) -> None:
         """Lower one gate's planned steps; a gate without steps runs on its
         first operand's crystal, brought to the LIZ."""
@@ -389,7 +441,7 @@ class _Lowering:
             self._run(next(c for c in self.chain if ion in c.ions),
                       ("DG", (gate.index,)))
         for i, ion, partner, d, runs_gate in steps:
-            self._exchange(i, ion, partner, d, gate.index if runs_gate else None)
+            self._step(i, ion, partner, d, gate.index if runs_gate else None)
 
 
 def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:

@@ -12,7 +12,8 @@ from ionshuttle.commands import (CommandSequence, FormatError, ReplayError,
                                  _execute, _reject, cost, parse_sequence,
                                  render_trace, render_trace_svg, replay,
                                  serialize, serialize_pieces)
-from ionshuttle.ordering import Ordering, increase_pairwise_order
+from ionshuttle.ordering import (Ordering, increase_pairwise_order,
+                                 order_inputs_randomly)
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
 from ionshuttle.trap import TrapConfig, TrapError, TrapOverflow, TrapState
@@ -154,10 +155,17 @@ class TestInterning:
                                 bench_config(6)).sequence
 
     def test_lowering_shares_equal_commands(self):
-        raw = self.program().raw
-        assert len({id(c) for c in raw}) == len(set(raw))
-        rotations = [c for c in raw if c[0] == "RC"]
-        assert len(rotations) > 1 and len({id(c) for c in rotations}) == 1
+        # the second program repeats most exchange steps, whose commands
+        # the lowering replays from its memo: the replayed tuples are the
+        # stored ones, so they stay shared too
+        circ = gen_random_circuit(12, 200, 5)
+        replayed = compile_ordering(circ, order_inputs_randomly(circ, 5),
+                                    bench_config(12)).sequence
+        for program in (self.program(), replayed):
+            raw = program.raw
+            assert len({id(c) for c in raw}) == len(set(raw))
+            rotations = [c for c in raw if c[0] == "RC"]
+            assert len(rotations) > 1 and len({id(c) for c in rotations}) == 1
 
     def test_parsed_program_shares_equal_commands(self):
         raw = parse_sequence(serialize(self.program())).raw

@@ -1,17 +1,21 @@
 """Scheduler: transport, ion exchange and the gate loop."""
 import itertools
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ionshuttle.commands
 import ionshuttle.scheduler
-from ionshuttle.benchmarks import brute_force_best_ordering, compile_ordering
-from ionshuttle.commands import replay, serialize
-from ionshuttle.ordering import (order_as_is, order_inputs_randomly,
-                                 place_in_the_model)
+from ionshuttle.benchmarks import (bench_config, brute_force_best_ordering,
+                                   compile_ordering, gen_qft, gen_random_circuit)
+from ionshuttle.commands import CommandSequence, replay, serialize
+from ionshuttle.ordering import (Ordering, increase_pairwise_order, order_as_is,
+                                 order_inputs_randomly, paired, place_in_the_model)
 from ionshuttle.qasm import build_circuit
-from ionshuttle.scheduler import crystal_chain, schedule
+from ionshuttle.scheduler import _Lowering, _planned, crystal_chain, schedule
 from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState
 
 
@@ -275,3 +279,130 @@ def test_lowering_that_miscounts_a_gate_is_refused(monkeypatch):
     with pytest.raises(RuntimeError, match=rf"^gate {first}: lowered cost "
                        rf"{costs[first] + 1}, planned {costs[first]}$"):
         brute_force_best_ordering(circ)
+
+
+# -- the memo of lowered steps ---------------------------------------------------
+
+
+@pytest.mark.parametrize("make_circuit,layout,exchanges,steps", [
+    (lambda: gen_random_circuit(12, 1000, 5), lambda c: order_inputs_randomly(c, 5),
+     579, 2196),
+    (lambda: gen_qft(24), increase_pairwise_order, 350, 768),
+], ids=["random12_oir5", "qft24_ipo"])
+def test_each_distinct_step_is_lowered_once(monkeypatch, make_circuit, layout,
+                                            exchanges, steps):
+    # a step from a state lowered before in the same call replays the
+    # memo; the byte pins would pass just as well if it never did
+    circuit = make_circuit()
+    ordering = layout(circuit)
+    planned = _planned(circuit, [list(ions) for ions in ordering.crystal_list])
+    assert sum(len(gate_steps) for gate_steps, _ in planned) == steps
+    runs = Counter()
+    exchange = _Lowering._exchange
+
+    def counted(self, *args):
+        runs[id(self)] += 1
+        return exchange(self, *args)
+
+    monkeypatch.setattr(_Lowering, "_exchange", counted)
+    compile_ordering(circuit, ordering, bench_config(circuit.n_qubits))
+    assert list(runs.values()) == [exchanges]
+
+
+def reference_schedule(circuit, state):
+    """``schedule`` without the memo: every planned step through
+    ``_exchange`` on a fresh ``_Lowering``; the program's text, its cost
+    and the per-gate costs."""
+    plans = _planned(circuit, crystal_chain(state))
+    low = _Lowering(state)
+    low.out.append(("START", ()))
+    low.out.extend(("AIC", (ion, c.segment)) for c in low.chain for ion in c.ions)
+    per_gate = []
+    for gate, (steps, _) in zip(circuit.gates, plans):
+        before = low.cost
+        try:
+            if not steps:
+                low.run_gate(gate, steps)
+            for i, ion, partner, d, runs_gate in steps:
+                low._exchange(i, ion, partner, d, gate.index if runs_gate else None)
+        except TrapOverflow as e:
+            raise TrapOverflow(
+                f"gate {gate.index}: {e} (occupied segments {low.chain[0].segment}-"
+                f"{low.chain[-1].segment} of {low.n_segments})") from e
+        per_gate.append(low.cost - before)
+    sequence = CommandSequence(low.n_segments, low.liz, low.out)
+    return serialize(sequence), low.cost, per_gate
+
+
+MEMO_EXAMPLES = 200
+MEMO_OUTCOMES: Counter = Counter()
+
+
+@st.composite
+def memo_cases(draw):
+    """A circuit of up to 40 gates on 2 to 10 qubits, in pairs (a lone ion
+    last for an odd register) or in one-ion crystals, on a trap of 5 to 64
+    segments with the LIZ anywhere off the end segments."""
+    n = draw(st.integers(2, 10))
+    specs = []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 5)) == 0:
+            specs.append(("h", (draw(st.integers(0, n - 1)),), ()))
+        else:
+            a, b = draw(st.permutations(range(n)))[:2]
+            specs.append(("cz", (a, b), ()))
+    ions = tuple(draw(st.permutations(range(1, n + 1))))
+    groups = draw(st.sampled_from((paired(ions), tuple((ion,) for ion in ions))))
+    n_segments = draw(st.integers(max(5, 2 * len(groups) - 1), 64))
+    liz = draw(st.integers(2, n_segments - 1))
+    return (build_circuit(n, specs), Ordering(groups),
+            TrapConfig(n_segments=n_segments, liz=liz))
+
+
+def memo_schedule(circuit, state):
+    result = schedule(circuit, state)
+    return serialize(result.sequence), result.cost, result.per_gate_costs
+
+
+def outcome(lower, circuit, state):
+    """``lower``'s program, cost and per-gate costs, or its overflow message."""
+    try:
+        return lower(circuit, state)
+    except TrapOverflow as e:
+        return str(e)
+
+
+@settings(max_examples=MEMO_EXAMPLES)
+@given(memo_cases())
+def _memo_matches_reference(case):
+    circuit, ordering, config = case
+    state = TrapState(config)
+    place_in_the_model(state, ordering, circuit)
+    runs = []
+    exchange = _Lowering._exchange
+
+    def counted(self, *args):
+        runs.append(args)
+        return exchange(self, *args)
+
+    with mock.patch.object(_Lowering, "_exchange", counted):
+        got = outcome(memo_schedule, circuit, state)
+    assert got == outcome(reference_schedule, circuit, state)
+    if isinstance(got, str):
+        MEMO_OUTCOMES["overflow"] += 1
+        return
+    MEMO_OUTCOMES["compiled"] += 1
+    MEMO_OUTCOMES["exchanges"] += len(runs)
+    MEMO_OUTCOMES["steps"] += sum(len(gate_steps) for gate_steps, _ in
+                                  _planned(circuit, crystal_chain(state)))
+
+
+def test_memo_matches_a_lowering_without_it():
+    # the memo is exact on every trap shape and LIZ, not only on the bench
+    # traps: equal bytes, cost and per-gate costs, or the same overflow
+    MEMO_OUTCOMES.clear()
+    _memo_matches_reference()
+    assert MEMO_OUTCOMES["compiled"] >= MEMO_EXAMPLES // 4, MEMO_OUTCOMES
+    assert MEMO_OUTCOMES["overflow"] >= MEMO_EXAMPLES // 10, MEMO_OUTCOMES
+    # and the memo is hit: a good share of the compiled steps replay it
+    assert MEMO_OUTCOMES["exchanges"] < 0.8 * MEMO_OUTCOMES["steps"], MEMO_OUTCOMES
