@@ -417,17 +417,19 @@ class _Lowering:
         if hit is None:
             cost = self.cost
             self._exchange(i, ion_a, ion_b, d, gate)
-            emitted = tuple(out[start:])
+            emitted = out[start:]
             self.memo[key] = (
                 emitted, None if gate is None else emitted.index(("DG", (gate,))),
-                tuple([c.segment for c in chain]),
-                tuple(tuple(map(ions.index, chain[k].ions)) for k in (lo, lo + 1)),
+                [c.segment for c in chain],
+                ([ions.index(ion) for ion in chain[lo].ions],
+                 [ions.index(ion) for ion in chain[lo + 1].ions]),
                 self.cost - cost)
             return
         emitted, dg, segments, picks, cost = hit
         out.extend(emitted)
         if dg is not None:
             out[start + dg] = ("DG", (gate,))
+        # the two exchanged crystals anew; the loop below sets every segment
         chain[lo:lo + 2] = [Crystal([ions[p] for p in pick], 0) for pick in picks]
         for crystal, segment in zip(chain, segments):
             crystal.segment = segment
