@@ -37,20 +37,25 @@ command the constraint set forbids.  ``_execute`` runs a program through
 it, owns the rules of program order and tallies splits and merges; replay
 and the trace renderers share it, each on a fresh trap.
 
-The trace keeps the grid state once and updates it by the touched-segment
-rule: through ``_execute``'s ``after`` hook it reads back, after each
-command that ran, only the segments that command can change (a move's
-origin and destination, ``liz-1..liz+1`` for S, M and RC, the segment of
-AIC, AEC and REC), and each row holds its last command's number, only
-the cells changed since the previous row, and its gates.  ``render_trace``
-splices the cells into one row string, ``render_trace_svg`` into one
-segment dict that it draws in segment order; ``render_traces`` gives both
-from one replay.
+The trace is drawn in one pass: ``_trace`` runs a strict replay through
+``_execute``'s ``after`` hook and keeps one text row, two bytes per
+segment.  A move carries each moved crystal's cell to its destination and
+blanks its origin, AEC writes ``--`` and REC ``..``; only S, M and RC
+(``liz-1..liz+1``) and AIC (its segment) read the trap back.  The carry is
+exact because the hook runs only after a command strict replay accepted:
+each mover left a crystal's segment for an empty one, crystals stay two
+segments apart, so no carry lands on another's origin and their order does
+not matter, and a segment never holds a crystal and a well at once (AEC
+needs a free segment, no crystal enters a well, and AIC runs before any
+AEC).  Each row goes out as bytes when its state-changing command has run;
+the labels, their width and the last row, which runs to the program's end,
+follow from the opcodes alone.  The SVG draws each row from the live trap
+in the same pass; ``render_traces`` gives both from one replay.
 """
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -382,119 +387,113 @@ def _ion_char(ion: int) -> str:
     return _ION_CHARS[ion] if 0 < ion < len(_ION_CHARS) else "+"
 
 
-# a segment as the trace sees it: its crystal's ions (() if none) and
-# whether it holds a well
-_Segment = tuple[tuple[int, ...], bool]
+def _cell(ions: list[int] | None, well: bool) -> bytes:
+    """A segment's two text characters: top and bottom ion, ``--`` an empty
+    well, ``..`` nothing."""
+    if ions:
+        return (_ion_char(ions[0]) + (_ion_char(ions[1]) if len(ions) > 1 else ".")).encode()
+    return b"--" if well else b".."
 
 
-# a trace row: its last command's number, each segment changed since the
-# previous row, and the gate indices its DGs carry
-_Row = tuple[int, dict[int, _Segment], list[int]]
+def _label(first: int, last: int) -> bytes:
+    """A row's command-number range, ``first-last`` or one number."""
+    return b"%d-%d" % (first, last) if last > first else b"%d" % first
 
 
-def _labels(rows: list[_Row]) -> list[str]:
-    """Each row's command-number range, ``first-last`` or one number; a row
-    starts right after the previous row's last command."""
-    firsts = [1] + [last + 1 for last, _, _ in rows]
-    return [f"{first}-{last}" if last > first else str(first)
-            for first, (last, _, _) in zip(firsts, rows)]
+def _last(raw: list[RawCommand], seq: int, draws: bool) -> int:
+    """The last command at or before ``seq`` that draws a row (``draws``) or
+    draws none; 0 if there is none."""
+    while seq and (raw[seq - 1][0] in STATE_CHANGING) != draws:
+        seq -= 1
+    return seq
 
 
-def _trace_rows(sequence: CommandSequence,
-                config: TrapConfig | None = None) -> tuple[TrapConfig, list[_Row]]:
-    """Replay yielding one row per state-changing command, holding only the
-    segments that changed since the previous row.
+def _row_shape(raw: list[RawCommand]) -> tuple[int, int]:
+    """The last row's command (0: no row) and the widest row label, read off
+    the opcodes near the end.  A label's width grows with its numbers, so
+    the widest is the last row's, which runs to the program's end, or that
+    of the last earlier row holding a command that draws none."""
+    last = _last(raw, len(raw), True)
+    if not last:
+        return 0, 1
+    width = len(_label(_last(raw, last - 1, True) + 1, len(raw)))
+    quiet = _last(raw, last - 1, False)
+    if quiet:  # every command after it draws a row, so its row ends right after it
+        width = max(width, len(_label(_last(raw, quiet, True) + 1, quiet + 1)))
+    return last, width
 
-    After each command that ran, only the segments it can change are read
-    back from the trap: a move's origin ``s`` and destination ``s + d``,
-    for each segment of the parallel form; ``liz-1..liz+1`` for S, M and
-    RC; the segment of AIC, AEC and REC.  A row spans the commands from
-    the one after the previous row's (the first row: from command 1) to
-    its own state-changing command; the non-visible commands (START, AEC,
-    REC, DG) in between fold into it, and so do the wells their AEC and REC
-    changed and the gate indices their DGs carry.  Trailing non-visible
-    commands extend the last row's range and gates, not its cells.  A
-    renderer keeps one grid and applies each row's changes to it.  Raises
-    ReplayError at the first command strict replay would reject.
-    """
+
+def _trace(sequence: CommandSequence, config: TrapConfig | None,
+           svg: bool) -> tuple[str, str | None]:
+    """The text grid, and the SVG if ``svg``, drawn in one strict replay; a
+    ReplayError ends it, so nothing is drawn for a bad program."""
     cfg = config or sequence.config()
+    raw = sequence.raw
+    last_row, width = _row_shape(raw)
     state = TrapState(cfg)
     seg_crystal, wells = state.seg_crystal, state.wells
     around_liz = (cfg.liz - 1, cfg.liz, cfg.liz + 1)
-    rows: list[_Row] = []
-    changes: dict[int, _Segment] = {}
-    gates: list[int] = []
-    # each distinct segment value once: the rows share them, which spares
-    # the garbage collector a walk over a tuple per change
-    values: dict[_Segment, _Segment] = {}
+    text = bytearray(f"# segments={cfg.n_segments} liz={cfg.liz}\n"
+                     f"{' ' * (width + 2 + 3 * (cfg.liz - 1))}vv\n".encode())
+    body = bytearray(b" ".join([b".."] * cfg.n_segments))  # segment s at 3s - 3
+    gates: list[int] = []  # of the row being reached
+    first = 1  # the row's first command
+    if svg:
+        rows = sum(op in STATE_CHANGING for op, _ in raw)
+        parts, svg_row = _svg(cfg, rows, seg_crystal, wells)
 
     def record(seq: int, op: str, params: tuple[int, ...]) -> None:
-        nonlocal changes, gates
+        nonlocal first, text
         d = DIRECTION.get(op)
-        if d is not None:
+        if d is not None:  # each crystal carries its cell
             if params[0] == 1:  # the single-crystal step, by far the commonest
-                touched = (params[1], params[1] + d)
+                at = 3 * params[1] - 3
+                body[at + 3 * d:at + 3 * d + 2] = body[at:at + 2]
+                body[at:at + 2] = b".."
             else:
-                touched = [t for s in params[1:] for t in (s, s + d)]
-        elif op == "S" or op == "M" or op == "RC":
-            touched = around_liz
+                for s in params[1:]:
+                    at = 3 * s - 3
+                    body[at + 3 * d:at + 3 * d + 2] = body[at:at + 2]
+                    body[at:at + 2] = b".."
+        elif op == "AEC" or op == "REC":  # a well's segment holds no crystal
+            body[3 * params[0] - 3:3 * params[0] - 1] = b"--" if op == "AEC" else b".."
+            return
         elif op == "DG":
             gates.append(params[0])
             return
         elif op == "START":
             return
-        else:  # AIC (ion, segment), AEC and REC (segment): the last parameter
-            touched = params[-1:]
-        for s in touched:
-            ions = seg_crystal.get(s)
-            value = (tuple(ions) if ions else (), s in wells)
-            changes[s] = values.setdefault(value, value)
-        if op in STATE_CHANGING:
-            rows.append((seq, changes, gates))
-            changes, gates = {}, []
+        else:  # S, M and RC change liz-1..liz+1, AIC (ion, segment) its segment
+            for s in around_liz if op != "AIC" else params[1:]:
+                body[3 * s - 3:3 * s - 1] = _cell(seg_crystal.get(s), s in wells)
+        if seq == last_row:  # the last row runs to the program's end
+            gates.extend(p[0] for o, p in raw[seq:] if o == "DG")
+            seq = len(raw)
+        label = _label(first, seq)
+        first = seq + 1
+        if svg:
+            svg_row(label.decode() + (" DG" if gates else ""))
+        if gates:
+            text += b"%*b  %b  DG %b\n" % (width, label, body,
+                                          ",".join(f"g{g}" for g in gates).encode())
+            gates.clear()
+        else:
+            text += b"%*b  %b\n" % (width, label, body)
 
     _execute(sequence, state, _reject, record)
-    if rows:
-        rows[-1] = (len(sequence.raw), rows[-1][1], rows[-1][2] + gates)
-    return cfg, rows
+    if not svg:
+        return text.decode(), None
+    parts.append("</svg>")
+    return text.decode(), "\n".join(parts) + "\n"
 
 
-def _cell(ions: tuple[int, ...], well: bool) -> str:
-    """A segment's two text characters: top and bottom ion, ``--`` an empty
-    well (an occupant hides a well), ``..`` nothing."""
-    if ions:
-        return _ion_char(ions[0]) + (_ion_char(ions[1]) if len(ions) > 1 else ".")
-    return "--" if well else ".."
-
-
-def _text_grid(cfg: TrapConfig, rows: list[_Row]) -> str:
-    labels = _labels(rows)
-    width = max(map(len, labels), default=1)
-    lines = [f"# segments={cfg.n_segments} liz={cfg.liz}"]
-    lines.append(" " * (width + 2 + 3 * (cfg.liz - 1)) + "vv")
-    body = bytearray(b" ".join([b".."] * cfg.n_segments))  # segment s at 3s - 3
-    cells: dict[_Segment, bytes] = {}  # per distinct segment value
-    for (_, changes, gates), label in zip(rows, labels):
-        for seg, key in changes.items():
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = _cell(*key).encode()
-            body[3 * seg - 3:3 * seg - 1] = cell
-        note = "  DG " + ",".join(f"g{g}" for g in gates) if gates else ""
-        lines.append(f"{label:>{width}}  {body.decode()}{note}")
-    return "\n".join(lines) + "\n"
-
-
-def render_trace(sequence: CommandSequence, config: TrapConfig | None = None) -> str:
-    """Text grid of the replayed program: one row per state-changing command,
-    one two-character cell per segment (top/bottom ion, ``--`` empty well)."""
-    return _text_grid(*_trace_rows(sequence, config))
-
-
-def _svg_grid(cfg: TrapConfig, rows: list[_Row]) -> str:
+def _svg(cfg: TrapConfig, rows: int, seg_crystal: dict[int, list[int]],
+         wells: set[int]) -> tuple[list[str], Callable[[str], None]]:
+    """The SVG's opening parts, and a function that draws the next row,
+    given its label, from the live trap: a box per well and a dot per ion."""
     cell, margin_x, margin_y = 16, 56, 28
     width = margin_x + cfg.n_segments * cell + 8
-    height = margin_y + max(len(rows), 1) * cell + 8
+    height = margin_y + max(rows, 1) * cell + 8
 
     def x_of(seg: int) -> float:
         return margin_x + (seg - 0.5) * cell
@@ -509,36 +508,34 @@ def _svg_grid(cfg: TrapConfig, rows: list[_Row]) -> str:
     for seg in range(1, cfg.n_segments + 1, max(1, cfg.n_segments // 8)):
         parts.append(f'<text x="{x_of(seg)}" y="{margin_y - 2}" '
                      f'text-anchor="middle" fill="#888">{seg}</text>')
-    grid: dict[int, _Segment] = {}  # each segment with a crystal or a well
-    for r, ((_, changes, gates), label) in enumerate(zip(rows, _labels(rows))):
-        for seg, value in changes.items():
-            if value == ((), False):
-                grid.pop(seg, None)
-            else:
-                grid[seg] = value
-        y = margin_y + (r + 0.5) * cell
-        parts.append(f'<text x="4" y="{y + 3}" fill="#444">'
-                     f'{label + " DG" if gates else label}</text>')
-        dots = []  # drawn over the wells
-        for seg, (ions, well) in sorted(grid.items()):
-            if well:
-                parts.append(f'<rect x="{x_of(seg) - 5}" y="{y - 5}" width="10" height="10" '
-                             f'fill="none" stroke="#aaa"/>')
+    ys = (margin_y + (r + 0.5) * cell for r in range(rows))
+
+    def row(label: str) -> None:
+        y = next(ys)
+        parts.append(f'<text x="4" y="{y + 3}" fill="#444">{label}</text>')
+        for seg in sorted(wells):  # no well holds a crystal, so the dots are drawn over them
+            parts.append(f'<rect x="{x_of(seg) - 5}" y="{y - 5}" width="10" height="10" '
+                         f'fill="none" stroke="#aaa"/>')
+        for seg, ions in sorted(seg_crystal.items()):
             for ion, dy in zip(ions, (0.0,) if len(ions) == 1 else (-3.0, 3.0)):
-                dots.append(f'<circle cx="{x_of(seg)}" cy="{y + dy}" r="3.4" '
-                            f'fill="hsl({ion * 47 % 360},70%,45%)"/>')
-        parts += dots
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                parts.append(f'<circle cx="{x_of(seg)}" cy="{y + dy}" r="3.4" '
+                             f'fill="hsl({ion * 47 % 360},70%,45%)"/>')
+
+    return parts, row
+
+
+def render_trace(sequence: CommandSequence, config: TrapConfig | None = None) -> str:
+    """Text grid of the replayed program: one row per state-changing command,
+    one two-character cell per segment (top/bottom ion, ``--`` empty well)."""
+    return _trace(sequence, config, False)[0]
 
 
 def render_trace_svg(sequence: CommandSequence, config: TrapConfig | None = None) -> str:
     """Self-contained SVG version of the trace grid (ions as colored dots)."""
-    return _svg_grid(*_trace_rows(sequence, config))
+    return _trace(sequence, config, True)[1]
 
 
 def render_traces(sequence: CommandSequence,
                   config: TrapConfig | None = None) -> tuple[str, str]:
     """:func:`render_trace` and :func:`render_trace_svg` from one replay."""
-    cfg, rows = _trace_rows(sequence, config)
-    return _text_grid(cfg, rows), _svg_grid(cfg, rows)
+    return _trace(sequence, config, True)

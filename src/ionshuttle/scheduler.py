@@ -312,11 +312,11 @@ class _Lowering:
 
     # -- LIZ operations with the empty-well bracket --------------------------
 
-    def _at_liz(self, cmd: RawCommand, lo: int, hi: int) -> None:
+    def _at_liz(self, cmd: RawCommand, lo: int, hi: int) -> int:
         """Emit a LIZ command between balancing wells added beside the
-        staging sites that hold no crystal.  ``lo``..``hi`` index the
-        crystals at or beside the LIZ, so only their outer chain neighbours
-        can sit on a well site."""
+        staging sites that hold no crystal, and return its index in ``out``.
+        ``lo``..``hi`` index the crystals at or beside the LIZ, so only their
+        outer chain neighbours can sit on a well site."""
         chain, out = self.chain, self.out
         recs = []
         for s, aec, rec in self.well_cmds:
@@ -325,15 +325,19 @@ class _Lowering:
                 out.append(aec)
                 recs.append(rec)
         out.append(cmd)
+        at = len(out) - 1
         out.extend(recs)
+        return at
 
-    def _run(self, crystal: Crystal, cmd: RawCommand) -> None:
-        """Bring a crystal to the LIZ and rotate it or run a gate on it."""
+    def _run(self, crystal: Crystal, cmd: RawCommand) -> int:
+        """Bring a crystal to the LIZ and rotate it or run a gate on it;
+        return the command's index in ``out``."""
         self._send(crystal, self.liz)
         k = self.chain.index(crystal)
-        self._at_liz(cmd, k, k)
+        at = self._at_liz(cmd, k, k)
         if cmd[0] == "RC":
             crystal.ions.reverse()
+        return at
 
     def _split(self, crystal: Crystal, d: int) -> tuple[Crystal, Crystal]:
         """Bring a two-ion crystal to the LIZ and split it, first pushing away
@@ -369,11 +373,13 @@ class _Lowering:
 
     # -- exchange ------------------------------------------------------------
 
-    def _exchange(self, i: int, ion_a: int, ion_b: int, d: int, gate: int | None) -> None:
+    def _exchange(self, i: int, ion_a: int, ion_b: int, d: int,
+                  gate: int | None) -> int | None:
         """Exchange ion_a of chain crystal ``i`` with ion_b of crystal ``i + d``
         (+1: below, -1: above), running gate ``gate`` on the temporary
         merged crystal unless it is None.  ion_a ends in ion_b's crystal and
-        ion_b in ion_a's.
+        ion_b in ion_a's.  Return the index in ``out`` of the gate's ``DG``,
+        None without a gate.
 
         A side is a crystal, its traveler and the direction toward the other
         side.  Each phase runs once per side, side a's first: orient so the
@@ -391,14 +397,14 @@ class _Lowering:
                  for crystal, _, e in sides]
         merged = self._meet(parts[0][1], parts[1][1], d)  # ion_a on the -d side
         self._run(merged, rotate)  # swap them, so they part exchanged
-        if gate is not None:
-            self._run(merged, ("DG", (gate,)))
+        dg = None if gate is None else self._run(merged, ("DG", (gate,)))
         # ion_b's product parts to the -d side and ion_a's to +d, each toward
         # the partner on its side; side b's partner sits one spacing beyond
         # its product, so staging it first only pushes the product ahead
         for (partner, _), product, e in zip(parts, self._split(merged, d), (d, -d)):
             if partner is not None:
                 self._meet(partner, product, e)
+        return dg
 
     def _step(self, i: int, ion_a: int, ion_b: int, d: int, gate: int | None) -> None:
         """``_exchange`` through the memo: a step whose key was lowered
@@ -416,10 +422,9 @@ class _Lowering:
         hit = self.memo.get(key)
         if hit is None:
             cost = self.cost
-            self._exchange(i, ion_a, ion_b, d, gate)
-            emitted = out[start:]
+            dg = self._exchange(i, ion_a, ion_b, d, gate)
             self.memo[key] = (
-                emitted, None if gate is None else emitted.index(("DG", (gate,))),
+                out[start:], None if dg is None else dg - start,
                 [c.segment for c in chain],
                 ([ions.index(ion) for ion in chain[lo].ions],
                  [ions.index(ion) for ion in chain[lo + 1].ions]),

@@ -196,3 +196,27 @@ def test_main_adds_three_traced_runs_per_side_and_workload(monkeypatch, tmp_path
             "seed 2001".split()) in printed
     assert ("search scheduler.self_ms parent 18 change 20 traced median of 3, seed 2001 "
             "noise: each median within the other's q1-q3".split()) in printed
+
+
+def test_traced_runs_last_twice_as_long(monkeypatch, tmp_path):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"command": ["python3", "bench/run.py"], "run_seconds": 30, "end_to_end": METRICS}))
+    seconds = Counter()  # (trace, --seconds) of each benchmark run
+
+    def run(args, **kw):
+        if args[0] == "git":
+            return subprocess.CompletedProcess(args, 0, stdout="abc123\n")
+        trace = args[args.index("--trace") + 1]
+        seconds[trace, args[args.index("--seconds") + 1]] += 1
+        line = result(8.0, 100.0) if trace == "0" else {"metrics": {
+            "benchmarks.self_ms": {"value": 4.0, "unit": "ms"}}}
+        return subprocess.CompletedProcess(args, 0, stdout=json.dumps(line) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--parent", "../parent", "--change", str(change),
+                             "--workload", "random12", "--pairs", "2", "--seed", "1",
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    assert seconds == {("0", "30"): 4, ("1", "60"): 6}
+

@@ -6,14 +6,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionshuttle.benchmarks import bench_config, compile_ordering, gen_random_circuit
+from ionshuttle.benchmarks import bench_config, compile_ordering, gen_qft, gen_random_circuit
 from ionshuttle import commands
 from ionshuttle.commands import (CommandSequence, FormatError, ReplayError,
                                  _execute, _reject, cost, parse_sequence,
-                                 render_trace, render_trace_svg, replay,
-                                 serialize, serialize_pieces)
+                                 render_trace, render_trace_svg, render_traces,
+                                 replay, serialize, serialize_pieces)
 from ionshuttle.ordering import (Ordering, increase_pairwise_order,
-                                 order_inputs_randomly)
+                                 order_as_is, order_inputs_randomly)
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import schedule
 from ionshuttle.trap import TrapConfig, TrapError, TrapOverflow, TrapState
@@ -773,6 +773,20 @@ def test_codec_memory_stays_near_the_text_size():
     assert traced_peak(parse_sequence, text) <= 2 * len(text)
 
 
+@pytest.mark.parametrize("circuit, layout", [
+    (gen_random_circuit(12, 200, 5), lambda c: order_inputs_randomly(c, 5)),
+    (gen_qft(16), order_as_is),
+], ids=["random12_200_oir5", "qft16_oai"])
+def test_trace_memory_stays_near_the_text_size(circuit, layout):
+    """A whole-program trace writes each row as it is reached: no row list
+    or per-row change dict (a test of memory, not of time)."""
+    sequence = compile_ordering(circuit, layout(circuit),
+                                bench_config(circuit.n_qubits)).sequence
+    size = len(render_trace(sequence))
+    assert size > 800_000
+    assert traced_peak(render_trace, sequence) < 4 * size
+
+
 # -- the trace against a per-row snapshot reference -----------------------------
 
 def reference_trace(sequence):
@@ -843,7 +857,7 @@ def reference_trace(sequence):
     return "\n".join(lines) + "\n", svg
 
 
-TRACE_EXAMPLES = 300
+TRACE_EXAMPLES = 400
 TRACE_OUTCOMES: Counter = Counter()
 
 
@@ -891,9 +905,10 @@ def _trace_matches_reference(raw):
     try:
         reference_trace(sequence)
     except ReplayError as e:
-        with pytest.raises(ReplayError) as err:
-            render_trace(sequence)
-        assert err.value.seq == e.seq
+        for render in (render_trace, render_traces):
+            with pytest.raises(ReplayError) as err:
+                render(sequence)
+            assert err.value.seq == e.seq
         TRACE_OUTCOMES["rejected"] += 1
         # the commands before the rejected one ran: a program the trace draws
         sequence = CommandSequence(sequence.n_segments, sequence.liz, raw[:e.seq - 1])
@@ -901,6 +916,9 @@ def _trace_matches_reference(raw):
     assert render_trace(sequence) == expected
     # the SVG's elements, each one line, in any order
     assert sorted(render_trace_svg(sequence).splitlines()) == sorted(expected_svg)
+    text, svg = render_traces(sequence)
+    assert text == expected
+    assert sorted(svg.splitlines()) == sorted(expected_svg)
     rows = expected.splitlines()[2:]
     TRACE_OUTCOMES["well visible"] += any(" --" in row for row in rows)
     TRACE_OUTCOMES["ion cell +"] += any(" +" in row for row in rows)
@@ -916,3 +934,30 @@ def test_trace_matches_per_row_snapshot_reference():
     assert TRACE_OUTCOMES["well visible"] >= 30, TRACE_OUTCOMES
     assert TRACE_OUTCOMES["rejected"] >= 60, TRACE_OUTCOMES
     assert TRACE_OUTCOMES["ion cell +"] >= 10, TRACE_OUTCOMES
+
+
+def build(*commands):
+    """A program on the default trap from ``(op, params...)`` tuples."""
+    return CommandSequence(raw=[(op, tuple(params)) for op, *params in commands])
+
+
+@pytest.mark.parametrize("sequence", [
+    # no row at all, in more than nine commands
+    build(("START",), *[(op, 5) for _ in range(5) for op in ("AEC", "REC")]),
+    # an earlier row (9-10) is wider than the last (12)
+    build(("START",), ("AIC", 1, 10), *[("SMD", 1, s) for s in range(10, 16)],
+          ("AEC", 30), ("SMD", 1, 16), ("SMD", 1, 17), ("SMD", 1, 18)),
+    # a trailing well and gate extend the last row's range and gates, not
+    # its cells
+    build(("START",), ("AIC", 1, 19), ("AIC", 2, 19), ("DG", 0), ("AEC", 30),
+          ("DG", 1)),
+], ids=["no_row", "wide_inner_row", "trailing_well"])
+def test_trace_shape_follows_the_opcodes(sequence):
+    """The label width and the last row, known before the first row is
+    drawn, are those of a trace drawn from a snapshot per row."""
+    expected, expected_svg = reference_trace(sequence)
+    assert render_trace(sequence) == expected
+    text, svg = render_traces(sequence)
+    assert text == expected
+    assert sorted(svg.splitlines()) == sorted(expected_svg)
+

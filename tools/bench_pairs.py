@@ -23,7 +23,7 @@ and ties, and a verdict:
 
 After a workload's pairs it runs the benchmark ``TRACED_RUNS`` more times
 per side with ``--trace 1`` on seed S, alternating which side goes first,
-and writes the median of each side's per-layer metrics (span times per
+each for ``TRACED_LENGTH`` times ``run_seconds``, and writes the median of each side's per-layer metrics (span times per
 layer, such as ``benchmarks.self_ms``, and counts) under ``per_layer``, to
 show in which layer a change in an end-to-end metric lands, and their first
 and third quartiles under ``per_layer_quartiles``.  The printout marks a
@@ -43,6 +43,10 @@ import sys
 
 ORDERS = (("parent", "change"), ("change", "parent"))  # of even and odd runs
 TRACED_RUNS = 3  # per side and workload; one traced run is too noisy
+# a traced run's length in run_seconds: traced and untraced rounds
+# alternate, so a run of run_seconds on random12 holds only about two
+# traced rounds
+TRACED_LENGTH = 2
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -174,7 +178,8 @@ def main(argv=None) -> int:
             for side in ORDERS[i % 2]:
                 traced[side].append(values(run_once(getattr(args, side), spec["command"],
                                                     workload, args.seed,
-                                                    spec["run_seconds"], trace=1)))
+                                                    TRACED_LENGTH * spec["run_seconds"],
+                                                    trace=1)))
         per_layer, per_layer_quartiles = {}, {}
         for side, side_runs in traced.items():
             spread = {name: quartiles([run[name] for run in side_runs])
