@@ -69,13 +69,14 @@ first.  Commands name segments and gate indices, never ions, and crystal
 sizes are fixed for the whole call, so these fix every command a step
 emits, where each crystal ends and which position of the two exchanged
 crystals each of their ions ends at.  A miss runs ``_exchange`` and stores
-its commands, the offset of its ``DG``, the new segments, the two new
-crystals as positions into the old two, top first, and the split+merge
-count; a hit replays them with this gate's own ``DG``.  A step that
-overflows is never stored, so a hit cannot overflow.  This is exact only
-while the key holds all the lowering reads: anything a step reads or
-carries beyond it, such as a meeting point off the LIZ, a train of crystals
-moved in lockstep or a side on which wells are held, joins the key.
+its commands, the offset of its ``DG`` (``_exchange`` returns where it
+emitted it), the new segments, the two new crystals as positions into the
+old two, top first, and the split+merge count; a hit replays them with
+this gate's own ``DG``.  A step that overflows is never stored, so a hit
+cannot overflow.  This is exact only while the key holds all the lowering
+reads: anything a step reads or carries beyond it, such as a meeting point
+off the LIZ, a train of crystals moved in lockstep or a side on which
+wells are held, joins the key.
 
 Crystals never pass each other, so a transport's only possible blocker is
 the mover's chain neighbour ahead; ``_send`` pushes it through an explicit

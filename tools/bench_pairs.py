@@ -23,10 +23,11 @@ and ties, and a verdict:
 
 After a workload's pairs it runs the benchmark ``TRACED_RUNS`` more times
 per side with ``--trace 1`` on seed S, alternating which side goes first,
-each for ``TRACED_LENGTH`` times ``run_seconds``, and writes the median of each side's per-layer metrics (span times per
-layer, such as ``benchmarks.self_ms``, and counts) under ``per_layer``, to
-show in which layer a change in an end-to-end metric lands, and their first
-and third quartiles under ``per_layer_quartiles``.  The printout marks a
+each for ``TRACED_LENGTH`` times ``run_seconds``, and writes the median of
+each side's per-layer metrics (span times per layer, such as
+``benchmarks.self_ms``, and counts) under ``per_layer``, to show in which
+layer a change in an end-to-end metric lands, and their first and third
+quartiles under ``per_layer_quartiles``.  The printout marks a
 per-layer difference as noise when each side's median lies within the
 other side's quartiles.  It also records both checkouts' git SHAs, the
 Python version and ``nproc``.
