@@ -219,4 +219,3 @@ def test_traced_runs_last_twice_as_long(monkeypatch, tmp_path):
                              "--workload", "random12", "--pairs", "2", "--seed", "1",
                              "--out", str(tmp_path / "bench.json")]) == 0
     assert seconds == {("0", "30"): 4, ("1", "60"): 6}
-

@@ -960,4 +960,3 @@ def test_trace_shape_follows_the_opcodes(sequence):
     text, svg = render_traces(sequence)
     assert text == expected
     assert sorted(svg.splitlines()) == sorted(expected_svg)
-
