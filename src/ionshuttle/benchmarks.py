@@ -18,7 +18,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .commands import replay
+from .commands import ReplayError, replay, verify_steps
 from .ordering import (Ordering, check_register, increase_pairwise_order,
                        order_as_is, order_inputs_randomly, paired,
                        place_in_the_model)
@@ -118,17 +118,27 @@ def compile_ordering(circuit: Circuit, ordering: Ordering,
                      config: TrapConfig | None = None,
                      verify: bool = False) -> ScheduleResult:
     """Place an ordering and schedule the circuit; with ``verify`` the
-    emitted sequence is replayed against a fresh trap and must be clean."""
+    emitted sequence is checked against a fresh trap and must be clean.
+
+    The check is ``commands.verify_steps``, which gives strict ``replay``'s
+    verdict and counts while running each repeated step once per trap
+    shape.  A violation, or counts that disagree with the schedule's cost,
+    replays the whole program leniently to name what is wrong."""
     cfg = config or bench_config(circuit.n_qubits)
     state = TrapState(cfg)
     place_in_the_model(state, ordering, circuit)
     result = schedule(circuit, state)
     if verify:
-        report = replay(result.sequence, cfg)
-        if report.violations:
-            raise RuntimeError(f"replay violations: {report.violations[:3]}")
-        if report.s_count + report.m_count != result.cost:
-            raise RuntimeError("replay cost disagrees with scheduler cost")
+        try:
+            report = verify_steps(result.sequence, result.steps, cfg)
+        except ReplayError:
+            report = None
+        if report is None or report.s_count + report.m_count != result.cost:
+            report = replay(result.sequence, cfg)
+            if report.violations:
+                raise RuntimeError(f"replay violations: {report.violations[:3]}")
+            if report.s_count + report.m_count != result.cost:
+                raise RuntimeError("replay cost disagrees with scheduler cost")
     return result
 
 

@@ -66,7 +66,9 @@ def cmd_compile(args) -> int:
     # before the layout, whose size grows with the declared register
     check_register(circuit.n_qubits, config)
     ordering = make_ordering(circuit, args.ordering, args.seed)  # only oir reads it
-    result = compile_ordering(circuit, ordering, config)
+    # a program that fails verification is a compiler bug: its RuntimeError
+    # re-raises, and nothing is written
+    result = compile_ordering(circuit, ordering, config, verify=True)
 
     sequence = result.sequence
     counts = sequence.opcode_counts()

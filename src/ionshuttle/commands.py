@@ -33,9 +33,12 @@ line numbers, of splitting the whole text.
 
 ``apply`` is the one executor: it is the only code that maps an opcode
 to the ``TrapState`` primitives, and it raises a ``TrapError`` for any
-command the constraint set forbids.  ``_execute`` runs a program through
-it, owns the rules of program order and tallies splits and merges; replay
-and the trace renderers share it, each on a fresh trap.
+command the constraint set forbids.  ``_execute`` runs a program, or a
+range of it, through it, owns the rules of program order and tallies
+splits and merges; replay and the trace renderers share it, each on a
+fresh trap.  ``verify_steps`` checks a lowered program as strict replay
+does, but runs each repeated lowering step through ``_execute`` only once
+per trap shape and applies what that run did wherever the step recurs.
 
 The trace is drawn in one pass: ``_trace`` runs a strict replay through
 ``_execute``'s ``after`` hook and keeps one text row, two bytes per
@@ -55,6 +58,7 @@ in the same pass; ``render_traces`` gives both from one replay.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -322,20 +326,24 @@ def apply(state: TrapState, op: str, params: tuple[int, ...]) -> None:
 
 
 def _execute(sequence: CommandSequence, state: TrapState, bad,
-             after=None) -> tuple[int, int]:
-    """Run the program on ``state``; return the numbers of S and M that ran.
+             after=None, start: int = 0, stop: int | None = None) -> tuple[int, int]:
+    """Run the program, or its commands ``raw[start:stop]``, on ``state``;
+    return the numbers of S and M that ran.
 
     Here live the rules of program order: START first and only there, and
-    AIC only before any other command ran; :func:`apply` runs the rest.
-    Each violation goes to ``bad(seq, message)``; ``after``, if given, is
-    called as ``after(seq, op, params)`` once each command ran.
+    AIC only before any other command ran; :func:`apply` runs the rest.  A
+    run that begins past the first command takes shuttling as started, so
+    an AIC in it is a violation.  Each violation goes to ``bad(seq,
+    message)``; ``after``, if given, is called as ``after(seq, op, params)``
+    once each command ran.
     """
     raw = sequence.raw
-    if raw and raw[0][0] != "START":
+    if not start and raw and raw[0][0] != "START":
         bad(1, "sequence does not begin with START")
-    started = False
+    started = start > 0
     splits = merges = 0
-    for seq, (op, params) in enumerate(raw, 1):
+    run = raw if not start and stop is None else raw[start:stop]
+    for seq, (op, params) in enumerate(run, start + 1):
         if op == "START":
             if seq > 1:
                 bad(seq, "START not at the beginning")
@@ -376,6 +384,81 @@ def replay(sequence: CommandSequence, config: TrapConfig | None = None,
     splits, merges = _execute(sequence, state, _reject if strict else
                               lambda seq, message: violations.append((seq, message)))
     return ReplayReport(state, splits, merges, violations)
+
+
+def verify_steps(sequence: CommandSequence, steps,
+                 config: TrapConfig | None = None) -> ReplayReport:
+    """Strict :func:`replay` of a lowered program, running each repeated
+    step on the executor once per trap shape; a clean program gives the
+    final trap and the S and M counts that :func:`replay` gives.
+
+    ``steps`` are ``ScheduleResult.steps``: each step's ``(start, stop,
+    entry, dg)``.  A step whose entry occurs once, and every command outside
+    the steps, runs through :func:`_execute`, as does a step whose entry
+    recurs the first time it is met in a shape.  The shape is read off this
+    trap: its occupied segments with their crystal sizes, and its wells.
+    That run stores where the step's commands stand, its S and M counts and
+    where each ion ends, as positions into the step's flat ion order.  A
+    later step with the same shape and entry is not run when its commands
+    equal the stored ones, apart from the ``DG`` at ``dg``, which must be a
+    ``DG`` with an index of at least 0: the stored ion map and counts are
+    applied.
+
+    This is exact because, apart from AIC, :func:`apply` accepts or rejects
+    a command from the shape and the command alone, and the ions only ride
+    along; a stored run counts shuttling as started, so it holds no AIC.  A
+    step whose record does not fit the program in order runs with the
+    commands around it.  The first violation raises the ``ReplayError`` of
+    a strict ``replay``, except that an AIC past the first step's start is
+    one even where only AICs ran before it.
+    """
+    state = TrapState(config or sequence.config())
+    raw = sequence.raw
+    repeats = Counter(entry for _, _, entry, _ in steps)
+    store: dict[tuple, tuple] = {}  # (shape, entry) -> the stored run
+    splits = merges = 0
+    done = 0  # every command before it has run
+    for start, stop, entry, dg in steps:
+        # a step at command 1 would run before the start, where AIC is legal
+        if repeats[entry] < 2 or not max(done, 1) <= start < stop <= len(raw):
+            continue
+        if done < start:
+            s, m = _execute(sequence, state, _reject, None, done, start)
+            splits, merges = splits + s, merges + m
+        seg_crystal = state.seg_crystal
+        segments = sorted(seg_crystal)
+        crystals = [seg_crystal[seg] for seg in segments]
+        key = (tuple(segments), tuple(map(len, crystals)), frozenset(state.wells),
+               entry)
+        flat = [ion for ions in crystals for ion in ions]
+        stored = store.get(key)
+        if stored is not None and stored[1] == stop - start:
+            # the stored run ran raw[origin:origin + size]
+            origin, size, dg, s, m, ends, wells = stored
+            run, commands = raw[start:stop], raw[origin:origin + size]
+            if dg is not None:
+                gate = run[dg]
+                if gate[0] == "DG" and gate[1][0] >= 0:
+                    commands[dg] = gate  # else the stored gate differs from it
+            if run == commands:
+                state.seg_crystal = {seg: [flat[p] for p in at] for seg, at in ends}
+                state.wells = set(wells)
+                splits, merges, done = splits + s, merges + m, stop
+                continue
+        s, m = _execute(sequence, state, _reject, None, start, stop)
+        splits, merges, done = splits + s, merges + m, stop
+        if stored is None and (dg is None or 0 <= dg < stop - start
+                               and raw[start + dg][0] == "DG"):
+            position = {ion: p for p, ion in enumerate(flat)}
+            seg_crystal = state.seg_crystal
+            store[key] = (start, stop - start, dg, s, m,
+                          [(seg, [position[ion] for ion in seg_crystal[seg]])
+                           for seg in sorted(seg_crystal)],
+                          frozenset(state.wells))
+    if done < len(raw):
+        s, m = _execute(sequence, state, _reject, None, done)
+        splits, merges = splits + s, merges + m
+    return ReplayReport(state, splits, merges, [])
 
 
 # -- trace rendering ---------------------------------------------------------

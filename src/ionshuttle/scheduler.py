@@ -24,10 +24,10 @@ tuple that reached it.  Two tuples that reach one chain at the same gate
 pay the same for every later gate, so the entry keeps the smaller ``(cost,
 index)`` of the two, and the result is the lexicographic minimum over the
 stream, the first cheapest in stream order.  Tuples collapse onto a few
-chains within a few gates.  ``cheapest_layout`` checks a list of layouts,
-groups them by crystal sizes and ranks each group through ``rank_flat``;
-the exhaustive oracle (``benchmarks.brute_force_best_ordering``) streams
-its generated permutations into it unchecked.
+chains within a few gates.  The exhaustive oracle
+(``benchmarks.brute_force_best_ordering``) streams its generated
+permutations into it unchecked.  A caller with layouts of several size
+patterns checks each with ``check_layout`` and ranks one stream per pattern.
 
 A gate is planned once per distinct move, not once per chain.  A step
 reads the crystal sizes and where the gate's two ions sit; every other ion
@@ -74,9 +74,14 @@ emitted it), the new segments, the two new crystals as positions into the
 old two, top first, and the split+merge count; a hit replays them with
 this gate's own ``DG``.  A step that overflows is never stored, so a hit
 cannot overflow.  This is exact only while the key holds all the lowering
-reads: anything a step reads or carries beyond it, such as a meeting point
-off the LIZ, a train of crystals moved in lockstep or a side on which
-wells are held, joins the key.
+reads: anything a step reads or carries beyond it, such as a physical
+meeting point off the LIZ, a train of crystals moved in lockstep or a side
+on which wells are held, joins the key.  A meeting point in the chain,
+which crystal the two operands meet in, does not: the key fixes a step
+whichever ion travels.  ``schedule`` hands out each step's span of the
+program, its memo entry's number and the entry's ``DG`` offset as
+``ScheduleResult.steps``, so that ``commands.verify_steps`` runs each
+repeated step on the executor once per trap shape.
 
 Crystals never pass each other, so a transport's only possible blocker is
 the mover's chain neighbour ahead; ``_send`` pushes it through an explicit
@@ -86,13 +91,13 @@ gate execution are bracketed by add/remove-empty-well commands at the two
 segments beyond the staging sites whenever those hold no crystal.
 ``schedule`` is the one entry point into the lowering; it plans the gates
 with ``_planned``, as ``plan`` does, and checks each gate's split+merge
-count against its plan.  Nothing here runs the executor: ``commands.replay``
-checks what it emits.
+count against its plan.  Nothing here runs the executor:
+``commands.replay`` and ``commands.verify_steps`` check what it emits.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .commands import DIRECTION, CommandSequence, RawCommand
@@ -103,9 +108,19 @@ from .trap import TrapOverflow, TrapState
 
 @dataclass
 class ScheduleResult:
+    """The program, its split+merge cost and each gate's share of it.
+
+    ``steps`` holds one ``(start, stop, entry, dg)`` per exchange step, in
+    program order: the step's commands are ``sequence.raw[start:stop]``,
+    ``entry`` numbers the memo entry it was lowered or replayed from, and
+    ``dg`` is that entry's ``DG`` offset in the step, None without a gate.
+    ``commands.verify_steps`` reads it; left empty, it verifies by a full
+    run."""
+
     sequence: CommandSequence
     cost: int
     per_gate_costs: list[int]
+    steps: list[tuple[int, int, int, int | None]] = field(default_factory=list)
 
 
 # -- planner -------------------------------------------------------------------
@@ -212,32 +227,6 @@ def rank_flat(circuit: Circuit, sizes: tuple[int, ...], flats) -> tuple[int, int
     return i, cost
 
 
-def cheapest_layout(circuit: Circuit, crystal_lists) -> tuple[int, int]:
-    """The index and planned cost of the cheapest layout in
-    ``crystal_lists``, the first in list order among equals: the same as
-    ``min((plan_cost(circuit, L), i) for i, L in enumerate(crystal_lists))``
-    with the pair swapped.
-
-    Every layout is checked with ``check_layout`` first.  The layouts are
-    then grouped by their crystal sizes, since sizes never change and
-    layouts of different size patterns never meet, and each group's flat
-    ion tuples are ranked by ``rank_flat``."""
-    groups: dict[tuple, tuple[list, list]] = {}  # sizes -> (flats, indices)
-    for i, layout in enumerate(crystal_lists):
-        check_layout(circuit, layout)
-        flats, indices = groups.setdefault(tuple(map(len, layout)), ([], []))
-        flats.append(tuple(itertools.chain.from_iterable(layout)))
-        indices.append(i)
-    if not groups:
-        raise ValueError("no layout to rank")
-    best = []
-    for sizes, (flats, indices) in groups.items():
-        j, cost = rank_flat(circuit, sizes, flats)
-        best.append((cost, indices[j]))
-    cost, i = min(best)
-    return i, cost
-
-
 def crystal_chain(state: TrapState) -> list[list[int]]:
     """The trap's crystals in segment order, each as its ion order."""
     seg_map = state.seg_crystal
@@ -280,6 +269,8 @@ class _Lowering:
         # the one rotation, always at the LIZ
         self.rotate = ("RC", (liz,))
         self.memo: dict[tuple, tuple] = {}
+        # each step's (start, stop, memo entry, DG offset) in ``out``
+        self.spans: list[tuple[int, int, int, int | None]] = []
 
     def _send(self, crystal: Crystal, target: int) -> None:
         """Move a crystal to ``target``, stopping one spacing (2 segments)
@@ -424,22 +415,24 @@ class _Lowering:
         if hit is None:
             cost = self.cost
             dg = self._exchange(i, ion_a, ion_b, d, gate)
+            dg = None if dg is None else dg - start
+            entry = len(self.memo)
             self.memo[key] = (
-                out[start:], None if dg is None else dg - start,
-                [c.segment for c in chain],
+                out[start:], dg, [c.segment for c in chain],
                 ([ions.index(ion) for ion in chain[lo].ions],
                  [ions.index(ion) for ion in chain[lo + 1].ions]),
-                self.cost - cost)
-            return
-        emitted, dg, segments, picks, cost = hit
-        out.extend(emitted)
-        if dg is not None:
-            out[start + dg] = ("DG", (gate,))
-        # the two exchanged crystals anew; the loop below sets every segment
-        chain[lo:lo + 2] = [Crystal([ions[p] for p in pick], 0) for pick in picks]
-        for crystal, segment in zip(chain, segments):
-            crystal.segment = segment
-        self.cost += cost
+                self.cost - cost, entry)
+        else:
+            emitted, dg, segments, picks, cost, entry = hit
+            out.extend(emitted)
+            if dg is not None:
+                out[start + dg] = ("DG", (gate,))
+            # the two exchanged crystals anew; the loop below sets every segment
+            chain[lo:lo + 2] = [Crystal([ions[p] for p in pick], 0) for pick in picks]
+            for crystal, segment in zip(chain, segments):
+                crystal.segment = segment
+            self.cost += cost
+        self.spans.append((start, len(out), entry, dg))
 
     def run_gate(self, gate: Gate, steps) -> None:
         """Lower one gate's planned steps; a gate without steps runs on its
@@ -484,4 +477,4 @@ def schedule(circuit: Circuit, state: TrapState) -> ScheduleResult:
             raise RuntimeError(f"gate {gate.index}: lowered cost {lowered}, planned {planned}")
         per_gate.append(lowered)
     sequence = CommandSequence(low.n_segments, low.liz, low.out)
-    return ScheduleResult(sequence, low.cost, per_gate)
+    return ScheduleResult(sequence, low.cost, per_gate, low.spans)

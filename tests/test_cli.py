@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ionshuttle
-from ionshuttle import cli, commands
+from ionshuttle import benchmarks, cli, commands
 from ionshuttle.cli import main
 from ionshuttle.commands import (parse_sequence, render_trace, render_trace_svg, replay,
                                  serialize)
@@ -272,6 +272,26 @@ def test_compile_checks_capacity_before_the_layout(tmp_path, monkeypatch, capsys
     src.write_text(HEADER + "qreg q[40];\ncz q[0],q[39];\n")
     assert main(["compile", "-i", str(src)]) == 3
     assert "20 crystals at stride 2 exceed 32 segments" in capsys.readouterr().err
+
+
+def test_compile_verifies_before_it_writes(tmp_path, monkeypatch, capsys):
+    # a program that fails verification is a compiler bug, not an input
+    # error: no exit code maps it, and no file is written.  The h leaves the
+    # one-ion crystal (3,) in the LIZ, so a split appended after it is illegal
+    src, out = tmp_path / "h.qasm", tmp_path / "out.seq"
+    src.write_text(HEADER + "qreg q[3];\nh q[2];\n")
+    real = benchmarks.schedule
+
+    def illegal_split(circuit, state):
+        result = real(circuit, state)
+        result.sequence.raw.append(("S", ()))
+        return result
+
+    monkeypatch.setattr(benchmarks, "schedule", illegal_split)
+    with pytest.raises(RuntimeError, match="replay violations.*split needs a 2-ion crystal"):
+        main(["compile", "-i", str(src), "--ordering", "oai", "-o", str(out)])
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_compile_trace_matches_the_trace_command(tmp_path, qft8_file, capsys):

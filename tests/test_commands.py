@@ -11,7 +11,7 @@ from ionshuttle import commands
 from ionshuttle.commands import (CommandSequence, FormatError, ReplayError,
                                  _execute, _reject, cost, parse_sequence,
                                  render_trace, render_trace_svg, render_traces,
-                                 replay, serialize, serialize_pieces)
+                                 replay, serialize, serialize_pieces, verify_steps)
 from ionshuttle.ordering import (Ordering, increase_pairwise_order,
                                  order_as_is, order_inputs_randomly)
 from ionshuttle.qasm import build_circuit
@@ -307,6 +307,119 @@ class TestReplay:
         with pytest.raises(ReplayError) as err:
             replay(parse_sequence(text), strict=True)
         assert str(err.value) == "command 2: ion id 0 is below 1"
+
+
+def checked(check, raw, config=None):
+    """``check``'s S and M counts and final trap on the program ``raw``, or
+    the message of the ``ReplayError`` it raised."""
+    try:
+        report = check(CommandSequence(raw=raw), config)
+    except ReplayError as e:
+        return str(e)
+    state = report.final_state
+    return report.s_count, report.m_count, state.seg_crystal, state.wells
+
+
+def strict_replay(sequence, config):
+    return replay(sequence, config, strict=True)
+
+
+class TestVerifySteps:
+    """``verify_steps`` on hand-built programs and step records: a stored
+    step stands in for a run only where the run would go as stored."""
+
+    # a pair at 18 and a lone ion at 22 on the default trap (LIZ 19)
+    PREFIX = [("START", ()), ("AIC", (1, 18)), ("AIC", (2, 18)), ("AIC", (3, 22))]
+    # the pair steps into the LIZ, splits, merges again and steps back
+    STEP = [("SMD", (1, 18)), ("S", ()), ("M", ()), ("SMU", (1, 19))]
+    # the pair's lower ion joins the lone one: 18 [1] and 22 [2 3], so the
+    # same segments hold crystals of the other sizes
+    REGROUP = ([("SMD", (1, 18)), ("S", ()), ("SMU", (1, 18)), ("SMU", (1, 17)),
+                ("SMU", (1, 20)), ("SMU", (1, 19)), ("SMU", (1, 22)), ("SMU", (1, 21)),
+                ("M", ())]
+               + [("SMD", (1, s)) for s in (19, 20, 21, 16, 17)])
+
+    def outcomes(self, raw, steps):
+        """Strict replay's outcome and the verifier's on ``raw``."""
+        return (checked(strict_replay, raw),
+                checked(lambda seq, cfg: verify_steps(seq, steps, cfg), raw))
+
+    def twice(self, first, between, second, dg=None):
+        """The prefix, ``first``, ``between`` and ``second``, with ``first``
+        and ``second`` recorded as one memo entry, and the records."""
+        raw = self.PREFIX + first + between + second
+        start = len(self.PREFIX)
+        again = start + len(first) + len(between)
+        return raw, [(start, start + len(first), 0, dg),
+                     (again, again + len(second), 0, dg)]
+
+    def test_a_step_met_again_in_its_shape_is_not_run(self, monkeypatch):
+        raw, steps = self.twice(self.STEP, [], self.STEP)
+        runs = Counter()
+        apply = commands.apply
+
+        def counted(state, op, params):
+            runs[op] += 1
+            apply(state, op, params)
+
+        monkeypatch.setattr(commands, "apply", counted)
+        clean, verified = self.outcomes(raw, steps)
+        assert verified == clean == (2, 2, {18: [1, 2], 22: [3]}, set())
+        # replay ran every command, the verifier the second step not at all
+        assert runs == {"AIC": 6, "SMD": 3, "S": 3, "M": 3, "SMU": 3}
+
+    def test_an_entry_met_once_runs_as_a_gap(self):
+        raw, steps = self.twice(self.STEP, [], self.STEP)
+        steps[1] = (*steps[1][:2], 1, None)
+        assert self.outcomes(raw, steps)[1] == self.outcomes(raw, [])[0]
+
+    def test_no_records_replay_the_whole_program(self):
+        raw = self.PREFIX + self.STEP + [("S", ())]
+        clean, verified = self.outcomes(raw, [])
+        assert verified == clean == "command 9: no crystal in the LIZ to split"
+
+    def test_crystal_sizes_are_part_of_the_shape(self):
+        raw, steps = self.twice(self.STEP, self.REGROUP, self.STEP)
+        clean, verified = self.outcomes(raw, steps)
+        assert verified == clean == "command 24: split needs a 2-ion crystal, got 1"
+
+    def test_wells_are_part_of_the_shape(self):
+        raw, steps = self.twice(self.STEP, [("AEC", (20,))], self.STEP)
+        clean, verified = self.outcomes(raw, steps)
+        assert verified == clean == "command 11: segment 20 holds an empty well"
+
+    def test_a_stored_step_needs_equal_commands(self):
+        swapped = [self.STEP[0], self.STEP[2], self.STEP[1], self.STEP[3]]
+        raw, steps = self.twice(self.STEP, [], swapped)
+        clean, verified = self.outcomes(raw, steps)
+        assert verified == clean == ("command 10: merge needs crystals at both "
+                                     "segments beside the LIZ")
+        raw, steps = self.twice(self.STEP, [], self.STEP[:3])
+        assert self.outcomes(raw, steps)[1] == (2, 2, {19: [1, 2], 22: [3]}, set())
+
+    @pytest.mark.parametrize("gate,outcome", [
+        (("DG", (5,)), (0, 0, {18: [1, 2], 22: [3]}, set())),
+        (("DG", (-1,)), "command 9: gate index -1 is negative"),
+        # a legal rotation in the gate's place: the pair comes back reversed
+        (("RC", (19,)), (0, 0, {18: [2, 1], 22: [3]}, set())),
+    ], ids=["gate", "negative_index", "rotation"])
+    def test_a_stored_step_takes_only_a_gate_at_its_gate(self, gate, outcome):
+        step = [("SMD", (1, 18)), ("DG", (0,)), ("SMU", (1, 19))]
+        raw, steps = self.twice(step, [], [step[0], gate, step[2]], dg=1)
+        clean, verified = self.outcomes(raw, steps)
+        assert verified == clean == outcome
+
+    def test_records_out_of_order_run_as_gaps(self):
+        raw, steps = self.twice(self.STEP, [], self.STEP)
+        clean = self.outcomes(raw, [])[0]
+        for records in (steps[::-1], [(0, 8, 0, None)] * 2, [(4, 8, 0, 9)] * 2,
+                        [(4, 8, 0, None), (6, 10, 0, None)], [(8, 13, 0, None)] * 2):
+            assert self.outcomes(raw, records)[1] == clean
+        # the last record ends before its entry's gate offset
+        step = [("SMD", (1, 18)), ("DG", (0,)), ("SMU", (1, 19))]
+        raw = self.PREFIX + step + step
+        assert (self.outcomes(raw, [(4, 7, 0, 1), (9, 10, 0, 1)])[1]
+                == self.outcomes(raw, [])[0])
 
 
 class TestCost:

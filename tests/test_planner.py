@@ -6,6 +6,7 @@ lowering succeeds, the two must agree on the split+merge cost (also as
 replayed from the emitted program) and on the final chain, read off the
 replayed trap in segment order.
 """
+import itertools
 from collections import Counter
 
 import pytest
@@ -15,10 +16,10 @@ from ionshuttle.benchmarks import (bench_config, compile_ordering, gen_qft,
                                    gen_random_circuit, gen_toffoli,
                                    make_ordering)
 from ionshuttle.commands import replay
-from ionshuttle.ordering import Ordering
+from ionshuttle.ordering import Ordering, check_layout
 from ionshuttle.qasm import Circuit, Gate, build_circuit
-from ionshuttle.scheduler import (_plan_gate, _position_move, cheapest_layout,
-                                  crystal_chain, plan, plan_cost, schedule)
+from ionshuttle.scheduler import (_plan_gate, _position_move, crystal_chain, plan,
+                                  plan_cost, rank_flat, schedule)
 from ionshuttle.trap import TrapConfig, TrapOverflow, TrapState
 
 EXAMPLES = 300
@@ -212,6 +213,27 @@ def planned_prefixes(circuit, layout):
     return prefixes
 
 
+def cheapest_layout(circuit, layouts):
+    """The index and planned cost of the cheapest of ``layouts``, the first
+    among equals, through ``rank_flat``.  Each layout is checked first.
+    Crystal sizes never change, so chains of two size patterns never meet:
+    the layouts are grouped by their sizes, each group's flat ion tuples are
+    ranked as one stream, and the cheapest group winner, the earliest among
+    equals, wins."""
+    groups = {}  # sizes -> (flat ion tuples, their indices in layouts)
+    for i, layout in enumerate(layouts):
+        check_layout(circuit, layout)
+        flats, indices = groups.setdefault(tuple(map(len, layout)), ([], []))
+        flats.append(tuple(itertools.chain.from_iterable(layout)))
+        indices.append(i)
+    winners = []
+    for sizes, (flats, indices) in groups.items():
+        j, cost = rank_flat(circuit, sizes, flats)
+        winners.append((cost, indices[j]))
+    cost, i = min(winners)
+    return i, cost
+
+
 @settings(max_examples=EXAMPLES)
 @given(ranking_cases())
 def _cheapest_layout_matches_plan_cost(case):
@@ -295,9 +317,13 @@ def test_cheapest_layout_rejects_what_plan_rejects(bad, position):
     with pytest.raises(ValueError) as planned:
         plan(circuit, bad)
     with pytest.raises(ValueError, match=f"^{planned.value}$"):
+        check_layout(circuit, bad)
+    # a ranking checks every layout before it ranks any
+    with pytest.raises(ValueError, match=f"^{planned.value}$"):
         cheapest_layout(circuit, layouts)
 
 
 def test_cheapest_layout_rejects_an_empty_list():
-    with pytest.raises(ValueError, match="^no layout to rank$"):
-        cheapest_layout(build_circuit(3, []), [])
+    for circuit in (build_circuit(3, []), build_circuit(3, [("cz", (0, 1), ())])):
+        with pytest.raises(ValueError, match="^no layout to rank$"):
+            rank_flat(circuit, (2, 1), iter(()))

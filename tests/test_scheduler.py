@@ -11,7 +11,8 @@ import ionshuttle.commands
 import ionshuttle.scheduler
 from ionshuttle.benchmarks import (bench_config, brute_force_best_ordering,
                                    compile_ordering, gen_qft, gen_random_circuit)
-from ionshuttle.commands import CommandSequence, replay, serialize
+from ionshuttle.commands import (CommandSequence, ReplayError, replay, serialize,
+                                 verify_steps)
 from ionshuttle.ordering import (Ordering, increase_pairwise_order, order_as_is,
                                  order_inputs_randomly, paired, place_in_the_model)
 from ionshuttle.qasm import build_circuit
@@ -406,3 +407,109 @@ def test_memo_matches_a_lowering_without_it():
     assert MEMO_OUTCOMES["overflow"] >= MEMO_EXAMPLES // 10, MEMO_OUTCOMES
     # and the memo is hit: a good share of the compiled steps replay it
     assert MEMO_OUTCOMES["exchanges"] < 0.8 * MEMO_OUTCOMES["steps"], MEMO_OUTCOMES
+
+
+# -- the step verifier -------------------------------------------------------------
+
+
+def verdict(check, sequence, config):
+    """``check``'s S and M counts and final trap, or the message of the
+    ``ReplayError`` it raised."""
+    try:
+        report = check(sequence, config)
+    except ReplayError as e:
+        return str(e)
+    state = report.final_state
+    return report.s_count, report.m_count, state.seg_crystal, state.wells
+
+
+def strict_replay(sequence, config):
+    return replay(sequence, config, strict=True)
+
+
+def changes(raw, start, stop, dg, liz):
+    """The one-command changes of the step ``raw[start:stop]``, each an
+    index and its new command, None to drop it: a move shifted by one
+    segment either way, a REC dropped, and the gate turned into a rotation."""
+    found = []
+    for at in range(start, stop):
+        op, params = raw[at]
+        if op in ("SMU", "SMD"):
+            found += [(at, (op, (1, params[1] + e))) for e in (-1, 1)]
+        elif op == "REC":
+            found.append((at, None))
+    if dg is not None:
+        found.append((start + dg, ("RC", (liz,))))
+    return found
+
+
+VERIFY_OUTCOMES: Counter = Counter()
+
+
+@settings(max_examples=MEMO_EXAMPLES)
+@given(memo_cases(), st.data())
+def _verifier_matches_replay(case, data):
+    circuit, ordering, config = case
+    state = TrapState(config)
+    place_in_the_model(state, ordering, circuit)
+    try:
+        result = schedule(circuit, state)
+    except TrapOverflow:
+        return
+    sequence, steps = result.sequence, result.steps
+
+    def verified(sequence, config):
+        return verify_steps(sequence, steps, config)
+
+    clean = verdict(strict_replay, sequence, config)
+    assert not isinstance(clean, str), clean
+    assert verdict(verified, sequence, config) == clean
+    VERIFY_OUTCOMES["compiled"] += 1
+    # change one command of a step whose entry was met before
+    seen, repeats = set(), []
+    for start, stop, entry, dg in steps:
+        if entry in seen:
+            repeats.append((start, stop, dg))
+        seen.add(entry)
+    if not repeats:
+        return
+    at, command = data.draw(st.sampled_from(
+        changes(sequence.raw, *data.draw(st.sampled_from(repeats)), config.liz)))
+    raw = list(sequence.raw)
+    if command is None:  # later steps start one command earlier
+        del raw[at]
+        steps = [(start - (start > at), stop - (stop > at), entry, dg)
+                 for start, stop, entry, dg in steps]
+    else:
+        raw[at] = command
+    changed = CommandSequence(sequence.n_segments, sequence.liz, raw)
+    outcome = verdict(strict_replay, changed, config)
+    assert verdict(verified, changed, config) == outcome
+    VERIFY_OUTCOMES["rejected"] += isinstance(outcome, str)
+
+
+def test_verifier_matches_replay():
+    # on clean programs and on programs with one command of a repeated step
+    # changed, the verifier ends where strict replay ends: the same counts
+    # and trap, or the same first violation
+    VERIFY_OUTCOMES.clear()
+    _verifier_matches_replay()
+    assert VERIFY_OUTCOMES["compiled"] >= MEMO_EXAMPLES // 4, VERIFY_OUTCOMES
+    assert VERIFY_OUTCOMES["rejected"] >= MEMO_EXAMPLES // 10, VERIFY_OUTCOMES
+
+
+def test_verified_compile_runs_fewer_than_half_the_commands(monkeypatch):
+    # each repeated step runs on the executor once per trap shape
+    circuit = gen_random_circuit(12, 1000, 5)
+    ordering = order_inputs_randomly(circuit, 5)
+    applied = Counter()
+    apply = ionshuttle.commands.apply
+
+    def counted(state, op, params):
+        applied[op] += 1
+        apply(state, op, params)
+
+    monkeypatch.setattr(ionshuttle.commands, "apply", counted)
+    result = compile_ordering(circuit, ordering, bench_config(12), verify=True)
+    assert len(result.sequence) == 224_104
+    assert 0 < applied.total() < len(result.sequence) // 2, applied
