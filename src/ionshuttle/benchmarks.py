@@ -201,10 +201,16 @@ def _trial_cost(circuit: Circuit, cfg: TrapConfig, verify: bool, seed: int) -> i
                             verify=verify).cost
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def oir_costs(circuit: Circuit, seeds, config: TrapConfig | None = None,
               verify: bool = True, workers: int = 1) -> list[int]:
     """Compile one randomized layout per seed, in seed order; the trials fan
     out over ``workers`` processes, at most one per seed and per CPU."""
+    _check_workers(workers)
     trial = functools.partial(_trial_cost, circuit,
                               config or bench_config(circuit.n_qubits), verify)
     seeds = list(seeds)
@@ -225,8 +231,8 @@ def run_sweep(suite: str, n_list, method_list=ORDERING_METHODS,
     the trap that ``config`` maps its qubit count to.
 
     Before the first suite circuit is built, the sweep builds every size's
-    trap, then checks every register's capacity, then ``trials``, then every
-    method name, so a fault fails at once.  Deterministic methods run once;
+    trap, then checks every register's capacity, then ``trials`` and
+    ``workers``, then every method name, so a fault fails at once.  Deterministic methods run once;
     the randomized one runs ``trials`` times with seeds derived from the
     master seed by counter.  Every compile is replayed and verified.  Records
     come per size, then per method, then per trial, so each method's pass
@@ -239,6 +245,7 @@ def run_sweep(suite: str, n_list, method_list=ORDERING_METHODS,
         check_register(n, cfg)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_workers(workers)
     for method in method_list:
         check_method(method)
     records = []

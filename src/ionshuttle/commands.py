@@ -16,10 +16,14 @@ first command, and a line starting ``# segments=`` must be exactly that
 header; other ``#`` lines are comments and may stand anywhere.
 
 A long program repeats a few distinct commands, so the text codec works
-per distinct command: ``serialize`` formats each one's text once per call,
-and ``parse_sequence`` checks every line's sequence number but validates
-each distinct line tail (the text after the number) once per call, so
-equal commands in a parsed program are one shared tuple.
+per distinct command.  ``serialize`` gives each one a line template,
+``"%d <tail>\\n"``, once per call, and writes each piece of lines as one
+``%``-format of its templates, joined, with the piece's line numbers; the
+per-line work runs in C.  A ``%`` in a tail is escaped as ``%%``, because
+``serialize`` does not validate opcodes.  ``parse_sequence`` checks every
+line's sequence number but validates each distinct line tail (the text
+after the number) once per call, so equal commands in a parsed program are
+one shared tuple.
 
 The codec also works a bounded number of lines at a time, so that a long
 program's text costs about its own size in memory, not a list of line
@@ -138,23 +142,33 @@ def cost(sequence: CommandSequence) -> int:
     return sum(1 for op, _ in sequence.raw if op == "S" or op == "M")
 
 
+class _LineTemplates(dict):
+    """Each distinct command's line template, ``"%d <tail>\\n"``, made on first
+    lookup; a ``%`` in the tail is written ``%%`` so that it stays literal."""
+
+    def __missing__(self, command: RawCommand) -> str:
+        op, params = command
+        # for a move params[0] is already the segment count
+        count = () if op in DIRECTION else (len(params),)
+        tail = " ".join(map(str, (op, *count, *params))).replace("%", "%%")
+        line = self[command] = f"%d {tail}\n"
+        return line
+
+
 def serialize_pieces(sequence: CommandSequence) -> Iterator[str]:
     """:func:`serialize`'s text as consecutive pieces of whole lines: the
-    header, then each run of ``_SERIALIZE_PIECE`` commands."""
+    header, then each run of ``_SERIALIZE_PIECE`` commands.
+
+    Each distinct command gets one line template per call, and each piece
+    is one ``%``-format of its commands' joined templates with their line
+    numbers, so no per-line string is built.  ``serialize`` does not
+    validate opcodes, so a ``%`` in a command's text is escaped as ``%%``."""
     yield f"# segments={sequence.n_segments} liz={sequence.liz}\n"
     raw = sequence.raw
-    tails: dict[RawCommand, str] = {}  # each distinct command's text after its number
+    template = _LineTemplates().__getitem__
     for start in range(0, len(raw), _SERIALIZE_PIECE):
-        out = []
-        for i, command in enumerate(raw[start:start + _SERIALIZE_PIECE], start + 1):
-            tail = tails.get(command)
-            if tail is None:
-                op, params = command
-                # for a move params[0] is already the segment count
-                count = () if op in DIRECTION else (len(params),)
-                tail = tails[command] = " ".join(map(str, (op, *count, *params)))
-            out.append(f"{i} {tail}")
-        yield "\n".join(out) + "\n"
+        piece = raw[start:start + _SERIALIZE_PIECE]
+        yield "".join(map(template, piece)) % tuple(range(start + 1, start + 1 + len(piece)))
 
 
 def serialize(sequence: CommandSequence) -> str:

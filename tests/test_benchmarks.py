@@ -221,6 +221,14 @@ class TestSweep:
         assert oir_costs(circuit, seeds, workers=5000) == oir_costs(circuit, seeds)
         assert serial_pools == pools
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_are_refused(self, monkeypatch, serial_pools, workers):
+        # refused, not run serially, and before any compile or pool
+        monkeypatch.setattr(benchmarks, "compile_ordering", None)
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+            oir_costs(gen_random_circuit(6, 20, 0), [1, 2], workers=workers)
+        assert serial_pools == []
+
     def test_bench_config_scales(self):
         assert bench_config(8) == bench_config(4)
         big = bench_config(20)
@@ -414,6 +422,17 @@ def test_run_sweep_checks_every_method_before_the_first_compile(monkeypatch):
     monkeypatch.setattr(benchmarks, "_suite_circuit", None)
     with pytest.raises(ValueError, match="^unknown ordering method 'xyz'$"):
         run_sweep("random", [4, 6], method_list=("oai", "xyz"))
+
+
+def test_run_sweep_checks_workers_before_the_first_compile(monkeypatch):
+    monkeypatch.setattr(benchmarks, "_suite_circuit", None)
+    with pytest.raises(ValueError, match="^workers must be at least 1, got -3$"):
+        run_sweep("random", [4, 6], trials=2, workers=-3)
+    # checked right after trials and before the method names
+    with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
+        run_sweep("random", [4], trials=0, workers=0)
+    with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
+        run_sweep("random", [4], method_list=("xyz",), workers=0)
 
 
 def test_run_sweep_checks_every_trap_before_the_first_compile(monkeypatch):

@@ -512,6 +512,16 @@ def test_bench_reports_the_first_of_several_faults(capsys, flags, code, message)
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bench_workers_below_one_exit_code(monkeypatch, capsys, workers):
+    # refused before the first suite circuit, not run serially
+    monkeypatch.setattr("ionshuttle.benchmarks._suite_circuit", None)
+    assert main(["bench", "--suite", "random", "--qubits", "4",
+                 "--workers", workers]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: workers must be at least 1, got {workers}\n")
+
+
 def test_bench_one_qubit_exit_code(capsys):
     assert main(["bench", "--suite", "qft", "--qubits", "1"]) == 1
     assert "at least 2 qubits" in capsys.readouterr().err

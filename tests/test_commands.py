@@ -846,6 +846,19 @@ def test_serialize_at_piece_boundaries(monkeypatch, piece):
         assert parse_sequence(serialize(sequence)).raw == raw
 
 
+@pytest.mark.parametrize("piece", [None, 2])
+def test_serialize_escapes_percent_signs(monkeypatch, piece):
+    # serialize does not validate opcodes: a % in one must come out as written
+    if piece is not None:
+        monkeypatch.setattr(commands, "_SERIALIZE_PIECE", piece)
+    raw = [("START", ()), ("X%d", (3,)), ("AIC", (1, 5)), ("%", ()),
+           ("SMD", (1, 5)), ("%%s", (2, 7)), ("X%d", (3,)), ("M", ()), ("%", ())]
+    sequence = CommandSequence(40, 21, raw)
+    text = serialize(sequence)
+    assert text == reference_serialize(sequence) == "".join(serialize_pieces(sequence))
+    assert "2 X%d 1 3\n" in text and "6 %%s 2 2 7\n" in text
+
+
 def test_parse_pieces_split_only_after_a_newline():
     circuit = gen_random_circuit(8, 100, 3)
     sequence = compile_ordering(circuit, increase_pairwise_order(circuit),
