@@ -232,11 +232,11 @@ def run_sweep(suite: str, n_list, method_list=ORDERING_METHODS,
 
     Before the first suite circuit is built, the sweep builds every size's
     trap, then checks every register's capacity, then ``trials`` and
-    ``workers``, then every method name, so a fault fails at once.  Deterministic methods run once;
-    the randomized one runs ``trials`` times with seeds derived from the
-    master seed by counter.  Every compile is replayed and verified.  Records
-    come per size, then per method, then per trial, so each method's pass
-    starts at trial 0.  Trials are independent (each compile owns its trap),
+    ``workers``, then every method name, so a fault fails at once.
+    Deterministic methods run once; the randomized one runs ``trials``
+    times with seeds derived from the master seed by counter.  Every compile
+    is replayed and verified.  Records come per size, then per method, then
+    per trial, so each method's pass starts at trial 0.  Trials are independent (each compile owns its trap),
     so ``workers`` > 1 fans them out over processes; records stay in trial
     order, identical to a serial run.
     """

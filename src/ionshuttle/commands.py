@@ -143,15 +143,14 @@ def cost(sequence: CommandSequence) -> int:
 
 
 class _LineTemplates(dict):
-    """Each distinct command's line template, ``"%d <tail>\\n"``, made on first
-    lookup; a ``%`` in the tail is written ``%%`` so that it stays literal."""
+    """Each distinct command's line template, made on its first lookup."""
 
     def __missing__(self, command: RawCommand) -> str:
         op, params = command
         # for a move params[0] is already the segment count
         count = () if op in DIRECTION else (len(params),)
         tail = " ".join(map(str, (op, *count, *params))).replace("%", "%%")
-        line = self[command] = f"%d {tail}\n"
+        self[command] = line = f"%d {tail}\n"
         return line
 
 
@@ -168,7 +167,8 @@ def serialize_pieces(sequence: CommandSequence) -> Iterator[str]:
     template = _LineTemplates().__getitem__
     for start in range(0, len(raw), _SERIALIZE_PIECE):
         piece = raw[start:start + _SERIALIZE_PIECE]
-        yield "".join(map(template, piece)) % tuple(range(start + 1, start + 1 + len(piece)))
+        numbers = tuple(range(start + 1, start + 1 + len(piece)))
+        yield "".join(map(template, piece)) % numbers
 
 
 def serialize(sequence: CommandSequence) -> str:
