@@ -18,7 +18,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .commands import ReplayError, replay, verify_steps
+from .commands import ReplayError, verify_steps
 from .ordering import (Ordering, check_register, increase_pairwise_order,
                        order_as_is, order_inputs_randomly, paired,
                        place_in_the_model)
@@ -122,8 +122,8 @@ def compile_ordering(circuit: Circuit, ordering: Ordering,
 
     The check is ``commands.verify_steps``, which gives strict ``replay``'s
     verdict and counts while running each repeated step once per trap
-    shape.  A violation, or counts that disagree with the schedule's cost,
-    replays the whole program leniently to name what is wrong."""
+    shape.  Its verdict is final: a ``RuntimeError`` names the first failing
+    command, as strict ``replay`` does, or S+M that disagrees with the cost."""
     cfg = config or bench_config(circuit.n_qubits)
     state = TrapState(cfg)
     place_in_the_model(state, ordering, circuit)
@@ -131,14 +131,10 @@ def compile_ordering(circuit: Circuit, ordering: Ordering,
     if verify:
         try:
             report = verify_steps(result.sequence, result.steps, cfg)
-        except ReplayError:
-            report = None
-        if report is None or report.s_count + report.m_count != result.cost:
-            report = replay(result.sequence, cfg)
-            if report.violations:
-                raise RuntimeError(f"replay violations: {report.violations[:3]}")
-            if report.s_count + report.m_count != result.cost:
-                raise RuntimeError("replay cost disagrees with scheduler cost")
+        except ReplayError as e:
+            raise RuntimeError(f"replay violations: {e}") from e
+        if report.s_count + report.m_count != result.cost:
+            raise RuntimeError("replay cost disagrees with scheduler cost")
     return result
 
 
@@ -235,10 +231,10 @@ def run_sweep(suite: str, n_list, method_list=ORDERING_METHODS,
     ``workers``, then every method name, so a fault fails at once.
     Deterministic methods run once; the randomized one runs ``trials``
     times with seeds derived from the master seed by counter.  Every compile
-    is replayed and verified.  Records come per size, then per method, then
-    per trial, so each method's pass starts at trial 0.  Trials are independent (each compile owns its trap),
-    so ``workers`` > 1 fans them out over processes; records stay in trial
-    order, identical to a serial run.
+    is verified.  Records come per size, then per method, then per trial,
+    so each method's pass starts at trial 0.  Trials are independent (each
+    compile owns its trap), so ``workers`` > 1 fans them out over
+    processes; records stay in trial order, identical to a serial run.
     """
     traps = [(n, config(n)) for n in n_list]
     for n, cfg in traps:

@@ -66,8 +66,8 @@ def cmd_compile(args) -> int:
     # before the layout, whose size grows with the declared register
     check_register(circuit.n_qubits, config)
     ordering = make_ordering(circuit, args.ordering, args.seed)  # only oir reads it
-    # a program that fails verification is a compiler bug: its RuntimeError
-    # re-raises, and nothing is written
+    # the verifier's verdict is final: a rejected program is a compiler bug,
+    # its RuntimeError names the first violation, and nothing is written
     result = compile_ordering(circuit, ordering, config, verify=True)
 
     sequence = result.sequence

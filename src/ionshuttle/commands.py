@@ -403,8 +403,9 @@ def replay(sequence: CommandSequence, config: TrapConfig | None = None,
 def verify_steps(sequence: CommandSequence, steps,
                  config: TrapConfig | None = None) -> ReplayReport:
     """Strict :func:`replay` of a lowered program, running each repeated
-    step on the executor once per trap shape; a clean program gives the
-    final trap and the S and M counts that :func:`replay` gives.
+    step on the executor once per trap shape.  It gives strict replay's
+    verdict on every program and record list: a clean program's final trap
+    and S and M counts, or its first violation's ``ReplayError``.
 
     ``steps`` are ``ScheduleResult.steps``: each step's ``(start, stop,
     entry, dg)``.  A step whose entry occurs once, and every command outside
@@ -421,20 +422,21 @@ def verify_steps(sequence: CommandSequence, steps,
     This is exact because, apart from AIC, :func:`apply` accepts or rejects
     a command from the shape and the command alone, and the ions only ride
     along; a stored run counts shuttling as started, so it holds no AIC.  A
-    step whose record does not fit the program in order runs with the
-    commands around it.  The first violation raises the ``ReplayError`` of
-    a strict ``replay``, except that an AIC past the first step's start is
-    one even where only AICs ran before it.
+    step whose record does not fit the program in order, or starts inside
+    the opening run of START and AIC, where AIC is still legal, runs with
+    the commands around it.
     """
     state = TrapState(config or sequence.config())
     raw = sequence.raw
     repeats = Counter(entry for _, _, entry, _ in steps)
     store: dict[tuple, tuple] = {}  # (shape, entry) -> the stored run
+    # past raw[first], the first command but START and AIC, AIC is illegal
+    first = next((i for i, (op, _) in enumerate(raw) if op not in ("START", "AIC")),
+                 len(raw))
     splits = merges = 0
     done = 0  # every command before it has run
     for start, stop, entry, dg in steps:
-        # a step at command 1 would run before the start, where AIC is legal
-        if repeats[entry] < 2 or not max(done, 1) <= start < stop <= len(raw):
+        if repeats[entry] < 2 or not max(done, first) <= start < stop <= len(raw):
             continue
         if done < start:
             s, m = _execute(sequence, state, _reject, None, done, start)
@@ -448,12 +450,12 @@ def verify_steps(sequence: CommandSequence, steps,
         stored = store.get(key)
         if stored is not None and stored[1] == stop - start:
             # the stored run ran raw[origin:origin + size]
-            origin, size, dg, s, m, ends, wells = stored
+            origin, size, gate_at, s, m, ends, wells = stored
             run, commands = raw[start:stop], raw[origin:origin + size]
-            if dg is not None:
-                gate = run[dg]
+            if gate_at is not None:
+                gate = run[gate_at]
                 if gate[0] == "DG" and gate[1][0] >= 0:
-                    commands[dg] = gate  # else the stored gate differs from it
+                    commands[gate_at] = gate  # else the stored gate differs from it
             if run == commands:
                 state.seg_crystal = {seg: [flat[p] for p in at] for seg, at in ends}
                 state.wells = set(wells)

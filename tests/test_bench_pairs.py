@@ -219,3 +219,36 @@ def test_traced_runs_last_twice_as_long(monkeypatch, tmp_path):
                              "--workload", "random12", "--pairs", "2", "--seed", "1",
                              "--out", str(tmp_path / "bench.json")]) == 0
     assert seconds == {("0", "30"): 4, ("1", "60"): 6}
+
+
+@pytest.mark.parametrize("parent_failed,change_failed,marked", [
+    (0, 0, False), (0, 3, True), (4, 3, False)], ids=["none", "more", "fewer"])
+def test_main_prints_each_sides_failed_operations(monkeypatch, tmp_path, capsys,
+                                                  parent_failed, change_failed, marked):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"command": ["python3", "bench/run.py"], "run_seconds": 30, "end_to_end": METRICS}))
+
+    def run(args, **kw):
+        if args[0] == "git":
+            return subprocess.CompletedProcess(args, 0, stdout="abc123\n")
+        if args[args.index("--trace") + 1] == "1":
+            line = {"metrics": {"benchmarks.self_ms": {"value": 4.0, "unit": "ms"}}}
+        else:  # the first pair's run fails the given count, the second none
+            seed = int(args[args.index("--seed") + 1])
+            failed = (parent_failed if kw["cwd"] == "../parent" else change_failed)
+            line = result(8.0, 100.0, failed=failed if seed == 1 else 0)
+        return subprocess.CompletedProcess(args, 0, stdout=json.dumps(line) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--parent", "../parent", "--change", str(change),
+                             "--workload", "search", "--pairs", "2", "--seed", "1",
+                             "--out", str(tmp_path / "bench.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if "operations failed" in line]
+    assert failed == [f"search     operations failed: parent {parent_failed}/20 "
+                      f"change {change_failed}/20"
+                      + ("  the change fails a larger share" if marked else "")]
+    # after the workload's metric lines, before its per-layer lines
+    assert lines.index(failed[0]) == len(METRICS)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ionshuttle import benchmarks
+from ionshuttle import benchmarks, commands
 from ionshuttle.benchmarks import (bench_config, brute_force_best_ordering,
                                    circuit_fit, compile_ordering,
                                    enumerate_orderings, gen_qft,
@@ -18,7 +18,9 @@ from ionshuttle.benchmarks import (bench_config, brute_force_best_ordering,
                                    make_ordering, oir_costs, run_sweep,
                                    theoretical_limit, to_csv)
 from ionshuttle.cli import main
-from ionshuttle.ordering import order_as_is, paired, reverse_ordering
+from ionshuttle.commands import ReplayError
+from ionshuttle.ordering import (order_as_is, order_inputs_randomly, paired,
+                                 reverse_ordering)
 from ionshuttle.qasm import build_circuit
 from ionshuttle.scheduler import plan_cost
 from ionshuttle.trap import CapacityExceeded, TrapConfig, TrapOverflow
@@ -483,3 +485,62 @@ class TestVerifiedCompile:
                            lambda result: replace(result, cost=result.cost + 2))
         with pytest.raises(RuntimeError, match="replay cost disagrees"):
             compile_ordering(self.CIRCUIT, order_as_is(self.CIRCUIT), verify=True)
+
+    # the step verifier's verdict is final, for a violation and for counts
+
+    def test_a_verifier_violation_is_final(self, monkeypatch):
+        def rejected(sequence, steps, config):
+            raise ReplayError(7, "stub")
+
+        monkeypatch.setattr(benchmarks, "verify_steps", rejected)
+        with pytest.raises(RuntimeError, match="^replay violations: command 7: stub$"):
+            compile_ordering(self.CIRCUIT, order_as_is(self.CIRCUIT), verify=True)
+
+    def test_verifier_counts_are_final(self, monkeypatch):
+        real = benchmarks.verify_steps
+        monkeypatch.setattr(benchmarks, "verify_steps", lambda *args: replace(
+            report := real(*args), s_count=report.s_count + 1,
+            m_count=report.m_count + 1))
+        with pytest.raises(RuntimeError, match="replay cost disagrees"):
+            compile_ordering(self.CIRCUIT, order_as_is(self.CIRCUIT), verify=True)
+
+    def test_a_violation_names_the_first_failing_command(self, monkeypatch):
+        appended = []
+
+        def illegal_split(result):
+            result.sequence.raw.append(("S", ()))
+            appended.append(len(result.sequence.raw))
+            return result
+
+        self.wrap_schedule(monkeypatch, illegal_split)
+        with pytest.raises(RuntimeError) as raised:
+            compile_ordering(self.CIRCUIT, order_as_is(self.CIRCUIT), verify=True)
+        assert str(raised.value) == (f"replay violations: command {appended[0]}: "
+                                     "split needs a 2-ion crystal, got 1")
+
+    def test_a_failing_compile_runs_fewer_than_half_the_commands(self, monkeypatch):
+        circuit = gen_random_circuit(12, 1000, 5)
+        sequences = []
+
+        def illegal_split(result):
+            # the program ends on a merge in the LIZ: the first split is
+            # legal, and the second finds no crystal there
+            result.sequence.raw += [("S", ()), ("S", ())]
+            sequences.append(result.sequence)
+            return result
+
+        self.wrap_schedule(monkeypatch, illegal_split)
+        applied = Counter()
+        apply = commands.apply
+
+        def counted(state, op, params):
+            applied[op] += 1
+            apply(state, op, params)
+
+        monkeypatch.setattr(commands, "apply", counted)
+        with pytest.raises(RuntimeError, match="^replay violations: command 224106: "
+                           "no crystal in the LIZ to split$"):
+            compile_ordering(circuit, order_inputs_randomly(circuit, 5),
+                             bench_config(12), verify=True)
+        assert len(sequences[0]) == 224_106
+        assert 0 < applied.total() < len(sequences[0]) // 2, applied

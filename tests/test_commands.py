@@ -421,6 +421,16 @@ class TestVerifySteps:
         assert (self.outcomes(raw, [(4, 7, 0, 1), (9, 10, 0, 1)])[1]
                 == self.outcomes(raw, [])[0])
 
+    def test_records_inside_the_placement_run_as_gaps(self):
+        # AIC is legal until the first other command, so a record that
+        # starts before it runs with the commands around it
+        raw = self.PREFIX + self.STEP + self.STEP
+        clean = self.outcomes(raw, [])[0]
+        for records in ([(1, 3, 0, None), (3, 5, 0, None)],
+                        [(2, 6, 0, None), (6, 10, 0, None)],
+                        [(3, 7, 0, None), (7, 11, 0, None)]):
+            assert self.outcomes(raw, records)[1] == clean
+
 
 class TestCost:
     def test_no_split_merge(self):

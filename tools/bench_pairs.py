@@ -27,10 +27,11 @@ each for ``TRACED_LENGTH`` times ``run_seconds``, and writes the median of
 each side's per-layer metrics (span times per layer, such as
 ``benchmarks.self_ms``, and counts) under ``per_layer``, to show in which
 layer a change in an end-to-end metric lands, and their first and third
-quartiles under ``per_layer_quartiles``.  The printout marks a
-per-layer difference as noise when each side's median lies within the
-other side's quartiles.  It also records both checkouts' git SHAs, the
-Python version and ``nproc``.
+quartiles under ``per_layer_quartiles``.  The printout gives each side's
+failed and attempted operations per workload, marked when the change fails
+a larger share, and marks a per-layer difference as noise when each side's
+median lies within the other side's quartiles.  It also records both
+checkouts' git SHAs, the Python version and ``nproc``.
 """
 from __future__ import annotations
 
@@ -97,6 +98,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                              for side in sides), m["better"], m["bound"])
         for m in metrics}
     return out
+
+
+def failed_share(side: dict) -> float:
+    """The share of a side's attempted operations that failed."""
+    return side["failed"] / side["attempted"] if side["attempted"] else 0.0
 
 
 def within(value: float, spread: dict | None) -> bool:
@@ -199,6 +205,11 @@ def main(argv=None) -> int:
             print(f"{workload:<10} {name:<16} parent {m['parent']['median']:<12.6g} "
                   f"change {m['change']['median']:<12.6g} wins {m['wins']}/{args.pairs} "
                   f"{m['verdict']}")
+        parent, change = summary["parent"], summary["change"]
+        print(f"{workload:<10} operations failed: parent {parent['failed']}/"
+              f"{parent['attempted']} change {change['failed']}/{change['attempted']}"
+              + ("  the change fails a larger share"
+                 if failed_share(change) > failed_share(parent) else ""))
         layers, ranges = summary["per_layer"], summary["per_layer_quartiles"]
         for name, value in layers["parent"].items():
             other = layers["change"].get(name, float("nan"))
