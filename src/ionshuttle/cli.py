@@ -43,7 +43,8 @@ EXIT_CODES = (
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which is not part of the text
+    with open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 

@@ -12,15 +12,26 @@ is not finite is a syntax error.  Numbers are written in ASCII digits, and
 register sizes and qubit indices are integers that ``int`` converts; a
 register holds at most ``sys.maxsize`` qubits.  Gate semantics are never
 interpreted.
+
+Tokens are plain strings from one ``findall``; a token's kind follows from
+its first character.  Line and column are worked out only for an error or a
+warning, from one ``finditer`` pass over the text that gives every token's
+offset.  Each distinct gate statement, keyed by its tokens through its
+``;``, is parsed once per call, and a repeat adds the stored gates again.
+That is exact: a gate statement holds no ``;`` before its end, its gates
+depend only on its tokens, on ``decompose`` and on the registers it names,
+registers are never redeclared or resized, and a statement that raises is
+never stored.  Declarations, ``measure`` and ``barrier`` are always parsed,
+since they declare registers or log a warning at their own position.
 """
 from __future__ import annotations
 
 import logging
 import math
 import re
+import string
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -78,52 +89,47 @@ def build_circuit(n_qubits: int, specs) -> Circuit:
 
 # -- tokenizer ----------------------------------------------------------------
 
+# the kinds ID, NUMBER, STRING, ARROW and SYM in this order, then \S: any
+# other character is a token of its own, which _Parser rejects before parsing
 _TOKEN_RE = re.compile(
-    r"""(?P<ID>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<NUMBER>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
-      | (?P<STRING>"[^"\n]*")
-      | (?P<ARROW>->)
-      | (?P<SYM>[;,()\[\]{}=+\-*/])
+    r"""[A-Za-z_][A-Za-z0-9_]*
+      | (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?
+      | "[^"\n]*"
+      | ->
+      | [;,()\[\]{}=+\-*/]
+      | \S
     """,
     re.VERBOSE,
 )
+# the one-character tokens that belong to a kind
+_ONE_CHARACTER = frozenset(string.ascii_letters + string.digits + "_;,()[]{}=+-*/")
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    text = re.sub(r"//[^\n]*", lambda m: " " * len(m.group()), text)
-    tokens = []
-    line, line_start = 1, 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            line_start = i + 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise QasmError(f"unexpected character {ch!r}", line, i - line_start + 1)
-        tokens.append(_Token(m.lastgroup, m.group(), line, i - line_start + 1))
-        i = m.end()
-    return tokens
+def _kind(token: str) -> str:
+    """The kind of a token that passed the bad-character check, from its
+    first character."""
+    first = token[0]
+    if first.isalpha() or first == "_":
+        return "ID"
+    if first.isdigit() or first == ".":
+        return "NUMBER"
+    if first == '"':
+        return "STRING"
+    return "ARROW" if token == "->" else "SYM"
 
 
 # -- parser -------------------------------------------------------------------
 
+# statements that declare registers or log a warning, so never memoised
+_ALWAYS_PARSED = frozenset(("include", "qreg", "creg", "measure", "barrier"))
+
+
 class _Parser:
     def __init__(self, text: str, decompose: bool):
-        self.tokens = _tokenize(text)
+        # blanking comments keeps every token's offset and line
+        self.text = re.sub(r"//[^\n]*", lambda m: " " * len(m.group()), text)
+        self.tokens: list[str] = _TOKEN_RE.findall(self.text)
+        self.offsets: list[int] | None = None  # found once a position is needed
         self.pos = 0
         self.decompose = decompose
         # register name -> the flat indices of its qubits (bits for a creg)
@@ -132,183 +138,214 @@ class _Parser:
         self.n_qubits = 0
         self.depth = 0  # open parentheses in the current expression
         self.specs: list[tuple[str, tuple[int, ...], tuple[float, ...]]] = []
+        bad = [tok for tok in set(self.tokens).difference(_ONE_CHARACTER) if len(tok) == 1]
+        if bad:
+            at = min(map(self.tokens.index, bad))
+            raise self._error(f"unexpected character {self.tokens[at]!r}", at)
 
-    def _peek(self) -> _Token | None:
+    def _where(self, at: int) -> tuple[int, int]:
+        """The 1-based line and column of token ``at``, or of the last token
+        when ``at`` is past it."""
+        if not self.tokens:
+            return 1, 1
+        if self.offsets is None:
+            self.offsets = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        offset = self.offsets[min(at, len(self.tokens) - 1)]
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return self.text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+    def _error(self, message: str, at: int) -> QasmError:
+        return QasmError(message, *self._where(at))
+
+    def _peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _next(self, kind: str | None = None, value: str | None = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise QasmError("unexpected end of input", last.line, last.col)
-        if kind is not None and tok.kind != kind:
-            raise QasmError(f"expected {kind}, got {tok.value!r}", tok.line, tok.col)
-        if value is not None and tok.value != value:
-            raise QasmError(f"expected {value!r}, got {tok.value!r}", tok.line, tok.col)
-        self.pos += 1
+    def _next(self, kind: str, value: str | None = None) -> str:
+        at = self.pos
+        if at == len(self.tokens):
+            raise self._error("unexpected end of input", at)
+        tok = self.tokens[at]
+        # a token equal to ``value`` is of ``kind``
+        if tok != value and _kind(tok) != kind:
+            raise self._error(f"expected {kind}, got {tok!r}", at)
+        if value is not None and tok != value:
+            raise self._error(f"expected {value!r}, got {tok!r}", at)
+        self.pos = at + 1
         return tok
 
     def _integer(self) -> int:
         """Read a NUMBER token that must be a plain integer ``int`` converts."""
+        at = self.pos
         tok = self._next("NUMBER")
-        if not tok.value.isdecimal():
-            raise QasmError(f"expected an integer, got {tok.value!r}",
-                            tok.line, tok.col)
+        if not tok.isdecimal():
+            raise self._error(f"expected an integer, got {tok!r}", at)
         try:
-            return int(tok.value)
+            return int(tok)
         except ValueError:  # more digits than int converts
-            raise QasmError(f"integer of {len(tok.value)} digits is too long",
-                            tok.line, tok.col) from None
+            raise self._error(f"integer of {len(tok)} digits is too long", at) from None
 
-    def _argument(self, table: dict[str, range], kind: str) -> tuple[_Token, int | None]:
+    def _argument(self, table: dict[str, range], kind: str) -> tuple[int, int | None]:
         """Read ``name`` or ``name[i]`` naming a ``kind`` register of
-        ``table``; return the name token and the flat index, None for a
-        whole register."""
+        ``table``; return the name's token index and the flat index, None
+        for a whole register."""
+        at = self.pos
         name = self._next("ID")
-        if name.value not in table:
-            raise QasmError(f"unknown {kind} register {name.value!r}",
-                            name.line, name.col)
-        if not (self._peek() and self._peek().value == "["):
-            return name, None
-        self._next("SYM", "[")
-        idx_tok = self._peek()
+        if name not in table:
+            raise self._error(f"unknown {kind} register {name!r}", at)
+        if self._peek() != "[":
+            return at, None
+        self.pos += 1
+        idx_at = self.pos
         idx = self._integer()
         self._next("SYM", "]")
-        register = table[name.value]
+        register = table[name]
         if idx >= len(register):
-            raise QasmError(
-                f"{name.value}[{idx}] out of range (size {len(register)})",
-                idx_tok.line, idx_tok.col)
-        return name, register[idx]
+            raise self._error(f"{name}[{idx}] out of range (size {len(register)})", idx_at)
+        return at, register[idx]
 
-    def _qubit_arguments(self) -> list[tuple[_Token, int | None]]:
+    def _qubit_arguments(self) -> list[tuple[int, int | None]]:
         """A comma-separated list of quantum register arguments."""
         args = [self._argument(self.registers, "quantum")]
-        while self._peek() and self._peek().value == ",":
-            self._next("SYM", ",")
+        while self._peek() == ",":
+            self.pos += 1
             args.append(self._argument(self.registers, "quantum"))
         return args
 
     def parse(self) -> Circuit:
         self._header()
-        while self._peek() is not None:
-            self._statement()
-        return build_circuit(self.n_qubits, self.specs)
+        tokens, specs = self.tokens, self.specs
+        # a gate statement's tokens through its ';' -> the specs it added:
+        # its result depends only on them, on decompose and on the registers
+        # it names, which are never redeclared or resized
+        parsed: dict[tuple[str, ...], list] = {}
+        while self.pos < len(tokens):
+            start = self.pos
+            if tokens[start] in _ALWAYS_PARSED:
+                self._statement()
+                continue
+            try:
+                end = tokens.index(";", start) + 1
+            except ValueError:  # no statement can end: parsing it fails
+                end = len(tokens)
+            key = tuple(tokens[start:end])
+            stored = parsed.get(key)
+            if stored is None:
+                first = len(specs)
+                self._statement()  # a statement that raises is never stored
+                parsed[key] = specs[first:]
+            else:
+                specs += stored
+                self.pos = end
+        return build_circuit(self.n_qubits, specs)
 
     def _header(self) -> None:
-        tok = self._next("ID")
-        if tok.value != "OPENQASM":
-            raise QasmError("missing OPENQASM 2.0 header", tok.line, tok.col)
+        if self._next("ID") != "OPENQASM":
+            raise self._error("missing OPENQASM 2.0 header", self.pos - 1)
         version = self._next("NUMBER")
-        if version.value != "2.0":
-            raise QasmError(f"unsupported version {version.value}",
-                            version.line, version.col)
+        if version != "2.0":
+            raise self._error(f"unsupported version {version}", self.pos - 1)
         self._next("SYM", ";")
 
     def _statement(self) -> None:
+        at = self.pos
         tok = self._next("ID")
-        if tok.value == "include":
+        if tok == "include":
             target = self._next("STRING")
-            if target.value != '"qelib1.inc"':
-                raise QasmError(f"unsupported include {target.value}",
-                                target.line, target.col)
+            if target != '"qelib1.inc"':
+                raise self._error(f"unsupported include {target}", at + 1)
             self._next("SYM", ";")
-        elif tok.value in ("qreg", "creg"):
+        elif tok in ("qreg", "creg"):
             name = self._next("ID")
             self._next("SYM", "[")
-            size_tok = self._peek()
+            size_at = self.pos
             size = self._integer()
             if size > sys.maxsize:  # a longer range has no len()
-                raise QasmError(f"register size over {sys.maxsize}",
-                                size_tok.line, size_tok.col)
+                raise self._error(f"register size over {sys.maxsize}", size_at)
             self._next("SYM", "]")
             self._next("SYM", ";")
-            if name.value in self.registers or name.value in self.cregs:
-                raise QasmError(f"register {name.value!r} redeclared",
-                                name.line, name.col)
-            if tok.value == "qreg":
-                self.registers[name.value] = range(self.n_qubits, self.n_qubits + size)
+            if name in self.registers or name in self.cregs:
+                raise self._error(f"register {name!r} redeclared", at + 1)
+            if tok == "qreg":
+                self.registers[name] = range(self.n_qubits, self.n_qubits + size)
                 self.n_qubits += size
             else:
-                self.cregs[name.value] = range(size)
+                self.cregs[name] = range(size)
                 log.warning("%d:%d: creg %s ignored (no effect on shuttling)",
-                            tok.line, tok.col, name.value)
-        elif tok.value == "measure":
-            qreg, q = self._argument(self.registers, "quantum")
+                            *self._where(at), name)
+        elif tok == "measure":
+            qreg_at, q = self._argument(self.registers, "quantum")
             self._next("ARROW")
-            creg, c = self._argument(self.cregs, "classical")
+            creg_at, c = self._argument(self.cregs, "classical")
             if (q is None) != (c is None):
-                raise QasmError("measure needs both arguments indexed or "
-                                "both whole registers", creg.line, creg.col)
-            if q is None and len(self.registers[qreg.value]) != len(self.cregs[creg.value]):
-                raise QasmError(f"measure of register {qreg.value!r} into "
-                                f"{creg.value!r} of another size",
-                                creg.line, creg.col)
+                raise self._error("measure needs both arguments indexed or "
+                                  "both whole registers", creg_at)
+            qreg, creg = self.tokens[qreg_at], self.tokens[creg_at]
+            if q is None and len(self.registers[qreg]) != len(self.cregs[creg]):
+                raise self._error(f"measure of register {qreg!r} into "
+                                  f"{creg!r} of another size", creg_at)
             self._next("SYM", ";")
             log.warning("%d:%d: measure ignored (no effect on shuttling)",
-                        tok.line, tok.col)
-        elif tok.value == "barrier":
+                        *self._where(at))
+        elif tok == "barrier":
             self._qubit_arguments()
             self._next("SYM", ";")
             log.warning("%d:%d: barrier ignored (no effect on shuttling)",
-                        tok.line, tok.col)
-        elif tok.value in ("gate", "opaque", "if", "reset"):
-            raise QasmError(f"unsupported construct {tok.value!r}",
-                            tok.line, tok.col)
+                        *self._where(at))
+        elif tok in ("gate", "opaque", "if", "reset"):
+            raise self._error(f"unsupported construct {tok!r}", at)
         else:
-            self._gate_statement(tok)
+            self._gate_statement(at)
 
-    def _gate_statement(self, name: _Token) -> None:
+    def _gate_statement(self, at: int) -> None:
+        """The gate statement whose name is token ``at``, read up to it."""
+        name = self.tokens[at]
         params: tuple[float, ...] = ()
-        if self._peek() and self._peek().value == "(":
-            self._next("SYM", "(")
+        if self._peek() == "(":
+            self.pos += 1
             params = self._expr_list()
             self._next("SYM", ")")
         operands = []
         for arg, q in self._qubit_arguments():
             if q is None:
-                raise QasmError("whole-register arguments are not supported",
-                                arg.line, arg.col)
+                raise self._error("whole-register arguments are not supported", arg)
             operands.append(q)
         self._next("SYM", ";")
         if len(set(operands)) != len(operands):
-            raise QasmError(f"gate {name.value} repeats an operand",
-                            name.line, name.col)
+            raise self._error(f"gate {name} repeats an operand", at)
         if len(operands) <= 2:
-            self.specs.append((name.value, tuple(operands), params))
-        elif name.value == "ccx" and self.decompose:
+            self.specs.append((name, tuple(operands), params))
+        elif name == "ccx" and self.decompose:
             inner = decompose_gate(Gate(0, "ccx", tuple(operands)))
             self.specs.extend((g.kind, g.operands, g.params) for g in inner)
         else:
-            raise QasmError(
-                f"{name.value} acts on {len(operands)} qubits (max 2; "
-                "ccx is supported with decomposition enabled)",
-                name.line, name.col)
+            raise self._error(
+                f"{name} acts on {len(operands)} qubits (max 2; "
+                "ccx is supported with decomposition enabled)", at)
 
     # expression grammar: expr := term (('+'|'-') term)*
     #                     term := factor (('*'|'/') factor)*
     #                     factor := '-'* (NUMBER | 'pi' | '(' expr ')')
     def _expr_list(self) -> tuple[float, ...]:
         values = [self._finite_expr()]
-        while self._peek() and self._peek().value == ",":
-            self._next("SYM", ",")
+        while self._peek() == ",":
+            self.pos += 1
             values.append(self._finite_expr())
         return tuple(values)
 
     def _finite_expr(self) -> float:
         """An expression whose value must be finite (``to_qasm`` could not
         print an infinity or NaN back as QASM)."""
-        tok = self._peek()
+        at = self.pos
         value = self._expr()
         if not math.isfinite(value):
-            raise QasmError(f"expression value {value} is not finite",
-                            tok.line, tok.col)
+            raise self._error(f"expression value {value} is not finite", at)
         return value
 
     def _expr(self) -> float:
         value = self._term()
-        while self._peek() and self._peek().value in "+-":
-            if self._next().value == "+":
+        while (op := self._peek()) in ("+", "-"):
+            self.pos += 1
+            if op == "+":
                 value += self._term()
             else:
                 value -= self._term()
@@ -316,43 +353,42 @@ class _Parser:
 
     def _term(self) -> float:
         value = self._factor()
-        while self._peek() and self._peek().value in "*/":
-            op = self._next().value
-            tok = self._peek()
+        while (op := self._peek()) in ("*", "/"):
+            self.pos += 1
+            at = self.pos
             factor = self._factor()
             if op == "*":
                 value *= factor
             elif factor == 0:
-                raise QasmError("division by zero", tok.line, tok.col)
+                raise self._error("division by zero", at)
             else:
                 value /= factor
         return value
 
     def _factor(self) -> float:
         negate = False
-        while (tok := self._peek()) is not None and tok.value == "-":
-            self._next()
+        while (tok := self._peek()) == "-":
+            self.pos += 1
             negate = not negate
+        at = self.pos
         if tok is None:
-            last = self.tokens[-1]
-            raise QasmError("unexpected end of expression", last.line, last.col)
-        if tok.value == "(":
+            raise self._error("unexpected end of expression", at)
+        if tok == "(":
             if self.depth == MAX_PAREN_DEPTH:
-                raise QasmError(
-                    f"parentheses nested deeper than {MAX_PAREN_DEPTH}", tok.line, tok.col)
-            self._next()
+                raise self._error(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", at)
+            self.pos += 1
             self.depth += 1
             value = self._expr()
             self.depth -= 1
             self._next("SYM", ")")
-        elif tok.kind == "NUMBER":
-            self._next()
-            value = float(tok.value)
-        elif tok.kind == "ID" and tok.value == "pi":
-            self._next()
+        elif _kind(tok) == "NUMBER":
+            self.pos += 1
+            value = float(tok)
+        elif tok == "pi":
+            self.pos += 1
             value = math.pi
         else:
-            raise QasmError(f"bad expression token {tok.value!r}", tok.line, tok.col)
+            raise self._error(f"bad expression token {tok!r}", at)
         return -value if negate else value
 
 

@@ -58,6 +58,23 @@ def test_compile_parse_error_exit_code(tmp_path):
     assert main(["compile", "-i", str(bad)]) == 2
 
 
+def test_a_byte_order_mark_is_not_part_of_the_input(tmp_path, capsys):
+    # some editors start a UTF-8 file with U+FEFF; compile and validate read
+    # past it and give what they give for the same file without it
+    runs = []
+    for bom in (b"", "\ufeff".encode()):
+        src, out = tmp_path / f"in{len(bom)}.qasm", tmp_path / f"out{len(bom)}.seq"
+        src.write_bytes(bom + to_qasm(gen_qft(4)).encode())
+        assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+        compiled = capsys.readouterr().out.replace(str(out), "OUT")
+        program = tmp_path / f"program{len(bom)}.seq"
+        program.write_bytes(bom + out.read_bytes())
+        assert main(["validate", "-i", str(program)]) == 0
+        runs.append((compiled, out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert "wrote OUT" in runs[0][0]
+
+
 def test_compile_capacity_exit_code(tmp_path):
     big = tmp_path / "big.qasm"
     big.write_text(HEADER + "qreg q[40];\ncx q[0],q[1];\n")

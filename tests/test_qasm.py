@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionshuttle.benchmarks import gen_random_circuit
 from ionshuttle.cli import main
-from ionshuttle.qasm import (MAX_PAREN_DEPTH, Circuit, Gate, QasmError,
+from ionshuttle.qasm import (MAX_PAREN_DEPTH, Circuit, Gate, QasmError, _Parser,
                              build_circuit, decompose_gate, parse_qasm, to_qasm)
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -248,6 +249,73 @@ def test_build_circuit_validates():
         build_circuit(2, [("cx", (1, 1), ())])
     with pytest.raises(ValueError):
         build_circuit(3, [("ccx", (0, 1, 2), ())])
+
+
+# -- long files and repeated statements -----------------------------------------
+
+RANDOM12 = to_qasm(gen_random_circuit(12, 1000, 5))
+
+
+def test_each_distinct_gate_statement_is_parsed_once(monkeypatch):
+    calls = []
+    real = _Parser._gate_statement
+
+    def counting(self, at):
+        calls.append(at)
+        return real(self, at)
+
+    monkeypatch.setattr(_Parser, "_gate_statement", counting)
+    assert parse_qasm(RANDOM12) == gen_random_circuit(12, 1000, 5)
+    assert len(set(RANDOM12.splitlines()[3:])) == 132
+    assert len(calls) == 132
+
+
+def test_a_repeated_statement_keeps_its_operands_after_a_later_qreg():
+    circ = parse_qasm(HEADER + "qreg a[2];\ncx a[0],a[1];\nqreg b[2];\ncx a[0],a[1];\n"
+                      "cx b[0],a[1];\ncx a[0],a[1];\ncx b[0],a[1];\n")
+    assert circ.n_qubits == 4
+    assert [(g.index, g.operands) for g in circ.gates] == [
+        (0, (0, 1)), (1, (0, 1)), (2, (2, 1)), (3, (0, 1)), (4, (2, 1))]
+
+
+def test_repeated_measure_and_barrier_each_warn_at_their_own_position(caplog):
+    src = (HEADER + "qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[0];\nh q[0];\n"
+           "  measure q[0] -> c[0];\nbarrier q;\nh q[0]; barrier q;\n")
+    with caplog.at_level(logging.WARNING, logger="ionshuttle.qasm"):
+        circ = parse_qasm(src)
+    assert [g.operands for g in circ.gates] == [(0,), (0,)]
+    assert [r.getMessage() for r in caplog.records] == [
+        "4:1: creg c ignored (no effect on shuttling)",
+        "5:1: measure ignored (no effect on shuttling)",
+        "7:3: measure ignored (no effect on shuttling)",
+        "8:1: barrier ignored (no effect on shuttling)",
+        "9:9: barrier ignored (no effect on shuttling)"]
+
+
+def _damaged(*edits):
+    """RANDOM12 with each (line from the end, column, old, new) edit made;
+    columns are 1-based."""
+    lines = RANDOM12.split("\n")
+    for back, col, old, new in edits:
+        line = lines[-1 - back]
+        assert line[col - 1:col - 1 + len(old)] == old, (line, old)
+        lines[-1 - back] = line[:col - 1] + new + line[col - 1 + len(old):]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("edits, where, message", [
+    ([(1, 11, "10]", "12]")], (1003, 11), r"q\[12\] out of range \(size 12\)"),
+    ([(1, 3, " ", "@"), (2, 4, "q", "#q")], (1002, 4), "unexpected character '#'"),
+    ([(2, 13, ";", "")], (1003, 1), "expected SYM, got 'cz'"),
+    ([(1, 14, ";", "")], (1003, 13), "unexpected end of input"),
+], ids=["index-out-of-range", "two-bad-characters", "missing-semicolon",
+        "missing-last-semicolon"])
+def test_positions_deep_in_a_long_file(edits, where, message):
+    lines = RANDOM12.split("\n")
+    assert len(lines) == 1004 and lines[-2:] == ["cz q[0],q[10];", ""]
+    with pytest.raises(QasmError, match=f"^{where[0]}:{where[1]}: {message}$") as err:
+        parse_qasm(_damaged(*edits))
+    assert (err.value.line, err.value.col) == where
 
 
 # -- decomposition oracle -------------------------------------------------------
